@@ -5,8 +5,9 @@ kappa = 1, so position u = kappa*x and momentum v = p/(hbar*kappa) are
 plain numbers.  Conversion from physical (x, p, kappa, hbar) is a pure
 input adapter (:meth:`PhasePoint.from_physical`).
 
-Factorial-sized prefactors are always built from log-gamma differences,
-never from raw factorials, so indices in the hundreds are safe.
+Factorial-sized prefactors are always built from log-factorial
+differences (:func:`log_factorials`), never from raw factorials, so indices
+in the thousands are safe.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import TruncationError, ValidationError
 
@@ -207,6 +207,11 @@ def position_wavefunction(state: FockState, xs) -> np.ndarray:
     return np.tensordot(state.amplitudes, stack, axes=(0, 0))
 
 
+def log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n, from the standard library's log-gamma."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+
 def coherent_amplitudes(beta: complex, n_max: int | None = None) -> FockState:
     """Coherent state of amplitude ``beta`` as a truncated Fock vector.
 
@@ -221,7 +226,7 @@ def coherent_amplitudes(beta: complex, n_max: int | None = None) -> FockState:
         amp = np.zeros(n_max + 1, dtype=complex)
         amp[0] = 1.0
         return FockState(amp)
-    logmag = -0.5 * abs(beta) ** 2 + n * math.log(abs(beta)) - 0.5 * gammaln(n + 1)
+    logmag = -0.5 * abs(beta) ** 2 + n * math.log(abs(beta)) - 0.5 * log_factorials(n_max)
     amp = np.exp(logmag) * np.exp(1j * n * np.angle(beta))
     tail = abs(1.0 - float(np.sum(np.abs(amp) ** 2)))
     if tail > EPS_TAIL:
@@ -235,38 +240,47 @@ def coherent_amplitudes(beta: complex, n_max: int | None = None) -> FockState:
 def _displacement_batch(alphas: np.ndarray, n_max: int, columns: np.ndarray) -> np.ndarray:
     """Selected columns of the displacement operator for a batch of amplitudes.
 
-    Returns shape (len(alphas), n_max+1, len(columns)).  Entries use the
-    closed-form associated-Laguerre expression
+    Returns shape (len(alphas), n_max+1, len(columns)).  Entries are the
+    closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969),
         <m|D(a)|n> = sqrt(n!/m!) a^(m-n) e^(-|a|^2/2) L_n^(m-n)(|a|^2)
-    for m >= n, the conjugate-transposed relation below the diagonal, and
-    log-gamma prefactors throughout.
+    for m >= n, and conj(<n|D(-a)|m>) below the diagonal.  At order k the
+    normalized magnitudes T_n = sqrt(n!/(n+k)!) |a|^k e^(-|a|^2/2) L_n^(k)
+    obey the Laguerre degree recurrence
+        sqrt((n+1)(n+1+k)) T_(n+1) = (2n+1+k-|a|^2) T_n - sqrt(n(n+k)) T_(n-1),
+    stepped over the degree n on arrays over (alpha, order); degree n fills
+    column n from the diagonal down and row n right of the diagonal.  Only
+    orders k <= n_max - n are carried.  As entries of a unitary the T_n stay
+    in [-1, 1], so no truncation size overflows, and D(0) comes out as the
+    exact identity.  Phases and signs are applied in place afterwards, so
+    the working set beyond the result is a few arrays over (alpha, order).
     """
-    al = np.asarray(alphas, dtype=complex).ravel()
+    al = np.asarray(alphas, dtype=complex).reshape(-1, 1)
+    columns = np.asarray(columns, dtype=int)
+    order = np.arange(n_max + 1)
     mag = np.abs(al)
     aa = mag * mag
-    phase = np.angle(al)
-    zero = mag == 0.0
-    with np.errstate(divide="ignore"):
-        logmag = np.where(zero, 0.0, np.log(np.where(zero, 1.0, mag)))
-    out = np.empty((al.size, n_max + 1, len(columns)), dtype=complex)
-    lg = gammaln(np.arange(n_max + 2) + 1.0)  # lg[k] = log(k!)
-    for j, n in enumerate(columns):
-        for m in range(n_max + 1):
-            if m >= n:
-                deg, order, sign = n, m - n, 1.0
-                ph = order * phase
-            else:
-                # <m|D(a)|n> = conj(<n|D(-a)|m>), with exact sign alternation
-                deg, order = m, n - m
-                sign = -1.0 if order % 2 else 1.0
-                ph = -order * phase
-            pref = np.exp(0.5 * (lg[deg] - lg[deg + order]) + order * logmag - 0.5 * aa)
-            val = sign * pref * np.exp(1j * ph) * eval_genlaguerre(deg, order, aa)
-            if order > 0:
-                val = np.where(zero, 0.0, val)
-            else:
-                val = np.where(zero, 1.0, val)
-            out[:, m, j] = val
+    zero = mag[:, 0] == 0.0
+    logmag = np.log(np.where(zero[:, None], 1.0, mag))
+    cur = np.exp(order * logmag - 0.5 * log_factorials(n_max) - 0.5 * aa)
+    cur[zero, 1:] = 0.0
+    prev = np.zeros_like(cur)
+    out = np.empty((al.shape[0], n_max + 1, columns.size), dtype=complex)
+    for n in range(int(columns.max(initial=-1)) + 1):
+        out[:, n:, columns == n] = cur[:, :, None]
+        right = columns > n
+        out[:, n, right] = cur[:, columns[right] - n]
+        k = order[: cur.shape[1] - 1]
+        nxt = (2 * n + 1 + k - aa) * cur[:, :-1]
+        nxt -= np.sqrt(n * (n + k)) * prev[:, : k.size]
+        nxt /= np.sqrt((n + 1) * (n + 1 + k))
+        prev, cur = cur, nxt
+    prev = cur = nxt = None  # free the recurrence state before the phase pass
+    theta = np.angle(al)
+    out *= np.exp(1j * order * theta)[:, :, None]
+    out *= np.exp(-1j * columns * theta)[:, None, :]
+    # <m|D(a)|n> = conj(<n|D(-a)|m>) carries (-1)^(n-m) below the diagonal
+    diff = order[:, None] - columns
+    np.negative(out, out=out, where=(diff < 0) & (diff % 2 == 1))
     return out
 
 

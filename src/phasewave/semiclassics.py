@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ValidationError
+from .fock import log_factorials
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def overlap_distribution(beta_mag: float, n_bands: int | None = None) -> np.ndar
 
 
 def poisson_pmf(mean: float, n_terms: int) -> np.ndarray:
-    """Poisson probabilities for n = 0..n_terms-1, via log-gamma."""
+    """Poisson probabilities for n = 0..n_terms-1, via log-factorials."""
     if mean < 0:
         raise ValidationError("mean must be nonnegative")
     n = np.arange(n_terms)
@@ -110,7 +110,7 @@ def poisson_pmf(mean: float, n_terms: int) -> np.ndarray:
         p = np.zeros(n_terms)
         p[0] = 1.0
         return p
-    return np.exp(-mean + n * math.log(mean) - gammaln(n + 1))
+    return np.exp(-mean + n * math.log(mean) - log_factorials(n_terms - 1))
 
 
 @dataclass(frozen=True)

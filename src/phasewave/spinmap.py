@@ -111,7 +111,11 @@ def projected_band(j: float, n: int) -> tuple[float, float]:
     sphere = SpinSphere(j)
     if not 0 <= n <= sphere.multiplicity - 1:
         raise ValidationError(f"band index must lie in [0, {sphere.multiplicity - 1}]")
-    belt = belts(j)[n]
+    return _belt_image(j, belts(j)[n])
+
+
+def _belt_image(j: float, belt: Belt) -> tuple[float, float]:
+    """Projected edges of one belt, in ascending order."""
     lo, hi = sorted((project(j, belt.z_lo), project(j, belt.z_hi)))
     return lo, hi
 
@@ -126,7 +130,7 @@ def band_table(j: float):
     """Rows (n, m, rho_lo, rho_hi, area) over all 2j+1 bands."""
     rows = []
     for n, belt in enumerate(belts(j)):
-        lo, hi = projected_band(j, n)
+        lo, hi = _belt_image(j, belt)
         rows.append((n, belt.m, lo, hi, math.pi * (hi * hi - lo * lo)))
     return rows
 

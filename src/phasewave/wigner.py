@@ -179,17 +179,19 @@ class WignerField:
 
 
 def _chord_integrand(rho: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F(u, y) = <u + y/2| rho |u - y/2> built from oscillator eigenfunctions."""
+    """F(u, y) = <u + y/2| rho |u - y/2> built from oscillator eigenfunctions.
+
+    F is complex for states with complex coherences; only the Fourier sum
+    over y is real, so the real part is taken after it.
+    """
     n_max = rho.shape[0] - 1
-    out = np.empty((u.size, y.size))
+    out = np.empty((u.size, y.size), dtype=complex)
     step = max(1, int(_CHUNK_ELEMS // ((n_max + 1) * y.size)))
     for lo in range(0, u.size, step):
         ub = u[lo : lo + step]
         psi_p = fock.eigenfunction_stack(n_max, ub[:, None] + 0.5 * y[None, :])
         psi_m = fock.eigenfunction_stack(n_max, ub[:, None] - 0.5 * y[None, :])
-        out[lo : lo + step] = np.real(
-            np.einsum("mxy,mn,nxy->xy", psi_p, rho, psi_m, optimize=True)
-        )
+        out[lo : lo + step] = np.einsum("mxy,mn,nxy->xy", psi_p, rho, psi_m, optimize=True)
     return out
 
 

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasewave
 from phasewave.cli import main
 
 
@@ -289,3 +294,18 @@ class TestValidateAndDeterminism:
             "--lambda", "1", "zonesum", "--n", "20")
         code, _, _ = run(capsys, "validate", "--kind", "zones", str(out))
         assert code == 0
+
+
+def test_cli_import_needs_no_scipy():
+    # numpy is the only runtime dependency; scipy must not come back
+    src = str(Path(phasewave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, phasewave.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -21,7 +21,7 @@ from phasewave import (
     energy_distribution,
     oscillator_eigenfunction,
 )
-from phasewave.fock import displacement_certified_span
+from phasewave.fock import _displacement_batch, displacement_certified_span
 
 
 def _psi_mpmath(n, x, dps=50):
@@ -37,6 +37,22 @@ def _psi_mpmath(n, x, dps=50):
                 mpmath.mpf(k) / (k + 1)
             ) * p0
         return float(p1)
+
+
+def _displacement_mpmath(alpha, m, n, dps=40):
+    """Oracle: closed form <m|D(alpha)|n> of Cahill & Glauber at 40 digits."""
+    if m < n:  # <m|D(alpha)|n> = conj(<n|D(-alpha)|m>)
+        return _displacement_mpmath(-alpha, n, m, dps).conjugate()
+    with mpmath.workdps(dps):
+        a = mpmath.mpc(alpha.real, alpha.imag)
+        x = abs(a) ** 2
+        val = (
+            mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m))
+            * a ** (m - n)
+            * mpmath.exp(-x / 2)
+            * mpmath.laguerre(n, m - n, x)
+        )
+        return complex(val)
 
 
 class TestEigenfunctions:
@@ -101,6 +117,27 @@ class TestCoherentAmplitudes:
         with pytest.raises(TruncationError) as err:
             coherent_amplitudes(3.0, n_max=10)
         assert err.value.detail > EPS_TAIL
+
+
+class TestDisplacementKernel:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "mag, n_max",
+        [(0.0, 40), (0.5, 80), (0.5, 1620), (3.0, 120), (7.0, 400), (15.0, 1620)],
+    )
+    def test_matches_mpmath_closed_form(self, mag, n_max):
+        alpha = mag * complex(math.cos(0.9), math.sin(0.9))
+        cols = np.array([0, 1, n_max // 3, n_max // 2, n_max])
+        rows = [0, 1, n_max // 4, n_max // 2, n_max - 1, n_max]
+        batch = _displacement_batch(np.array([alpha, -alpha.conjugate()]), n_max, cols)
+        kinds = set()
+        for i, a in enumerate((alpha, -alpha.conjugate())):
+            for m in rows:
+                for j, n in enumerate(cols.tolist()):
+                    kinds.add((m > n) - (m < n))
+                    ref = _displacement_mpmath(a, m, n)
+                    assert abs(batch[i, m, j] - ref) < 1e-13, (a, m, n)
+        assert kinds == {-1, 0, 1}  # below, on and above the diagonal
 
 
 class TestDisplacementMatrix:

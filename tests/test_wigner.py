@@ -140,9 +140,11 @@ class TestParityRoute:
             )
             assert np.max(np.abs(par - direct)) < 1e-6, name
 
-    def test_parity_grid_matches_direct_grid(self):
+    @pytest.mark.parametrize("beta", [1.0, 0.6 + 0.8j])
+    def test_parity_grid_matches_direct_grid(self, beta):
+        # a complex amplitude gives complex coherences, so Im F(u, y) counts
         grid = PhaseGrid(-3.0, 3.0, -3.0, 3.0, 21, 21)
-        rho = coherent_amplitudes(1.0).density()
+        rho = coherent_amplitudes(beta).density()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ContainmentWarning)
             direct = wigner_direct(rho, grid)
