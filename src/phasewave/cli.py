@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,28 @@ def _serialize_field(field: wigner.WignerField, fmt: str) -> str:
     return field.to_csv()
 
 
+#: Column names of every table the CLI writes, by ``validate --kind``.
+_COLUMNS = {
+    "zones": ("n", "rho", "re_Un", "im_Un", "abs_Un", "phase_Un"),
+    "overlap": ("n", "p_overlap", "p_poisson"),
+    "spin-belts": ("m", "z_lo", "z_hi", "area"),
+    "spin-bands": ("n", "m", "rho_lo", "rho_hi", "area"),
+}
+
+_VALIDATE_HEADERS = {kind: ",".join(columns) for kind, columns in _COLUMNS.items()}
+
+
+def _emit_table(args, key: str, columns, rows, **head) -> None:
+    """Write ``rows`` as CSV, or as JSON records under ``key`` after ``head``."""
+    if args.format == "json":
+        records = [dict(zip(columns, row)) for row in rows]
+        _write(args.out, json.dumps({**head, key: records}) + "\n")
+        return
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write(args.out, "\n".join(lines) + "\n")
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -124,11 +147,10 @@ def cmd_wigner(args) -> int:
 def cmd_overlap(args) -> int:
     if args.beta < 0:
         raise ValidationError("beta must be nonnegative")
-    report = semiclassics.compare_poisson(args.beta, args.n_bands)
-    if args.format == "json":
-        _write(args.out, report.to_json() + "\n")
-    else:
-        _write(args.out, report.to_csv())
+    head = asdict(semiclassics.compare_poisson(args.beta, args.n_bands))
+    p_overlap, p_poisson = head.pop("p_overlap"), head.pop("p_poisson")
+    rows = zip(range(p_overlap.size), p_overlap.tolist(), p_poisson.tolist())
+    _emit_table(args, "table", _COLUMNS["overlap"], rows, **head)
     return 0
 
 
@@ -139,23 +161,7 @@ def cmd_fresnel(args) -> int:
     if args.subaction == "zones":
         rows = fresnel.zone_table(geom, args.n, args.nodes)
         slope = fresnel.fit_zone_scaling(geom, args.n) if args.n >= 2 else float("nan")
-        if args.format == "json":
-            payload = {
-                "slope_loglog": slope,
-                "zones": [
-                    {
-                        "n": r[0], "rho": r[1], "re_Un": r[2],
-                        "im_Un": r[3], "abs_Un": r[4], "phase_Un": r[5],
-                    }
-                    for r in rows
-                ],
-            }
-            _write(args.out, json.dumps(payload) + "\n")
-        else:
-            lines = ["n,rho,re_Un,im_Un,abs_Un,phase_Un"]
-            for r in rows:
-                lines.append(",".join([str(r[0])] + [_fmt(v) for v in r[1:]]))
-            _write(args.out, "\n".join(lines) + "\n")
+        _emit_table(args, "zones", _COLUMNS["zones"], rows, slope_loglog=slope)
         sys.stdout.write(f"slope_loglog={_fmt(slope)}\n")
         return 0
 
@@ -168,11 +174,7 @@ def cmd_fresnel(args) -> int:
         u_raw = fresnel.zone_sum(geom, n_zones, "raw", args.nodes)
         u_avg = fresnel.zone_sum(geom, n_zones, "averaged", args.nodes)
         summary = {
-            "geometry": {
-                "r0": geom.r0, "b": geom.b,
-                "wavelength": geom.wavelength, "amplitude": geom.amplitude,
-                "n_zones": n_zones,
-            },
+            "geometry": {**asdict(geom), "n_zones": n_zones},
             "U_free": _complex_dict(geom.free_field()),
             "U_integral": _complex_dict(u_int),
             "U_zone_sum_raw": _complex_dict(u_raw),
@@ -188,18 +190,16 @@ def cmd_fresnel(args) -> int:
         open_zones, n_zones = _parse_mask(args.open, args.n)
         u_plate = fresnel.zone_plate(geom, open_zones, n_zones, args.nodes)
         u_free = geom.free_field()
+        ratio = abs(u_plate) / abs(u_free)
         summary = {
-            "geometry": {
-                "r0": geom.r0, "b": geom.b,
-                "wavelength": geom.wavelength, "amplitude": geom.amplitude,
-            },
+            "geometry": asdict(geom),
             "open_zones": open_zones,
             "U_plate": _complex_dict(u_plate),
             "U_free": _complex_dict(u_free),
-            "amplitude_ratio": abs(u_plate) / abs(u_free),
+            "amplitude_ratio": ratio,
         }
         _write(args.out, json.dumps(summary) + "\n")
-        sys.stdout.write(f"amplitude_ratio={_fmt(abs(u_plate) / abs(u_free))}\n")
+        sys.stdout.write(f"amplitude_ratio={_fmt(ratio)}\n")
         return 0
 
     raise ValidationError(f"unknown fresnel subaction {args.subaction!r}")
@@ -233,69 +233,30 @@ def cmd_spin(args) -> int:
             (b.m, b.z_lo, b.z_hi, 2.0 * math.pi * sphere.radius * b.width)
             for b in spinmap.belts(args.j)
         ]
-        if args.format == "json":
-            payload = {
-                "j": args.j,
-                "belts": [
-                    {"m": m, "z_lo": lo, "z_hi": hi, "area": a}
-                    for m, lo, hi, a in rows
-                ],
-            }
-            _write(args.out, json.dumps(payload) + "\n")
-        else:
-            lines = ["m,z_lo,z_hi,area"]
-            for row in rows:
-                lines.append(",".join(_fmt(v) for v in row))
-            _write(args.out, "\n".join(lines) + "\n")
+        _emit_table(args, "belts", _COLUMNS["spin-belts"], rows, j=args.j)
         return 0
 
-    if args.subaction in ("project", "areas"):
+    if args.subaction == "project":
         rows = spinmap.band_table(args.j)
-        if args.format == "json":
-            payload = {
-                "j": args.j,
-                "bands": [
-                    {"n": n, "m": m, "rho_lo": lo, "rho_hi": hi, "area": a}
-                    for n, m, lo, hi, a in rows
-                ],
-            }
-            _write(args.out, json.dumps(payload) + "\n")
-        else:
-            lines = ["n,m,rho_lo,rho_hi,area"]
-            for n, m, lo, hi, a in rows:
-                lines.append(",".join([str(n)] + [_fmt(v) for v in (m, lo, hi, a)]))
-            _write(args.out, "\n".join(lines) + "\n")
+        _emit_table(args, "bands", _COLUMNS["spin-bands"], rows, j=args.j)
         return 0
 
     raise ValidationError(f"unknown spin subaction {args.subaction!r}")
 
 
-_VALIDATE_HEADERS = {
-    "zones": "n,rho,re_Un,im_Un,abs_Un,phase_Un",
-    "overlap": "n,p_overlap,p_poisson",
-    "spin-belts": "m,z_lo,z_hi,area",
-    "spin-bands": "n,m,rho_lo,rho_hi,area",
-}
-
-
 def cmd_validate(args) -> int:
     text = Path(args.path).read_text()
+    is_json = text.lstrip().startswith("{")
     if args.kind == "wigner":
         field = (
-            wigner.WignerField.from_json(text)
-            if text.lstrip().startswith("{")
+            wigner.WignerField.from_json(text) if is_json
             else wigner.WignerField.from_csv(text)
         )
-        echoed = (
-            json.dumps(field.to_json_dict()) + "\n"
-            if text.lstrip().startswith("{")
-            else field.to_csv()
-        )
-        if echoed != text:
+        if _serialize_field(field, "json" if is_json else "csv") != text:
             raise ValidationError("round-trip re-serialization differs from the file")
         sys.stdout.write("ok\n")
         return 0
-    if text.lstrip().startswith("{"):
+    if is_json:
         obj = json.loads(text)
         if json.dumps(obj) + "\n" != text:
             raise ValidationError("JSON round-trip differs from the file")
@@ -378,12 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spin", help="sphere belts and their plane images", parents=[common])
     p.add_argument("--j", type=float, required=True)
-    p.add_argument("subaction", choices=("belts", "project", "areas"))
+    p.add_argument("subaction", choices=("belts", "project"))
     p.set_defaults(func=cmd_spin)
 
     p = sub.add_parser("validate", help="re-read a file this tool wrote", parents=[common])
     p.add_argument("--kind", required=True,
-                   choices=("wigner", "zones", "overlap", "spin-belts", "spin-bands"))
+                   choices=("wigner", *_COLUMNS))
     p.add_argument("path")
     p.set_defaults(func=cmd_validate)
     return parser

@@ -291,7 +291,7 @@ def displacement_leakage(alpha: complex, n_max: int, columns=None) -> tuple[floa
     edge always leak and are not certified.
     """
     if columns is None:
-        columns = np.arange(displacement_certified_span(alpha, n_max) + 1)
+        columns = np.arange(_nonempty_span(alpha, n_max) + 1)
     columns = np.asarray(columns, dtype=int)
     mat = _displacement_batch(np.array([alpha]), n_max, columns)[0]
     leak = 1.0 - np.sum(np.abs(mat) ** 2, axis=0)
@@ -315,6 +315,18 @@ def displacement_certified_span(alpha: complex, n_max: int) -> int:
     return span
 
 
+def _nonempty_span(alpha: complex, n_max: int) -> int:
+    """The certified span, or a TruncationError when it holds no column."""
+    span = displacement_certified_span(alpha, n_max)
+    if span < 0:
+        raise TruncationError(
+            f"n_max={n_max} cannot even hold the displaced vacuum for "
+            f"|alpha|={abs(alpha):.3f}",
+            detail=0,
+        )
+    return span
+
+
 def displacement_matrix(
     alpha: complex, n_max: int, *, leak_tol: float = 1e-6
 ) -> np.ndarray:
@@ -335,13 +347,7 @@ def displacement_matrix(
         )
     cols = np.arange(n_max + 1)
     mat = _displacement_batch(np.array([alpha]), n_max, cols)[0]
-    span = displacement_certified_span(alpha, n_max)
-    if span < 0:
-        raise TruncationError(
-            f"n_max={n_max} cannot even hold the displaced vacuum for "
-            f"|alpha|={abs(alpha):.3f}",
-            detail=0,
-        )
+    span = _nonempty_span(alpha, n_max)
     leak = 1.0 - np.sum(np.abs(mat[:, : span + 1]) ** 2, axis=0)
     worst = int(np.argmax(leak))
     if leak[worst] > leak_tol:

@@ -24,6 +24,11 @@ from .errors import ValidationError
 #: Minimum quadrature nodes per zone; the phase advances by pi across a
 #: zone, so fewer nodes cannot resolve the integrand.
 MIN_NODES_PER_ZONE = 10
+#: Maximum quadrature nodes per zone; ``leggauss`` builds a dense
+#: nodes x nodes companion matrix.
+MAX_NODES_PER_ZONE = 1024
+#: Maximum segments x nodes evaluated at once (a few hundred MB of arrays).
+MAX_QUADRATURE_POINTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -79,23 +84,46 @@ def _s_of_theta(geom: FresnelGeometry, theta) -> np.ndarray:
     return np.sqrt(geom.r0**2 + d * d - 2.0 * geom.r0 * d * np.cos(theta))
 
 
-def zone_boundary_angle(geom: FresnelGeometry, n: int) -> float:
-    """Polar angle at the source subtending the n-th zone boundary.
+def _obliquity(geom: FresnelGeometry, s):
+    """Kirchhoff obliquity K = (1 + cos chi)/2 at distance s from P, and cos chi."""
+    d = geom.r0 + geom.b
+    cos_chi = np.clip((d * d - geom.r0**2 - s * s) / (2.0 * geom.r0 * s), -1.0, 1.0)
+    return 0.5 * (1.0 + cos_chi), cos_chi
 
-    Solves the law of cosines in the triangle O-Q-P exactly for the sphere
+
+def _libm(fn, x) -> np.ndarray:
+    """The math module's ``fn`` per element.
+
+    np.arccos is an ulp off math.acos on some angles, and the phase k*s
+    turns that into a 1e-12 relative change of a zone term.
+    """
+    return np.fromiter(map(fn, np.asarray(x, dtype=float).tolist()), float)
+
+
+def _boundary_angles(geom: FresnelGeometry, n) -> np.ndarray:
+    """Polar angles at the source subtending the zone boundaries ``n``.
+
+    Solves the law of cosines in the triangle O-Q-P exactly for the spheres
     of radius s_n = b + n*wavelength/2 around P; no small-angle step.
     """
-    if n < 0:
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValidationError("zone index must be nonnegative")
     s = geom.b + 0.5 * n * geom.wavelength
     d = geom.r0 + geom.b
     cos_theta = (geom.r0**2 + d * d - s * s) / (2.0 * geom.r0 * d)
-    if cos_theta < -1.0:
+    beyond = np.flatnonzero(cos_theta < -1.0)
+    if beyond.size:
         raise ValidationError(
-            f"zone boundary {n} lies beyond the wavefront (only "
+            f"zone boundary {n.flat[beyond[0]]} lies beyond the wavefront (only "
             f"{geom.max_zones} zones fit)"
         )
-    return math.acos(min(1.0, cos_theta))
+    return _libm(math.acos, np.minimum(cos_theta, 1.0))
+
+
+def zone_boundary_angle(geom: FresnelGeometry, n: int) -> float:
+    """Polar angle at the source subtending the n-th zone boundary."""
+    return float(_boundary_angles(geom, [n])[0])
 
 
 def inclination(geom: FresnelGeometry, theta: float) -> tuple[float, float]:
@@ -104,17 +132,13 @@ def inclination(geom: FresnelGeometry, theta: float) -> tuple[float, float]:
     chi is the angle between the outward wavefront normal at Q and the
     direction from Q to P; K(chi) = (1 + cos chi)/2.
     """
-    s = float(_s_of_theta(geom, theta))
-    d = geom.r0 + geom.b
-    cos_chi = (d * d - geom.r0**2 - s * s) / (2.0 * geom.r0 * s)
-    cos_chi = max(-1.0, min(1.0, cos_chi))
-    return 0.5 * (1.0 + cos_chi), math.acos(cos_chi)
+    kirchhoff, cos_chi = _obliquity(geom, _s_of_theta(geom, theta))
+    return float(kirchhoff), math.acos(cos_chi)
 
 
 def zone(geom: FresnelGeometry, n: int) -> Zone:
     """Geometric summary of zone n."""
-    th_lo = zone_boundary_angle(geom, n)
-    th_hi = zone_boundary_angle(geom, n + 1)
+    th_lo, th_hi = _boundary_angles(geom, [n, n + 1]).tolist()
     s_lo = geom.b + 0.5 * n * geom.wavelength
     s_hi = s_lo + 0.5 * geom.wavelength
     _, chi_mid = inclination(geom, 0.5 * (th_lo + th_hi))
@@ -129,33 +153,57 @@ def zone(geom: FresnelGeometry, n: int) -> Zone:
     )
 
 
-def _segment_integral(geom, th_lo, th_hi, nodes, taper=None) -> complex:
-    """Wavelet integral over one theta segment with a fixed Gauss rule."""
+def _check_grid(n_segments: int, nodes: int) -> None:
+    """Reject a Gauss rule too coarse for a zone, or a grid too large to allocate."""
+    if nodes < MIN_NODES_PER_ZONE:
+        raise ValidationError(
+            f"need at least {MIN_NODES_PER_ZONE} quadrature nodes per zone"
+        )
+    if nodes > MAX_NODES_PER_ZONE:
+        raise ValidationError(
+            f"{nodes} nodes per zone exceed the limit of {MAX_NODES_PER_ZONE}"
+        )
+    if n_segments * nodes > MAX_QUADRATURE_POINTS:
+        raise ValidationError(
+            f"{n_segments} segments x {nodes} nodes exceed the limit of "
+            f"{MAX_QUADRATURE_POINTS} quadrature points"
+        )
+
+
+def _segment_integral(geom, th_lo, th_hi, nodes, taper=None) -> np.ndarray:
+    """Wavelet integrals over the theta segments [th_lo[i], th_hi[i]].
+
+    One Gauss rule serves every segment; the (segments x nodes) grid is
+    evaluated at once.
+    """
+    _check_grid(th_lo.size, nodes)
     x, w = leggauss(nodes)
-    th = 0.5 * (th_hi - th_lo) * x + 0.5 * (th_hi + th_lo)
-    wth = 0.5 * (th_hi - th_lo) * w
+    half = (0.5 * (th_hi - th_lo))[:, None]
+    th = half * x + (0.5 * (th_hi + th_lo))[:, None]
     s = _s_of_theta(geom, th)
-    d = geom.r0 + geom.b
-    cos_chi = np.clip((d * d - geom.r0**2 - s * s) / (2.0 * geom.r0 * s), -1.0, 1.0)
-    kirchhoff = 0.5 * (1.0 + cos_chi)
+    kirchhoff, _ = _obliquity(geom, s)
     f = np.exp(1j * geom.k * s) / s * kirchhoff * np.sin(th)
     if taper is not None:
         f = f * taper(s)
-    surface = float(np.dot(np.real(f), wth)) + 1j * float(np.dot(np.imag(f), wth))
+    wth = half * w
+    # vecdot is a 1-D dot per row: the same summation as one segment at a time
+    surface = np.vecdot(f.real, wth) + 1j * np.vecdot(f.imag, wth)
     surface *= 2.0 * math.pi * geom.r0**2
     prefactor = (-1j / geom.wavelength) * geom.amplitude
     return prefactor * np.exp(1j * geom.k * geom.r0) / geom.r0 * surface
 
 
+def _zone_terms(geom: FresnelGeometry, n: int, nodes: int):
+    """Boundary angles theta_0 .. theta_n and zone integrals U_0 .. U_(n-1)."""
+    _check_grid(n, nodes)  # before the angles are allocated
+    theta = _boundary_angles(geom, np.arange(n + 1))
+    return theta, _segment_integral(geom, theta[:-1], theta[1:], nodes)
+
+
 def zone_contribution(geom: FresnelGeometry, n: int, nodes_per_zone: int = 16) -> complex:
     """The wavelet integral restricted to zone n alone."""
-    if nodes_per_zone < MIN_NODES_PER_ZONE:
-        raise ValidationError(
-            f"need at least {MIN_NODES_PER_ZONE} quadrature nodes per zone"
-        )
-    th_lo = zone_boundary_angle(geom, n)
-    th_hi = zone_boundary_angle(geom, n + 1)
-    return _segment_integral(geom, th_lo, th_hi, nodes_per_zone)
+    theta = _boundary_angles(geom, [n, n + 1])
+    return _segment_integral(geom, theta[:1], theta[1:], nodes_per_zone)[0]
 
 
 def huygens_integral(
@@ -174,10 +222,6 @@ def huygens_integral(
     the artificial hard edge; without it the integral equals the sum of its
     zone contributions identically.
     """
-    if nodes_per_zone < MIN_NODES_PER_ZONE:
-        raise ValidationError(
-            f"need at least {MIN_NODES_PER_ZONE} quadrature nodes per zone"
-        )
     if not 0.0 < theta_max <= math.pi:
         raise ValidationError("theta_max must lie in (0, pi]")
     s_end = float(_s_of_theta(geom, theta_max))
@@ -195,15 +239,13 @@ def huygens_integral(
 
     n_full = int(math.floor((s_end - geom.b) / (0.5 * geom.wavelength) + 1e-12))
     n_full = min(n_full, geom.max_zones)
-    total = 0.0 + 0.0j
-    prev = 0.0
-    for m in range(n_full):
-        th_hi = zone_boundary_angle(geom, m + 1)
-        total += _segment_integral(geom, prev, th_hi, nodes_per_zone, taper_fn)
-        prev = th_hi
-    if theta_max > prev + 1e-15:
-        total += _segment_integral(geom, prev, theta_max, nodes_per_zone, taper_fn)
-    return total
+    _check_grid(n_full + 1, nodes_per_zone)  # before the angles are allocated
+    edges = _boundary_angles(geom, np.arange(n_full + 1))
+    edges[0] = 0.0  # the cap starts on the axis
+    if theta_max > edges[-1] + 1e-15:
+        edges = np.append(edges, theta_max)
+    terms = _segment_integral(geom, edges[:-1], edges[1:], nodes_per_zone, taper_fn)
+    return sum(terms.tolist(), 0j)
 
 
 def zone_sum(
@@ -215,10 +257,10 @@ def zone_sum(
     """Field at P assembled from the alternating series of zone terms.
 
     The per-zone integrals carry the sign alternation themselves (their
-    phases step by pi), so the series is summed as-is.  ``raw`` returns the
-    plain partial sum; ``averaged`` returns the mean of the last two
-    partial sums, the standard treatment of this conditionally convergent
-    series.
+    phases step by pi), so the series is summed as-is, left to right.
+    ``raw`` returns the plain partial sum; ``averaged`` returns the mean of
+    the last two partial sums, the standard treatment of this conditionally
+    convergent series.
     """
     if n_zones < 1:
         raise ValidationError("need at least one zone")
@@ -226,8 +268,8 @@ def zone_sum(
         raise ValidationError(f"unknown mode {mode!r}")
     if mode == "averaged" and n_zones < 2:
         raise ValidationError("averaged mode needs at least two zones")
-    terms = [zone_contribution(geom, n, nodes_per_zone) for n in range(n_zones)]
-    total = sum(terms)
+    _, terms = _zone_terms(geom, n_zones, nodes_per_zone)
+    total = sum(terms.tolist(), 0j)
     if mode == "raw":
         return total
     return total - 0.5 * terms[-1]
@@ -241,22 +283,22 @@ def zone_plate(
 ) -> complex:
     """Field with only the listed zones transparent, all others blocked."""
     open_sorted = sorted(set(int(z) for z in open_zones))
-    if open_sorted and (open_sorted[0] < 0 or open_sorted[-1] >= n_zones):
+    if not open_sorted:
+        return 0j
+    if open_sorted[0] < 0 or open_sorted[-1] >= n_zones:
         raise ValidationError("open zone indices must lie in [0, n_zones)")
-    return sum(
-        (zone_contribution(geom, n, nodes_per_zone) for n in open_sorted),
-        start=0.0 + 0.0j,
-    )
+    _, terms = _zone_terms(geom, open_sorted[-1] + 1, nodes_per_zone)
+    return sum(terms[open_sorted].tolist(), 0j)
 
 
 def zone_table(geom: FresnelGeometry, n_zones: int, nodes_per_zone: int = 16):
     """Rows (n, rho, Re U_n, Im U_n, |U_n|, arg U_n) for the first zones."""
-    rows = []
-    for n in range(n_zones):
-        z = zone(geom, n)
-        u = zone_contribution(geom, n, nodes_per_zone)
-        rows.append((n, z.rho, u.real, u.imag, abs(u), math.atan2(u.imag, u.real)))
-    return rows
+    theta, terms = _zone_terms(geom, n_zones, nodes_per_zone)
+    rho = geom.r0 * _libm(math.sin, theta[1:])
+    return [
+        (n, r, u.real, u.imag, abs(u), math.atan2(u.imag, u.real))
+        for n, (r, u) in enumerate(zip(rho.tolist(), terms.tolist()))
+    ]
 
 
 def fit_zone_scaling(geom: FresnelGeometry, n_max: int = 100) -> float:
@@ -264,7 +306,7 @@ def fit_zone_scaling(geom: FresnelGeometry, n_max: int = 100) -> float:
     if n_max < 2:
         raise ValidationError("need at least two boundaries for a fit")
     n = np.arange(1, n_max + 1)
-    rho = np.array([geom.r0 * math.sin(zone_boundary_angle(geom, int(m))) for m in n])
+    rho = geom.r0 * _libm(math.sin, _boundary_angles(geom, n))
     x = np.log(n)
     y = np.log(rho)
     x = x - x.mean()

@@ -10,7 +10,6 @@ and P_n is the fraction of the disc overlapping band n.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -125,29 +124,6 @@ class OverlapComparison:
     tv_distance: float
     p_overlap: np.ndarray
     p_poisson: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "overlap_mean": self.overlap_mean,
-            "poisson_mean": self.poisson_mean,
-            "overlap_variance": self.overlap_variance,
-            "poisson_variance": self.poisson_variance,
-            "tv_distance": self.tv_distance,
-            "table": [
-                {"n": int(n), "p_overlap": float(po), "p_poisson": float(pp)}
-                for n, (po, pp) in enumerate(zip(self.p_overlap, self.p_poisson))
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        lines = ["n,p_overlap,p_poisson"]
-        for n, (po, pp) in enumerate(zip(self.p_overlap, self.p_poisson)):
-            lines.append(f"{n},{po:.17g},{pp:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def compare_poisson(beta_mag: float, n_bands: int | None = None) -> OverlapComparison:

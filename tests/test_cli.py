@@ -123,6 +123,30 @@ class TestOverlapCommand:
         code, _, _ = run(capsys, "overlap", "--beta", "-1")
         assert code == 2
 
+    def test_json_fields(self, capsys, tmp_path):
+        out = tmp_path / "o.json"
+        run(capsys, "--format", "json", "--out", str(out), "overlap", "--beta", "2")
+        obj = json.loads(out.read_text())
+        assert list(obj.keys()) == [
+            "beta",
+            "overlap_mean",
+            "poisson_mean",
+            "overlap_variance",
+            "poisson_variance",
+            "tv_distance",
+            "table",
+        ]
+        assert list(obj["table"][0].keys()) == ["n", "p_overlap", "p_poisson"]
+
+    def test_csv_header_and_rows(self, capsys, tmp_path):
+        from phasewave import compare_poisson
+
+        out = tmp_path / "o.csv"
+        run(capsys, "--out", str(out), "overlap", "--beta", "1")
+        lines = out.read_text().splitlines()
+        assert lines[0] == "n,p_overlap,p_poisson"
+        assert len(lines) == compare_poisson(1.0).p_overlap.size + 1
+
 
 class TestFresnelCommand:
     GEOM = ["fresnel", "--r0", "100", "--b", "100", "--lambda", "1"]
@@ -184,6 +208,17 @@ class TestFresnelCommand:
         code, _, _ = run(capsys, *self.GEOM, "zones", "--n", "5", "--nodes", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("action", [
+        ("zonesum", "--n", str(10**15)),
+        ("zones", "--n", "5", "--nodes", "100000"),
+    ])
+    def test_oversized_quadrature_rejected(self, capsys, action):
+        # r0 = b = 1e15 wavelengths holds 4e15 zones; no grid that size fits
+        code, _, err = run(capsys, "fresnel", "--r0", "1e15", "--b", "1e15",
+                           "--lambda", "1", *action)
+        assert code == 2
+        assert "exceed the limit" in err
+
 
 class TestSpinCommand:
     def test_half_spin_two_rows(self, capsys, tmp_path):
@@ -211,7 +246,7 @@ class TestSpinCommand:
 
     def test_areas_monotone_below_quantum(self, capsys, tmp_path):
         out = tmp_path / "a.csv"
-        code, _, _ = run(capsys, "--out", str(out), "spin", "--j", "200", "areas")
+        code, _, _ = run(capsys, "--out", str(out), "spin", "--j", "200", "project")
         assert code == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         areas = np.array([float(r[4]) for r in rows])

@@ -164,6 +164,11 @@ class TestDisplacementMatrix:
         leaks = [displacement_leakage(3.5, n, cols)[0] for n in (32, 64, 128)]
         assert leaks[0] > leaks[1] > leaks[2]
 
+    def test_leakage_rejects_empty_certified_span(self):
+        assert displacement_certified_span(3.0, 20) < 0
+        with pytest.raises(TruncationError, match="displaced vacuum"):
+            displacement_leakage(3.0, 20)
+
     def test_rejects_leaky_truncation(self):
         with pytest.raises(TruncationError) as err:
             displacement_matrix(2.0, 64, leak_tol=1e-16)

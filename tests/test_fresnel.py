@@ -17,6 +17,7 @@ from phasewave import (
     zone_contribution,
     zone_plate,
     zone_sum,
+    zone_table,
 )
 
 
@@ -207,3 +208,29 @@ class TestGeometryValidation:
     def test_wavenumber_consistency(self):
         g = FresnelGeometry(100.0, 100.0, 0.5)
         assert g.k * g.wavelength == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+
+class TestQuadratureBudget:
+    # r0 = b = 1e15 wavelengths holds 4e15 zones: a missing size check would
+    # fail with MemoryError at once instead of touching memory
+    HUGE = FresnelGeometry(1e15, 1e15, 1.0)
+    N = 10**15
+
+    @pytest.mark.parametrize("call", [
+        lambda g, n: zone_sum(g, n),
+        lambda g, n: zone_sum(g, n, "raw"),
+        lambda g, n: zone_plate(g, [n - 1], n),
+        lambda g, n: zone_table(g, n),
+        lambda g, n: huygens_integral(g, math.pi),
+        lambda g, n: huygens_integral(g, math.pi, taper=False),
+    ], ids=["zone_sum", "zone_sum_raw", "zone_plate", "zone_table", "huygens",
+            "huygens_untapered"])
+    def test_rejects_oversized_zone_grid(self, call):
+        with pytest.raises(ValidationError, match="exceed the limit of 4000000"):
+            call(self.HUGE, self.N)
+
+    def test_rejects_too_many_nodes(self, geom):
+        with pytest.raises(ValidationError, match="exceed the limit of 1024"):
+            zone_contribution(geom, 0, nodes_per_zone=10**15)
+        with pytest.raises(ValidationError, match="exceed the limit of 1024"):
+            huygens_integral(geom, 0.5, nodes_per_zone=1025)

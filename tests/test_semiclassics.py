@@ -1,6 +1,5 @@
 """Quantized annuli, the lens kernel, and the overlap-area statistics."""
 
-import json
 import math
 
 import numpy as np
@@ -147,23 +146,3 @@ class TestComparePoisson:
     def test_poisson_pmf_normalized(self):
         p = poisson_pmf(4.0, 60)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_json_fields(self):
-        rep = compare_poisson(2.0)
-        obj = json.loads(rep.to_json())
-        assert list(obj.keys()) == [
-            "beta",
-            "overlap_mean",
-            "poisson_mean",
-            "overlap_variance",
-            "poisson_variance",
-            "tv_distance",
-            "table",
-        ]
-        assert obj["table"][0].keys() == {"n", "p_overlap", "p_poisson"}
-
-    def test_csv_header_and_rows(self):
-        rep = compare_poisson(1.0)
-        lines = rep.to_csv().splitlines()
-        assert lines[0] == "n,p_overlap,p_poisson"
-        assert len(lines) == rep.p_overlap.size + 1
