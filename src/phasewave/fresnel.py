@@ -153,19 +153,23 @@ def zone(geom: FresnelGeometry, n: int) -> Zone:
     )
 
 
-def _check_grid(n_segments: int, nodes: int) -> None:
-    """Reject a Gauss rule too coarse for a zone, or a grid too large to allocate."""
-    if nodes < MIN_NODES_PER_ZONE:
+def _check_grid(n_segments: int, nodes: int | None) -> None:
+    """Reject a Gauss rule too coarse for a zone, or a grid too large to allocate.
+
+    ``nodes=None`` sizes one point per segment, with no Gauss rule.
+    """
+    if nodes is not None:
+        if nodes < MIN_NODES_PER_ZONE:
+            raise ValidationError(
+                f"need at least {MIN_NODES_PER_ZONE} quadrature nodes per zone"
+            )
+        if nodes > MAX_NODES_PER_ZONE:
+            raise ValidationError(
+                f"{nodes} nodes per zone exceed the limit of {MAX_NODES_PER_ZONE}"
+            )
+    if n_segments * (nodes or 1) > MAX_QUADRATURE_POINTS:
         raise ValidationError(
-            f"need at least {MIN_NODES_PER_ZONE} quadrature nodes per zone"
-        )
-    if nodes > MAX_NODES_PER_ZONE:
-        raise ValidationError(
-            f"{nodes} nodes per zone exceed the limit of {MAX_NODES_PER_ZONE}"
-        )
-    if n_segments * nodes > MAX_QUADRATURE_POINTS:
-        raise ValidationError(
-            f"{n_segments} segments x {nodes} nodes exceed the limit of "
+            f"{n_segments} segments x {nodes or 1} nodes exceed the limit of "
             f"{MAX_QUADRATURE_POINTS} quadrature points"
         )
 
@@ -305,6 +309,7 @@ def fit_zone_scaling(geom: FresnelGeometry, n_max: int = 100) -> float:
     """Least-squares slope of log rho_n against log n for n = 1..n_max."""
     if n_max < 2:
         raise ValidationError("need at least two boundaries for a fit")
+    _check_grid(n_max, None)  # before the angles are allocated
     n = np.arange(1, n_max + 1)
     rho = geom.r0 * _libm(math.sin, _boundary_angles(geom, n))
     x = np.log(n)

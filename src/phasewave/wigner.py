@@ -15,7 +15,6 @@ frozen in :data:`UV_TO_ALPHA` and re-derivable with
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -96,7 +95,18 @@ class PhaseGrid:
 
 
 class WignerField:
-    """Wigner values sampled on a PhaseGrid, shape (n_u, n_v)."""
+    """Wigner values sampled on a PhaseGrid, shape (n_u, n_v).
+
+    Serialized layouts (both written with 17 significant digits, ``%.17g``):
+
+    * CSV: header ``u,v,w``, then one row ``u,v,w`` per node, u-major with
+      v varying fastest, i.e. ``values`` in C order.
+    * JSON: ``{"grid": {"u_min", "u_max", "v_min", "v_max", "n_u", "n_v"},
+      "values": [[...n_v...], ...n_u rows...]}``.
+
+    The readers accept exactly these layouts and raise ValidationError on
+    anything else, including CSV nodes in any other order.
+    """
 
     def __init__(self, grid: PhaseGrid, values, *, check: bool = True):
         vals = np.asarray(values, dtype=float)
@@ -119,27 +129,38 @@ class WignerField:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self) -> str:
-        """CSV with header u,v,w, row-major nodes, 17 significant digits."""
-        buf = io.StringIO()
-        u, v = self.grid.u_axis, self.grid.v_axis
-        buf.write("u,v,w\n")
-        for i in range(self.grid.n_u):
-            for j in range(self.grid.n_v):
-                buf.write(f"{u[i]:.17g},{v[j]:.17g},{self.values[i, j]:.17g}\n")
-        return buf.getvalue()
+        """CSV with header u,v,w, u-major nodes (v fastest), 17 significant digits."""
+        us = ["%.17g," % x for x in self.grid.u_axis.tolist()]
+        vs = ["%.17g," % x for x in self.grid.v_axis.tolist()]
+        # one %-template holds every node's "u,v," text; the axes contain no "%"
+        w = "%.17g\n"
+        template = "".join([u + (w + u).join(vs) + w for u in us])
+        return "u,v,w\n" + template % tuple(self.values.ravel().tolist())
 
     @classmethod
     def from_csv(cls, text: str) -> "WignerField":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["u", "v", "w"]:
+        """Read the layout :meth:`to_csv` writes; nodes must be in its order."""
+        header, _, body = text.partition("\n")
+        if header.rstrip("\r") != "u,v,w":
             raise ValidationError("expected header u,v,w")
-        data = np.array([[float(c) for c in r] for r in rows[1:] if r], dtype=float)
-        if data.size == 0:
+        if not body.strip():
             raise ValidationError("no data rows")
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValidationError(f"malformed field CSV: {exc}") from exc
+        if data.shape[1] != 3:
+            raise ValidationError(f"expected 3 columns u,v,w, found {data.shape[1]}")
         u_axis = np.unique(data[:, 0])
         v_axis = np.unique(data[:, 1])
-        if data.shape[0] != u_axis.size * v_axis.size:
-            raise ValidationError("nodes do not form a complete rectangular grid")
+        if not (
+            np.array_equal(data[:, 0], np.repeat(u_axis, v_axis.size))
+            and np.array_equal(data[:, 1], np.tile(v_axis, u_axis.size))
+        ):
+            raise ValidationError(
+                "nodes do not form a complete rectangular grid in u-major, "
+                "v-fastest order"
+            )
         grid = PhaseGrid(
             float(u_axis[0]), float(u_axis[-1]),
             float(v_axis[0]), float(v_axis[-1]),
@@ -156,7 +177,7 @@ class WignerField:
                 "v_min": g.v_min, "v_max": g.v_max,
                 "n_u": g.n_u, "n_v": g.n_v,
             },
-            "values": [[float(x) for x in row] for row in self.values],
+            "values": self.values.tolist(),
         }
 
     def to_json(self) -> str:
@@ -164,15 +185,19 @@ class WignerField:
 
     @classmethod
     def from_json(cls, text: str) -> "WignerField":
-        obj = json.loads(text)
+        """Read the layout :meth:`to_json` writes."""
         try:
+            obj = json.loads(text)
             g = obj["grid"]
             grid = PhaseGrid(
                 g["u_min"], g["u_max"], g["v_min"], g["v_max"], g["n_u"], g["n_v"]
             )
-            return cls(grid, np.array(obj["values"], dtype=float))
-        except (KeyError, TypeError) as exc:
+            values = np.array(obj["values"], dtype=float)
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed field JSON: {exc}") from exc
+        return cls(grid, values)
 
 
 # -- direct Fourier-integral route ----------------------------------------

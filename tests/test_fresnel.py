@@ -223,8 +223,9 @@ class TestQuadratureBudget:
         lambda g, n: zone_table(g, n),
         lambda g, n: huygens_integral(g, math.pi),
         lambda g, n: huygens_integral(g, math.pi, taper=False),
+        lambda g, n: fit_zone_scaling(g, n),
     ], ids=["zone_sum", "zone_sum_raw", "zone_plate", "zone_table", "huygens",
-            "huygens_untapered"])
+            "huygens_untapered", "fit_zone_scaling"])
     def test_rejects_oversized_zone_grid(self, call):
         with pytest.raises(ValidationError, match="exceed the limit of 4000000"):
             call(self.HUGE, self.N)

@@ -1,10 +1,13 @@
 """Wigner evaluation routes, their equivalence, overlaps, and tomography."""
 
+import io
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasewave import (
     ContainmentError,
@@ -38,6 +41,30 @@ def _states():
         "fock3": FockState.fock(3).density(),
         "coherent1": coherent_amplitudes(1.0).density(),
         "coherent2": coherent_amplitudes(2.0).density(),
+    }
+
+
+def _reference_csv(field):
+    """Per-node CSV writer, the byte oracle for WignerField.to_csv."""
+    buf = io.StringIO()
+    u, v = field.grid.u_axis, field.grid.v_axis
+    buf.write("u,v,w\n")
+    for i in range(field.grid.n_u):
+        for j in range(field.grid.n_v):
+            buf.write(f"{u[i]:.17g},{v[j]:.17g},{field.values[i, j]:.17g}\n")
+    return buf.getvalue()
+
+
+def _reference_json_dict(field):
+    """Nested-list JSON dict, the oracle for WignerField.to_json_dict."""
+    g = field.grid
+    return {
+        "grid": {
+            "u_min": g.u_min, "u_max": g.u_max,
+            "v_min": g.v_min, "v_max": g.v_max,
+            "n_u": g.n_u, "n_v": g.n_v,
+        },
+        "values": [[float(x) for x in row] for row in field.values],
     }
 
 
@@ -336,6 +363,71 @@ class TestFieldSerialization:
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValidationError):
             WignerField.from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("read, text", [
+        (WignerField.from_csv, "u,v,w\n0,0,0.1\n0,x,0.1\n"),
+        (WignerField.from_csv, "u,v,w\n0,0\n0,1\n1,0\n1,1\n"),
+        (WignerField.from_csv, "u,v,w\n0,0,0.1\n0,1\n"),
+        (WignerField.from_csv, "u,v,w\n"),
+        (WignerField.from_json, "{not json"),
+        (WignerField.from_json,
+         '{"grid": {"u_min": 0, "u_max": 1, "v_min": 0, "v_max": 1, "n_u": 2, '
+         '"n_v": 2}, "values": [[0.1, 0.1], [0.1]]}'),
+    ], ids=["non_numeric", "two_columns", "ragged_csv", "empty_body", "not_json",
+            "ragged_json"])
+    def test_rejects_malformed_body(self, read, text):
+        with pytest.raises(ValidationError):
+            read(text)
+
+    # 3 x 2 grid: u in {0, 1, 2}, v in {0, 1}, w distinct per node
+    _NODES = [(u, v, 0.01 * (2 * u + v)) for u in range(3) for v in range(2)]
+
+    @pytest.mark.parametrize("rows", [
+        sorted(_NODES, key=lambda n: (n[1], n[0])),  # v-major: would transpose
+        _NODES[:3] + [_NODES[2]] + _NODES[4:],  # (1, 0) twice, (1, 1) missing
+    ], ids=["v_major", "duplicated_node"])
+    def test_csv_rejects_out_of_order_nodes(self, rows):
+        text = "u,v,w\n" + "".join(f"{u},{v},{w}\n" for u, v, w in rows)
+        with pytest.raises(ValidationError, match="v-fastest order"):
+            WignerField.from_csv(text)
+
+    def test_codecs_match_per_node_reference(self):
+        # values around the %.17g exponent switches (1e-4 / 1e-5), signed zero,
+        # subnormals; a u axis with non-round bounds, a v axis crossing 1e17
+        grid = PhaseGrid(-5.3, 4.7, -3e17, 1.7e17, 9, 7)
+        special = [
+            -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-5, -1e-5,
+            np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), 1e-4,
+            np.nextafter(1e-4, 0.0), 9.9999999999999991e-06, 1.0 / math.pi,
+            -1.0 / math.pi, 0.1, 1.0 / 7.0,
+        ]
+        rng = np.random.default_rng(4)
+        values = rng.uniform(-1.0 / math.pi, 1.0 / math.pi, grid.n_u * grid.n_v)
+        values[: len(special)] = special
+        field = WignerField(grid, values.reshape(grid.n_u, grid.n_v))
+        assert field.to_csv() == _reference_csv(field)
+        assert field.to_json() == json.dumps(_reference_json_dict(field))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_roundtrip_is_bit_exact(self, data):
+        n_u, n_v = data.draw(st.integers(2, 12)), data.draw(st.integers(2, 12))
+        lo = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
+        span = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2))
+        grid = PhaseGrid(lo[0], lo[0] + span[0], lo[1], lo[1] + span[1], n_u, n_v)
+        w = 1.0 / math.pi
+        values = data.draw(st.lists(
+            st.one_of(
+                st.floats(-w, w),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+            ),
+            min_size=n_u * n_v, max_size=n_u * n_v,
+        ))
+        field = WignerField(grid, np.reshape(values, (n_u, n_v)))
+        for back in (WignerField.from_csv(field.to_csv()),
+                     WignerField.from_json(field.to_json())):
+            assert back.grid == field.grid
+            assert back.values.tobytes() == field.values.tobytes()
 
     def test_bound_violation_rejected(self):
         grid = PhaseGrid(-1, 1, -1, 1, 3, 3)
