@@ -4,8 +4,9 @@ Two independent evaluation routes are provided and cross-checked:
 
 * :func:`wigner_direct` integrates the position-representation Fourier
   kernel over the chord coordinate y at every node,
-* :func:`parity_sum` forms twice the alternating sum of the occupation
-  probabilities of the state displaced to the opposite phase point.
+* :func:`parity_sum` (one point) and :func:`wigner_parity` (a grid) form
+  twice the alternating sum of the occupation probabilities of the state
+  displaced to the opposite phase point (``fock._displaced_occupations``).
 
 Route agreement fixes the identification between the phase-plane
 coordinate u + i*v and the displacement amplitude: the winning scale is
@@ -39,8 +40,6 @@ UV_TO_ALPHA = 1.0 / math.sqrt(2.0)
 
 #: Hard bound of the dimensionless Wigner function, with roundoff slack.
 WIGNER_BOUND = 1.0 / math.pi + 1e-6
-
-_CHUNK_ELEMS = 8_000_000
 
 
 class ContainmentWarning(UserWarning):
@@ -105,7 +104,8 @@ class WignerField:
       "values": [[...n_v...], ...n_u rows...]}``.
 
     The readers accept exactly these layouts and raise ValidationError on
-    anything else, including CSV nodes in any other order.
+    anything else, including CSV nodes in any other order or not evenly
+    spaced between the axis bounds; non-finite values are rejected too.
     """
 
     def __init__(self, grid: PhaseGrid, values, *, check: bool = True):
@@ -114,6 +114,8 @@ class WignerField:
             raise ValidationError(
                 f"values shape {vals.shape} does not match grid ({grid.n_u}, {grid.n_v})"
             )
+        if check and not np.all(np.isfinite(vals)):
+            raise ValidationError("Wigner values must be finite")
         if check and float(np.max(np.abs(vals))) > WIGNER_BOUND:
             raise ValidationError(
                 f"values exceed the Wigner bound 1/pi: max |W| = {np.max(np.abs(vals)):.6e}"
@@ -153,21 +155,21 @@ class WignerField:
             raise ValidationError(f"expected 3 columns u,v,w, found {data.shape[1]}")
         u_axis = np.unique(data[:, 0])
         v_axis = np.unique(data[:, 1])
-        if not (
-            np.array_equal(data[:, 0], np.repeat(u_axis, v_axis.size))
-            and np.array_equal(data[:, 1], np.tile(v_axis, u_axis.size))
-        ):
-            raise ValidationError(
-                "nodes do not form a complete rectangular grid in u-major, "
-                "v-fastest order"
-            )
         grid = PhaseGrid(
             float(u_axis[0]), float(u_axis[-1]),
             float(v_axis[0]), float(v_axis[-1]),
             int(u_axis.size), int(v_axis.size),
         )
-        vals = data[:, 2].reshape(u_axis.size, v_axis.size)
-        return cls(grid, vals)
+        # against the grid's own axes, so uneven nodes are refused, not relabelled
+        if not (
+            np.array_equal(data[:, 0], np.repeat(grid.u_axis, grid.n_v))
+            and np.array_equal(data[:, 1], np.tile(grid.v_axis, grid.n_u))
+        ):
+            raise ValidationError(
+                "nodes do not form a complete, evenly spaced rectangular grid "
+                "in u-major, v-fastest order"
+            )
+        return cls(grid, data[:, 2].reshape(grid.n_u, grid.n_v))
 
     def to_json_dict(self) -> dict:
         g = self.grid
@@ -211,7 +213,7 @@ def _chord_integrand(rho: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarra
     """
     n_max = rho.shape[0] - 1
     out = np.empty((u.size, y.size), dtype=complex)
-    step = max(1, int(_CHUNK_ELEMS // ((n_max + 1) * y.size)))
+    step = max(1, int(fock._CHUNK_ELEMS // ((n_max + 1) * y.size)))
     for lo in range(0, u.size, step):
         ub = u[lo : lo + step]
         psi_p = fock.eigenfunction_stack(n_max, ub[:, None] + 0.5 * y[None, :])
@@ -327,6 +329,25 @@ class ParitySum:
         return self.value
 
 
+def _parity_sums(rho, alphas, n_max=None, last_term_tol=1e-8):
+    """S(alpha) = 2 * sum_n (-1)^n P_n(-alpha) per point, and each last term.
+
+    The one convergence check of the alternating sum: a last retained
+    occupation probability above ``last_term_tol`` needs a larger n_max.
+    """
+    p = fock._displaced_occupations(rho, -np.asarray(alphas, dtype=complex), n_max)
+    last = p[:, -1]
+    worst = float(last.max())
+    if worst > last_term_tol:
+        raise TruncationError(
+            f"alternating sum not converged: last term {worst:.3e} above "
+            f"{last_term_tol:.0e}; increase n_max",
+            detail=worst,
+        )
+    signs = 1.0 - 2.0 * (np.arange(p.shape[1]) % 2)
+    return 2.0 * (p @ signs), last
+
+
 def parity_sum(
     rho: fock.DensityMatrix,
     alpha: complex,
@@ -336,77 +357,21 @@ def parity_sum(
 ) -> ParitySum:
     """S(alpha) = 2 * sum_n (-1)^n P_n(-alpha) over the truncated basis.
 
-    The magnitude of the last retained occupation probability is reported
-    as the truncation diagnostic; above ``last_term_tol`` the sum has not
-    converged and a larger n_max is needed.
+    The one-point case of :func:`wigner_parity`.  The last retained
+    occupation probability is the truncation diagnostic; above
+    ``last_term_tol`` a TruncationError asks for a larger n_max.
     """
-    p = fock.energy_distribution(rho, -alpha, n_max)
-    last = float(p[-1])
-    if last > last_term_tol:
-        raise TruncationError(
-            f"alternating sum not converged: last term {last:.3e} above "
-            f"{last_term_tol:.0e}; increase n_max",
-            detail=last,
-        )
-    signs = 1.0 - 2.0 * (np.arange(p.size) % 2)
-    return ParitySum(value=2.0 * float(np.dot(signs, p)), last_term=last)
-
-
-def _parity_values(
-    rho: fock.DensityMatrix,
-    alphas: np.ndarray,
-    n_max: int | None = None,
-    *,
-    last_term_tol: float = 1e-8,
-) -> np.ndarray:
-    """Wigner values S(alpha)/(2*pi) for a batch of phase points.
-
-    Same closed-form displacement entries as the single-point route, but
-    only the columns carrying the state's support are materialized, which
-    keeps full-grid evaluation tractable.
-    """
-    alphas = np.asarray(alphas, dtype=complex).ravel()
-    if n_max is None:
-        n_max = fock.default_cutoff(
-            float(np.max(np.abs(alphas))), math.sqrt(rho.top_occupied())
-        )
-    work = rho.embedded(max(n_max, rho.n_max))
-    # keep every stored component: amplitudes as small as sqrt(eps) still
-    # shift the displaced probabilities at the 1e-8 level via interference
-    support = work.top_occupied(0.0) + 1
-    evals, evecs = np.linalg.eigh(work.entries[:support, :support])
-    keep = evals > 1e-13
-    weights, vectors = evals[keep], evecs[:, keep]
-    cols = np.arange(support)
-    signs = 1.0 - 2.0 * (np.arange(work.n_max + 1) % 2)
-    out = np.empty(alphas.size)
-    worst_last = 0.0
-    step = max(1, int(_CHUNK_ELEMS // ((work.n_max + 1) * support)))
-    for lo in range(0, alphas.size, step):
-        block = fock._displacement_batch(-alphas[lo : lo + step], work.n_max, cols)
-        moved = block @ vectors  # (chunk, n_max+1, n_eig)
-        p = np.einsum("e,ame->am", weights, np.abs(moved) ** 2)
-        worst_last = max(worst_last, float(p[:, -1].max()))
-        out[lo : lo + step] = 2.0 * (p @ signs)
-    if worst_last > last_term_tol:
-        raise TruncationError(
-            f"alternating sum not converged on the batch: worst last term "
-            f"{worst_last:.3e}; increase n_max",
-            detail=worst_last,
-        )
-    return out / (2.0 * math.pi)
+    values, last = _parity_sums(rho, [alpha], n_max, last_term_tol)
+    return ParitySum(value=float(values[0]), last_term=float(last[0]))
 
 
 def wigner_parity(
-    rho: fock.DensityMatrix,
-    grid: PhaseGrid,
-    n_max: int | None = None,
+    rho: fock.DensityMatrix, grid: PhaseGrid, n_max: int | None = None
 ) -> WignerField:
-    """Wigner function on a grid via the alternating parity sum."""
+    """Wigner function on a grid via the alternating parity sum, W = S/(2*pi)."""
     uu, vv = np.meshgrid(grid.u_axis, grid.v_axis, indexing="ij")
-    alphas = alpha_from_uv(uu.ravel(), vv.ravel())
-    vals = _parity_values(rho, alphas, n_max).reshape(grid.n_u, grid.n_v)
-    return WignerField(grid, vals)
+    sums, _ = _parity_sums(rho, alpha_from_uv(uu.ravel(), vv.ravel()), n_max)
+    return WignerField(grid, (sums / (2.0 * math.pi)).reshape(grid.n_u, grid.n_v))
 
 
 # -- convention discrimination ----------------------------------------------
@@ -441,7 +406,7 @@ def convention_check(
     deviations = {}
     for name, scale in candidates.items():
         alphas = (pts[:, 0] + 1j * pts[:, 1]) * scale
-        vals = 2.0 * math.pi * _parity_values(rho, alphas)
+        vals, _ = _parity_sums(rho, alphas)
         deviations[name] = float(np.max(np.abs(vals - direct)))
     matching = [name for name, dev in deviations.items() if dev < tol]
     if len(matching) != 1:

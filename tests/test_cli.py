@@ -284,6 +284,13 @@ class TestValidateAndDeterminism:
             first, second = self._both_runs(capsys, tmp_path, name, *argv)
             assert first == second, name
 
+    def test_validate_rejects_nan_value(self, capsys, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("u,v,w\n-1,-1,nan\n-1,1,0\n1,-1,0\n1,1,0\n")
+        code, _, err = run(capsys, "validate", "--kind", "wigner", str(path))
+        assert code == 2
+        assert "finite" in err
+
     def test_validate_wigner_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "w.csv"
         run(capsys, "--out", str(out), "wigner", "--state", "vacuum",

@@ -1,11 +1,14 @@
 """Regression oracle: the README's table and summary commands against stored output.
 
 Each file under ``golden/`` is the exact output of one command below
-(``<case>.out`` the file written by ``--out``, ``<case>.stdout`` what went
-to stdout).  Spin and overlap outputs must stay byte-equal.  Fresnel values
+(``<case>.out`` the file written by ``--out``, ``<case>.parity.out`` the
+parity field of ``wigner --method both``, ``<case>.stdout`` what went to
+stdout).  Spin and overlap outputs must stay byte-equal.  Fresnel values
 are quadrature sums, so a change of summation order may move them: complex
 values may drift by 1e-13 |U| and phases by 1e-13 absolute, while the
-geometry (``rho``, ``slope_loglog``, the zone masks) stays exact.
+geometry (``rho``, ``slope_loglog``, the zone masks) stays exact.  Wigner
+fields keep their header and node axes exactly; values and the reported
+route deviation may drift by 1e-13 absolute.
 """
 
 import json
@@ -28,6 +31,20 @@ CASES = {
     "spin_project": (("spin", "--j", "200", "project"), False, True),
     "spin_belts": (("spin", "--j", "0.5", "belts"), False, True),
     "overlap": (("--format", "json", "overlap", "--beta", "5"), True, True),
+    "wigner_fock1_both": (
+        ("wigner", "--state", "fock:1", "--grid", "-4:4:21", "--method", "both"),
+        True, False,
+    ),
+    "wigner_coherent_parity": (
+        ("wigner", "--state", "coherent:0.6,0.8", "--grid", "-3:3:15",
+         "--method", "parity"),
+        True, False,
+    ),
+    "wigner_mixture_parity": (
+        ("wigner", "--state", "mixture:fock:1@0.5;coherent:1@0.5",
+         "--grid", "-5:5:15", "--method", "parity"),
+        True, False,
+    ),
 }
 
 
@@ -69,6 +86,8 @@ def _check_stdout(got: str, want: str, case: str) -> None:
         assert g_key == key, case
         if key == "slope_loglog":
             assert g_value == value, case
+        elif key == "max_abs_deviation":
+            assert abs(float(g_value) - float(value)) <= TOL, case
         else:
             assert float(g_value) == pytest.approx(float(value), rel=TOL, abs=0.0), case
 
@@ -87,10 +106,21 @@ def _check_zone_csv(got: str, want: str) -> None:
         _check_phase(g_val[3], w_val[3], f"zone {w_tok[0]}")
 
 
+def _check_field_csv(got: str, want: str, where: str) -> None:
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert got_lines[0] == want_lines[0], where
+    assert len(got_lines) == len(want_lines), where
+    for g, w in zip(got_lines[1:], want_lines[1:]):
+        g_u, g_v, g_w = g.split(",")
+        w_u, w_v, w_w = w.split(",")
+        assert (g_u, g_v) == (w_u, w_v), f"{where}: node axes are exact"
+        assert abs(float(g_w) - float(w_w)) <= TOL, f"{where} at ({w_u}, {w_v})"
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_matches_golden(case, capsys, tmp_path):
     argv, writes_file, exact = CASES[case]
-    out = tmp_path / "out"
+    out = tmp_path / f"{case}.out"
     assert main((["--out", str(out)] if writes_file else []) + list(argv)) == 0
     stdout = capsys.readouterr().out
     want_stdout = (GOLDEN / f"{case}.stdout").read_text()
@@ -104,5 +134,11 @@ def test_matches_golden(case, capsys, tmp_path):
         got, want = out.read_text(), (GOLDEN / f"{case}.out").read_text()
         if case == "zones":
             _check_zone_csv(got, want)
+        elif argv[0] == "wigner":
+            _check_field_csv(got, want, case)
+            if "both" in argv:
+                name = f"{case}.parity.out"
+                want_parity = (GOLDEN / name).read_text()
+                _check_field_csv((tmp_path / name).read_text(), want_parity, name)
         else:
             _check_json(json.loads(got), json.loads(want), case)

@@ -153,6 +153,24 @@ class TestParityRoute:
         with pytest.raises(TruncationError):
             parity_sum(rho, 0.9, n_max=64)
 
+    def test_single_point_is_a_batch_row(self):
+        # one occupation route and one truncation policy behind both
+        grid = PhaseGrid(-2.0, 2.0, -1.5, 1.5, 5, 4)
+        uu, vv = np.meshgrid(grid.u_axis, grid.v_axis, indexing="ij")
+        alphas = alpha_from_uv(uu.ravel(), vv.ravel())
+        for name, rho in _states().items():
+            batch = 2.0 * math.pi * wigner_parity(rho, grid, n_max=160).values.ravel()
+            single = [parity_sum(rho, a, n_max=160).value for a in alphas]
+            assert np.max(np.abs(batch - single)) <= 1e-14, name
+
+    def test_uncertified_support_refused_by_both(self):
+        # at n_max = 60 displacement by |alpha| = 3 is certified up to n = 2 only
+        rho = FockState.fock(10, 10).density()
+        with pytest.raises(TruncationError, match="certified only up to n=2"):
+            parity_sum(rho, 3.0, n_max=60)
+        with pytest.raises(TruncationError, match="certified only up to n=2"):
+            wigner_parity(rho, PhaseGrid(-3.0, 3.0, -3.0, 3.0, 2, 2), n_max=60)
+
     def test_equivalence_against_direct(self):
         # the module's theorem-level check: S(alpha) = 2*pi*W at matched points
         rng = np.random.default_rng(2024)
@@ -373,8 +391,10 @@ class TestFieldSerialization:
         (WignerField.from_json,
          '{"grid": {"u_min": 0, "u_max": 1, "v_min": 0, "v_max": 1, "n_u": 2, '
          '"n_v": 2}, "values": [[0.1, 0.1], [0.1]]}'),
+        # NaN compares False against the Wigner bound, so it needs its own check
+        (WignerField.from_csv, "u,v,w\n-1,-1,nan\n-1,1,0\n1,-1,0\n1,1,0\n"),
     ], ids=["non_numeric", "two_columns", "ragged_csv", "empty_body", "not_json",
-            "ragged_json"])
+            "ragged_json", "nan_value"])
     def test_rejects_malformed_body(self, read, text):
         with pytest.raises(ValidationError):
             read(text)
@@ -385,7 +405,8 @@ class TestFieldSerialization:
     @pytest.mark.parametrize("rows", [
         sorted(_NODES, key=lambda n: (n[1], n[0])),  # v-major: would transpose
         _NODES[:3] + [_NODES[2]] + _NODES[4:],  # (1, 0) twice, (1, 1) missing
-    ], ids=["v_major", "duplicated_node"])
+        [(u, v, 0.01 * (u + v)) for u in (0, 1, 5) for v in range(2)],  # read as 0, 2.5, 5
+    ], ids=["v_major", "duplicated_node", "uneven_u"])
     def test_csv_rejects_out_of_order_nodes(self, rows):
         text = "u,v,w\n" + "".join(f"{u},{v},{w}\n" for u, v, w in rows)
         with pytest.raises(ValidationError, match="v-fastest order"):
