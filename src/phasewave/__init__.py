@@ -21,15 +21,10 @@ from .fock import (
     EPS_TAIL,
     DensityMatrix,
     FockState,
-    PhasePoint,
     coherent_amplitudes,
     default_cutoff,
-    displace,
     displacement_certified_span,
-    displacement_leakage,
-    displacement_matrix,
     energy_distribution,
-    oscillator_eigenfunction,
     position_wavefunction,
 )
 from .wigner import (
@@ -75,10 +70,8 @@ from .fresnel import (
 from .spinmap import (
     Belt,
     SpinSphere,
-    belt_area,
     belts,
     band_table,
-    convergence_report,
     project,
     projected_band,
     projected_band_area,
@@ -102,7 +95,6 @@ __all__ = [
     "OverlapComparison",
     "ParitySum",
     "PhaseGrid",
-    "PhasePoint",
     "PhasewaveError",
     "QuadratureError",
     "SpinSphere",
@@ -114,25 +106,19 @@ __all__ = [
     "alpha_from_uv",
     "band",
     "band_table",
-    "belt_area",
     "belts",
     "circle_circle_lens",
     "coherent_amplitudes",
     "compare_poisson",
     "convention_check",
-    "convergence_report",
     "default_cutoff",
-    "displace",
     "displacement_certified_span",
-    "displacement_leakage",
-    "displacement_matrix",
     "energy_distribution",
     "fit_zone_scaling",
     "huygens_integral",
     "inclination",
     "overlap_distribution",
     "overlap_trace",
-    "oscillator_eigenfunction",
     "parity_sum",
     "poisson_pmf",
     "position_wavefunction",

@@ -145,8 +145,6 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    if args.beta < 0:
-        raise ValidationError("beta must be nonnegative")
     head = asdict(semiclassics.compare_poisson(args.beta, args.n_bands))
     p_overlap, p_poisson = head.pop("p_overlap"), head.pop("p_poisson")
     rows = zip(range(p_overlap.size), p_overlap.tolist(), p_poisson.tolist())
@@ -171,8 +169,7 @@ def cmd_fresnel(args) -> int:
         u_int = fresnel.huygens_integral(
             geom, theta_max, args.nodes, taper=not args.no_taper
         )
-        u_raw = fresnel.zone_sum(geom, n_zones, "raw", args.nodes)
-        u_avg = fresnel.zone_sum(geom, n_zones, "averaged", args.nodes)
+        u_raw, u_avg = fresnel._partial_sums(geom, n_zones, args.nodes)
         summary = {
             "geometry": {**asdict(geom), "n_zones": n_zones},
             "U_free": _complex_dict(geom.free_field()),

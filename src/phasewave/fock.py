@@ -2,8 +2,7 @@
 
 Everything is dimensionless: hbar = 1 and the oscillator length scale
 kappa = 1, so position u = kappa*x and momentum v = p/(hbar*kappa) are
-plain numbers.  Conversion from physical (x, p, kappa, hbar) is a pure
-input adapter (:meth:`PhasePoint.from_physical`).
+plain numbers.
 
 Factorial-sized prefactors are always built from log-factorial
 differences (:func:`log_factorials`), never from raw factorials, so indices
@@ -12,8 +11,8 @@ in the thousands are safe.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,41 +42,21 @@ def default_cutoff(*amplitudes: float) -> int:
     return max(64, math.ceil(4.0 * total * total + 20.0))
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point of the dimensionless phase plane."""
-
-    u: float
-    v: float
-
-    @property
-    def alpha(self) -> complex:
-        """Complex coordinate u + i*v of the phase plane."""
-        return complex(self.u, self.v)
-
-    @classmethod
-    def from_physical(cls, x: float, p: float, kappa: float, hbar: float) -> "PhasePoint":
-        if kappa <= 0 or hbar <= 0:
-            raise ValidationError("kappa and hbar must be positive")
-        return cls(u=kappa * x, v=p / (hbar * kappa))
-
-
 class FockState:
     """Pure state as a truncated vector of Fock amplitudes c_0..c_N."""
 
-    def __init__(self, amplitudes, *, check: bool = True):
+    def __init__(self, amplitudes):
         amp = np.asarray(amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size == 0:
             raise ValidationError("amplitudes must be a non-empty 1-d vector")
         self._amp = amp
         self._amp.setflags(write=False)
-        if check:
-            tail = abs(1.0 - float(np.sum(np.abs(amp) ** 2)))
-            if tail > EPS_TAIL:
-                raise TruncationError(
-                    f"state norm misses 1 by {tail:.3e} (allowed {EPS_TAIL:.0e})",
-                    detail=tail,
-                )
+        tail = abs(1.0 - float(np.sum(np.abs(amp) ** 2)))
+        if tail > EPS_TAIL:
+            raise TruncationError(
+                f"state norm misses 1 by {tail:.3e} (allowed {EPS_TAIL:.0e})",
+                detail=tail,
+            )
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -86,11 +65,6 @@ class FockState:
     @property
     def n_max(self) -> int:
         return self._amp.size - 1
-
-    def top_occupied(self, threshold: float = 1e-14) -> int:
-        """Highest Fock index carrying more than ``threshold`` probability."""
-        occ = np.abs(self._amp) ** 2 > threshold
-        return int(np.max(np.nonzero(occ)[0])) if occ.any() else 0
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self._amp, self._amp.conj()))
@@ -162,8 +136,10 @@ class DensityMatrix:
         if not pairs:
             raise ValidationError("mixture needs at least one component")
         weights = np.array([w for _, w in pairs], dtype=float)
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ValidationError("mixture weights must be nonnegative with positive sum")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0) or weights.sum() <= 0:
+            raise ValidationError(
+                "mixture weights must be finite and nonnegative with positive sum"
+            )
         weights = weights / weights.sum()
         size = max(s.n_max for s, _ in pairs) + 1
         mat = np.zeros((size, size), dtype=complex)
@@ -198,11 +174,6 @@ def eigenfunction_stack(n_max: int, xs) -> np.ndarray:
     return out
 
 
-def oscillator_eigenfunction(n: int, xs) -> np.ndarray:
-    """Oscillator eigenfunction psi_n(x) with kappa = hbar = 1."""
-    return eigenfunction_stack(n, xs)[n]
-
-
 def position_wavefunction(state: FockState, xs) -> np.ndarray:
     """psi(x) of a pure state from its Fock amplitudes."""
     stack = eigenfunction_stack(state.n_max, xs)
@@ -221,6 +192,8 @@ def coherent_amplitudes(beta: complex, n_max: int | None = None) -> FockState:
     sized (or checked) so the lost tail stays below EPS_TAIL.
     """
     beta = complex(beta)
+    if not cmath.isfinite(beta):
+        raise ValidationError(f"coherent amplitude {beta} must be finite")
     if n_max is None:
         n_max = default_cutoff(abs(beta))
     n = np.arange(n_max + 1)
@@ -286,20 +259,6 @@ def _displacement_batch(alphas: np.ndarray, n_max: int, columns: np.ndarray) -> 
     return out
 
 
-def displacement_leakage(alpha: complex, n_max: int, columns=None) -> tuple[float, int]:
-    """Worst column-norm deficit of the truncated D(alpha) and its column.
-
-    By default the certified span is inspected; columns near the truncation
-    edge always leak and are not certified.
-    """
-    if columns is None:
-        columns = np.arange(_nonempty_span(alpha, n_max) + 1)
-    columns = np.asarray(columns, dtype=int)
-    block = _displacement_batch(np.array([alpha]), n_max, columns)
-    leak, worst = _worst_leak(block, columns.size)
-    return leak, int(columns[worst])
-
-
 def displacement_certified_span(alpha: complex, n_max: int) -> int:
     """Largest column index whose displaced image provably fits below n_max.
 
@@ -316,85 +275,18 @@ def displacement_certified_span(alpha: complex, n_max: int) -> int:
     return span
 
 
-def _nonempty_span(alpha: complex, n_max: int) -> int:
-    """The certified span, or a TruncationError when it holds no column."""
-    span = displacement_certified_span(alpha, n_max)
-    if span < 0:
-        raise TruncationError(
-            f"n_max={n_max} cannot even hold the displaced vacuum for "
-            f"|alpha|={abs(alpha):.3f}",
-            detail=0,
-        )
-    return span
-
-
-def _worst_leak(block, certified: int, leak_tol=math.inf) -> tuple[float, int]:
-    """Worst norm deficit among the first ``certified`` columns of every
-    D(alpha) in ``block``, and its column; a TruncationError above ``leak_tol``."""
+def _worst_leak(block, certified: int) -> None:
+    """TruncationError, carrying the column, when any of the first ``certified``
+    columns of a D(alpha) in ``block`` falls short of unit norm by over _LEAK_TOL."""
     head = block[:, :, :certified]
     leaks = 1.0 - np.vecdot(head, head, axis=1).real.min(axis=0)  # no block-sized temporary
     worst = int(np.argmax(leaks))
-    if leaks[worst] > leak_tol:
+    if leaks[worst] > _LEAK_TOL:
         raise TruncationError(
             f"displacement truncation leaks {leaks[worst]:.3e} in column {worst} "
-            f"(allowed {leak_tol:.0e}); increase n_max",
+            f"(allowed {_LEAK_TOL:.0e}); increase n_max",
             detail=worst,
         )
-    return float(leaks[worst]), worst
-
-
-def displacement_matrix(
-    alpha: complex, n_max: int, *, leak_tol: float = _LEAK_TOL
-) -> np.ndarray:
-    """Matrix of the displacement operator D(alpha) on the truncated space.
-
-    The operator is certified on the columns reported by
-    :func:`displacement_certified_span`: each must keep its norm within
-    ``leak_tol`` of 1, otherwise a TruncationError carrying the worst column
-    index is raised.  Columns near the truncation edge always leak and are
-    returned uncertified.
-    """
-    if n_max < 0:
-        raise ValidationError("n_max must be nonnegative")
-    if n_max < 2.0 * abs(alpha) ** 2 + 10.0 * abs(alpha):
-        raise ValidationError(
-            f"n_max={n_max} too small for displacement |alpha|={abs(alpha):.3f}; "
-            f"the policy default is {default_cutoff(abs(alpha))}"
-        )
-    block = _displacement_batch(np.array([alpha]), n_max, np.arange(n_max + 1))
-    _worst_leak(block, _nonempty_span(alpha, n_max) + 1, leak_tol)
-    return block[0]
-
-
-def _certified_embedding(rho: DensityMatrix, alpha, n_max) -> tuple[DensityMatrix, int]:
-    """``rho`` at truncation ``n_max`` (default from |alpha| and its support)
-    and the certified span of D(alpha) there, which must hold the support."""
-    if n_max is None:
-        n_max = default_cutoff(abs(alpha), math.sqrt(rho.top_occupied()))
-    work = rho.embedded(max(n_max, rho.n_max))
-    span = displacement_certified_span(alpha, work.n_max)
-    support = work.top_occupied(1e-12)
-    if support > span:
-        raise TruncationError(
-            f"state support reaches n={support} but displacement by "
-            f"|alpha|={abs(alpha):.3f} is certified only up to n={span} at "
-            f"n_max={work.n_max}; increase n_max",
-            detail=support,
-        )
-    return work, span
-
-
-def displace(rho: DensityMatrix, alpha: complex, n_max: int | None = None) -> DensityMatrix:
-    """Conjugate ``rho`` by the displacement operator: D(alpha) rho D(alpha)^dag."""
-    work, _ = _certified_embedding(rho, alpha, n_max)
-    d = displacement_matrix(alpha, work.n_max)
-    moved = d @ work.entries @ d.conj().T
-    tr = float(np.real(np.trace(moved)))
-    if abs(tr - 1.0) > EPS_TAIL:
-        raise TruncationError(
-            f"displacement lost {abs(tr - 1.0):.3e} of the trace", detail=abs(tr - 1.0)
-        )
-    return DensityMatrix(moved, check=False)
 
 
 def _displaced_occupations(rho: DensityMatrix, alphas, n_max=None) -> np.ndarray:
@@ -409,7 +301,18 @@ def _displaced_occupations(rho: DensityMatrix, alphas, n_max=None) -> np.ndarray
     """
     alphas = np.asarray(alphas, dtype=complex).ravel()
     largest = float(np.max(np.abs(alphas)))
-    work, span = _certified_embedding(rho, largest, n_max)
+    if n_max is None:
+        n_max = default_cutoff(largest, math.sqrt(rho.top_occupied()))
+    work = rho.embedded(max(n_max, rho.n_max))
+    span = displacement_certified_span(largest, work.n_max)
+    reach = work.top_occupied(1e-12)
+    if reach > span:
+        raise TruncationError(
+            f"state support reaches n={reach} but displacement by "
+            f"|alpha|={largest:.3f} is certified only up to n={span} at "
+            f"n_max={work.n_max}; increase n_max",
+            detail=reach,
+        )
     # keep every stored component: amplitudes as small as sqrt(eps) still
     # shift the displaced probabilities at the 1e-8 level via interference
     support = work.top_occupied(0.0) + 1
@@ -422,7 +325,7 @@ def _displaced_occupations(rho: DensityMatrix, alphas, n_max=None) -> np.ndarray
     step = max(1, int(_CHUNK_ELEMS // ((work.n_max + 1) * support)))
     for lo in range(0, alphas.size, step):
         block = _displacement_batch(alphas[lo : lo + step], work.n_max, cols)
-        _worst_leak(block, certified, _LEAK_TOL)
+        _worst_leak(block, certified)
         moved = block @ vectors  # (chunk, n_max+1, n_eig)
         out[lo : lo + step] = np.einsum("e,ame->am", weights, np.abs(moved) ** 2)
     totals = out.sum(axis=1)

@@ -216,14 +216,13 @@ def huygens_integral(
     nodes_per_zone: int = 16,
     *,
     taper: bool = True,
-    taper_fraction: float = 0.1,
 ) -> complex:
     """Direct wavelet integral over the spherical cap theta <= theta_max.
 
     Integration always splits at zone boundaries so the per-zone rule sees
     a phase advance of exactly pi.  With ``taper`` a raised cosine rolls the
-    integrand off over the last ``taper_fraction`` of the cap, which removes
-    the artificial hard edge; without it the integral equals the sum of its
+    integrand off over the last tenth of the cap, which removes the
+    artificial hard edge; without it the integral equals the sum of its
     zone contributions identically.
     """
     if not 0.0 < theta_max <= math.pi:
@@ -231,9 +230,7 @@ def huygens_integral(
     s_end = float(_s_of_theta(geom, theta_max))
     taper_fn = None
     if taper:
-        if not 0.0 < taper_fraction < 1.0:
-            raise ValidationError("taper_fraction must lie in (0, 1)")
-        s_start = geom.b + (1.0 - taper_fraction) * (s_end - geom.b)
+        s_start = geom.b + 0.9 * (s_end - geom.b)
 
         def taper_fn(s, _s0=s_start, _s1=s_end):
             t = np.ones_like(s)
@@ -266,17 +263,25 @@ def zone_sum(
     the last two partial sums, the standard treatment of this conditionally
     convergent series.
     """
-    if n_zones < 1:
-        raise ValidationError("need at least one zone")
     if mode not in ("raw", "averaged"):
         raise ValidationError(f"unknown mode {mode!r}")
-    if mode == "averaged" and n_zones < 2:
+    raw, averaged = _partial_sums(geom, n_zones, nodes_per_zone, mode == "averaged")
+    return raw if mode == "raw" else averaged
+
+
+def _partial_sums(geom, n_zones, nodes_per_zone, averaged=True):
+    """Raw and averaged partial sums of the zone series from one term array.
+
+    The averaged sum is None when not ``averaged``; asking for it needs at
+    least two zones.
+    """
+    if n_zones < 1:
+        raise ValidationError("need at least one zone")
+    if averaged and n_zones < 2:
         raise ValidationError("averaged mode needs at least two zones")
     _, terms = _zone_terms(geom, n_zones, nodes_per_zone)
     total = sum(terms.tolist(), 0j)
-    if mode == "raw":
-        return total
-    return total - 0.5 * terms[-1]
+    return total, (total - 0.5 * terms[-1] if averaged else None)
 
 
 def zone_plate(

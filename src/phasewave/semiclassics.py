@@ -75,6 +75,8 @@ def circle_circle_lens(r1: float, r2: float, d: float) -> float:
 
 
 def _auto_bands(beta_mag: float, n_bands: int | None) -> int:
+    if n_bands is not None and n_bands < 0:
+        raise ValidationError("band count must be nonnegative")
     needed = math.ceil((beta_mag + 1.0) ** 2) + 2
     return needed if n_bands is None else max(n_bands, needed)
 
@@ -86,8 +88,8 @@ def overlap_distribution(beta_mag: float, n_bands: int | None = None) -> np.ndar
     bands, so the entries sum to one up to roundoff; ``n_bands`` is grown
     automatically until the disc lies inside the outermost band.
     """
-    if beta_mag < 0:
-        raise ValidationError("beta magnitude must be nonnegative")
+    if not (math.isfinite(beta_mag) and beta_mag >= 0):
+        raise ValidationError("beta magnitude must be finite and nonnegative")
     n_bands = _auto_bands(beta_mag, n_bands)
     disc = Disc(d=math.sqrt(2.0) * beta_mag, radius=math.sqrt(2.0))
     norm = math.pi * disc.radius**2

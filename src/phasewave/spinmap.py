@@ -34,7 +34,7 @@ class SpinSphere:
 
     def __post_init__(self):
         two_j = 2.0 * self.j
-        if self.j < 0 or abs(two_j - round(two_j)) > 1e-12:
+        if not math.isfinite(two_j) or self.j < 0 or abs(two_j - round(two_j)) > 1e-12:
             raise ValidationError("j must be a nonnegative integer or half-integer")
 
     @property
@@ -75,15 +75,6 @@ def belts(j: float) -> list[Belt]:
         z_hi = min(r, m + 0.5)
         out.append(Belt(m=m, z_lo=z_lo, z_hi=z_hi))
     return out
-
-
-def belt_area(j: float, m: float) -> float:
-    """Surface area 2*pi*R*(z_hi - z_lo) of the m-th belt (hat-box lemma)."""
-    sphere = SpinSphere(j)
-    for belt in belts(j):
-        if abs(belt.m - m) < 1e-9:
-            return 2.0 * math.pi * sphere.radius * belt.width
-    raise ValidationError(f"m={m} is not an axial eigenvalue for j={j}")
 
 
 def project(j: float, z):
@@ -133,24 +124,3 @@ def band_table(j: float):
         lo, hi = _belt_image(j, belt)
         rows.append((n, belt.m, lo, hi, math.pi * (hi * hi - lo * lo)))
     return rows
-
-
-def convergence_report(j_values, n: int) -> dict:
-    """Boundary radius of band n under growing j, against sqrt(2n).
-
-    The lower-boundary image of band n approaches the oscillator band edge
-    sqrt(2n) from below as j grows.
-    """
-    if n < 1:
-        raise ValidationError("convergence is tracked for band indices >= 1")
-    radii = []
-    for j in j_values:
-        if n > SpinSphere(j).multiplicity - 1:
-            raise ValidationError(f"band {n} does not exist for j={j}")
-        radii.append(projected_band(j, n)[0])
-    return {
-        "J_values": [float(j) for j in j_values],
-        "n": int(n),
-        "radii": radii,
-        "target": math.sqrt(2.0 * n),
-    }

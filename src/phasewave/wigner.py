@@ -108,15 +108,15 @@ class WignerField:
     spaced between the axis bounds; non-finite values are rejected too.
     """
 
-    def __init__(self, grid: PhaseGrid, values, *, check: bool = True):
+    def __init__(self, grid: PhaseGrid, values):
         vals = np.asarray(values, dtype=float)
         if vals.shape != (grid.n_u, grid.n_v):
             raise ValidationError(
                 f"values shape {vals.shape} does not match grid ({grid.n_u}, {grid.n_v})"
             )
-        if check and not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(vals)):
             raise ValidationError("Wigner values must be finite")
-        if check and float(np.max(np.abs(vals))) > WIGNER_BOUND:
+        if float(np.max(np.abs(vals))) > WIGNER_BOUND:
             raise ValidationError(
                 f"values exceed the Wigner bound 1/pi: max |W| = {np.max(np.abs(vals)):.6e}"
             )
@@ -222,14 +222,14 @@ def _chord_integrand(rho: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarra
     return out
 
 
-def _wigner_eval(rho_mat, u_vec, v_vec, paired, rel_tol, max_refinements, min_points=None):
+def _wigner_eval(
+    rho_mat, u_vec, v_vec, paired, min_points=None, rel_tol=1e-10, max_refinements=8
+):
     """Trapezoid-with-halving evaluation of the chord integral.
 
     paired=False: full outer grid, result (len(u), len(v)).
     paired=True: pointwise, result (len(u),) with u_vec/v_vec zipped.
     """
-    if max_refinements < 2:
-        raise ValidationError("need at least two refinement levels")
     n_max = rho_mat.shape[0] - 1
     u_vec = np.asarray(u_vec, dtype=float)
     v_vec = np.asarray(v_vec, dtype=float)
@@ -272,13 +272,7 @@ def _wigner_eval(rho_mat, u_vec, v_vec, paired, rel_tol, max_refinements, min_po
     )
 
 
-def wigner_direct(
-    rho: fock.DensityMatrix,
-    grid: PhaseGrid,
-    *,
-    rel_tol: float = 1e-10,
-    max_refinements: int = 8,
-) -> WignerField:
+def wigner_direct(rho: fock.DensityMatrix, grid: PhaseGrid) -> WignerField:
     """Wigner function on a grid via the Fourier integral over the chord.
 
     Containment is not required, but a warning is emitted when the state's
@@ -292,27 +286,19 @@ def wigner_direct(
             ContainmentWarning,
             stacklevel=2,
         )
-    vals = _wigner_eval(
-        rho.entries, grid.u_axis, grid.v_axis, False, rel_tol, max_refinements
-    )
+    vals = _wigner_eval(rho.entries, grid.u_axis, grid.v_axis, False)
     return WignerField(grid, vals)
 
 
 def wigner_values(
-    rho: fock.DensityMatrix,
-    u,
-    v,
-    *,
-    rel_tol: float = 1e-10,
-    max_refinements: int = 8,
-    min_points: int | None = None,
+    rho: fock.DensityMatrix, u, v, *, min_points: int | None = None
 ) -> np.ndarray:
     """Wigner function at paired scattered points (u[i], v[i])."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if u.shape != v.shape:
         raise ValidationError("u and v must have matching shapes")
-    return _wigner_eval(rho.entries, u, v, True, rel_tol, max_refinements, min_points)
+    return _wigner_eval(rho.entries, u, v, True, min_points)
 
 
 # -- alternating parity-sum route ------------------------------------------
@@ -329,19 +315,19 @@ class ParitySum:
         return self.value
 
 
-def _parity_sums(rho, alphas, n_max=None, last_term_tol=1e-8):
+def _parity_sums(rho, alphas, n_max=None):
     """S(alpha) = 2 * sum_n (-1)^n P_n(-alpha) per point, and each last term.
 
     The one convergence check of the alternating sum: a last retained
-    occupation probability above ``last_term_tol`` needs a larger n_max.
+    occupation probability above 1e-8 needs a larger n_max.
     """
     p = fock._displaced_occupations(rho, -np.asarray(alphas, dtype=complex), n_max)
     last = p[:, -1]
     worst = float(last.max())
-    if worst > last_term_tol:
+    if worst > 1e-8:
         raise TruncationError(
             f"alternating sum not converged: last term {worst:.3e} above "
-            f"{last_term_tol:.0e}; increase n_max",
+            "1e-08; increase n_max",
             detail=worst,
         )
     signs = 1.0 - 2.0 * (np.arange(p.shape[1]) % 2)
@@ -349,19 +335,15 @@ def _parity_sums(rho, alphas, n_max=None, last_term_tol=1e-8):
 
 
 def parity_sum(
-    rho: fock.DensityMatrix,
-    alpha: complex,
-    n_max: int | None = None,
-    *,
-    last_term_tol: float = 1e-8,
+    rho: fock.DensityMatrix, alpha: complex, n_max: int | None = None
 ) -> ParitySum:
     """S(alpha) = 2 * sum_n (-1)^n P_n(-alpha) over the truncated basis.
 
     The one-point case of :func:`wigner_parity`.  The last retained
-    occupation probability is the truncation diagnostic; above
-    ``last_term_tol`` a TruncationError asks for a larger n_max.
+    occupation probability is the truncation diagnostic; above 1e-8 a
+    TruncationError asks for a larger n_max.
     """
-    values, last = _parity_sums(rho, [alpha], n_max, last_term_tol)
+    values, last = _parity_sums(rho, [alpha], n_max)
     return ParitySum(value=float(values[0]), last_term=float(last[0]))
 
 
@@ -386,16 +368,11 @@ class ConventionReport:
     scale: float
 
 
-def convention_check(
-    rho: fock.DensityMatrix,
-    points,
-    *,
-    tol: float = 1e-6,
-) -> ConventionReport:
+def convention_check(rho: fock.DensityMatrix, points) -> ConventionReport:
     """Test both candidate identifications of alpha against 2*pi*W.
 
     ``points`` is an iterable of (u, v) pairs.  Exactly one candidate must
-    reach max deviation below ``tol`` over the sample; anything else is an
+    reach max deviation below 1e-6 over the sample; anything else is an
     implementation bug (or a non-discriminating sample) and raises.
     """
     pts = np.asarray([(float(p[0]), float(p[1])) for p in points], dtype=float)
@@ -408,7 +385,7 @@ def convention_check(
         alphas = (pts[:, 0] + 1j * pts[:, 1]) * scale
         vals, _ = _parity_sums(rho, alphas)
         deviations[name] = float(np.max(np.abs(vals - direct)))
-    matching = [name for name, dev in deviations.items() if dev < tol]
+    matching = [name for name, dev in deviations.items() if dev < 1e-6]
     if len(matching) != 1:
         raise QuadratureError(
             f"convention check did not single out one mapping: {deviations!r}"
@@ -435,20 +412,19 @@ def rotated_quadrature(
     xs,
     *,
     oversample: int = 1,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Probability density of the theta-rotated quadrature of a pure state.
 
     Applies the quadratic-phase integral kernel of fractional order theta
     to the position wavefunction; theta = 0 is the identity and theta =
     pi/2 the ordinary Fourier transform.  The result is checked by doubling
-    the kernel sampling density.
+    the kernel sampling density, which must change it by at most 1e-9.
     """
     xs = np.asarray(xs, dtype=float)
     coarse = _rotated_once(psi, theta, xs, oversample)
     fine = _rotated_once(psi, theta, xs, 2 * oversample)
     err = float(np.max(np.abs(fine - coarse)))
-    if err > tol:
+    if err > 1e-9:
         raise QuadratureError(
             f"rotation kernel quadrature not converged: doubling changes the "
             f"density by {err:.3e}"
@@ -477,28 +453,20 @@ def _rotated_once(psi: fock.FockState, theta: float, xs, oversample: int) -> np.
     return np.abs(out) ** 2
 
 
-def radon_slice(
-    field: WignerField,
-    theta: float,
-    xs,
-    *,
-    step: float | None = None,
-    leak_tol: float = 1e-6,
-) -> np.ndarray:
+def radon_slice(field: WignerField, theta: float, xs) -> np.ndarray:
     """Marginal density of ``field`` along the theta-rotated axis.
 
     Line integrals run perpendicular to the rotated axis with bilinear
-    interpolation between nodes; the sampling step defaults to half the
-    smaller grid spacing.  A line leaving the grid where |W| is still
-    above ``leak_tol`` raises, since the marginal would be wrong.
+    interpolation between nodes, sampled at half the smaller grid spacing.
+    A line leaving the grid where |W| is still above 1e-6 raises, since the
+    marginal would be wrong.
     """
     xs = np.asarray(xs, dtype=float)
     g = field.grid
     u0, v0 = g.u_min, g.v_min
     du = (g.u_max - g.u_min) / (g.n_u - 1)
     dv = (g.v_max - g.v_min) / (g.n_v - 1)
-    if step is None:
-        step = 0.5 * min(du, dv)
+    step = 0.5 * min(du, dv)
     diag = math.hypot(g.u_max - g.u_min, g.v_max - g.v_min)
     t = np.arange(-0.5 * diag, 0.5 * diag + step, step)
     ct, st = math.cos(theta), math.sin(theta)
@@ -524,10 +492,10 @@ def radon_slice(
         )
         if not inside.all():
             worst = float(np.max(np.abs(w[~inside])))
-            if worst > leak_tol:
+            if worst > 1e-6:
                 raise ContainmentError(
                     f"integration line exits the grid where |W| = {worst:.3e} "
-                    f"exceeds {leak_tol:.0e}"
+                    "exceeds 1e-06"
                 )
         out[i] = float(np.sum(w[inside]) * step)
     return out

@@ -209,6 +209,16 @@ class TestFresnelCommand:
         assert code == 2
 
     @pytest.mark.parametrize("action", [
+        ("integral", "--zones", "1"),
+        ("zonesum", "--n", "1", "--mode", "raw"),
+    ])
+    def test_single_zone_summary_rejected(self, capsys, action):
+        # the summary always carries the averaged sum, which needs two zones
+        code, _, err = run(capsys, *self.GEOM, *action)
+        assert code == 2
+        assert "two zones" in err
+
+    @pytest.mark.parametrize("action", [
         ("zonesum", "--n", str(10**15)),
         ("zones", "--n", "5", "--nodes", "100000"),
     ])
@@ -263,6 +273,21 @@ class TestSpinCommand:
         code, _, _ = run(capsys, "spin", "--j", "1", "belts", "--out", str(out))
         assert code == 0
         assert out.read_text().startswith("m,z_lo,z_hi,area")
+
+
+@pytest.mark.parametrize("argv", [
+    ("overlap", "--beta", "inf"),
+    ("overlap", "--beta", "1", "--n-bands", "-5"),
+    ("spin", "--j", "inf", "belts"),
+    ("wigner", "--state", "coherent:inf", "--grid", "-1:1:3"),
+    ("wigner", "--state", "mixture:vacuum@nan;fock:1@1", "--grid", "-1:1:3"),
+    ("wigner", "--state", "mixture:vacuum@inf;fock:1@1", "--grid", "-1:1:3"),
+])
+def test_nonfinite_and_negative_numbers_rejected(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 class TestValidateAndDeterminism:

@@ -10,18 +10,18 @@ from phasewave import (
     EPS_TAIL,
     DensityMatrix,
     FockState,
-    PhasePoint,
     TruncationError,
     ValidationError,
     coherent_amplitudes,
     default_cutoff,
-    displace,
-    displacement_leakage,
-    displacement_matrix,
     energy_distribution,
-    oscillator_eigenfunction,
 )
-from phasewave.fock import _displacement_batch, displacement_certified_span
+from phasewave.fock import (
+    _displacement_batch,
+    _worst_leak,
+    displacement_certified_span,
+    eigenfunction_stack,
+)
 
 
 def _psi_mpmath(n, x, dps=50):
@@ -55,19 +55,29 @@ def _displacement_mpmath(alpha, m, n, dps=40):
         return complex(val)
 
 
+def _psi(n, xs):
+    """psi_n on ``xs``: row n of the eigenfunction stack."""
+    return eigenfunction_stack(n, xs)[n]
+
+
+def _dmatrix(alpha, n_max):
+    """The full truncated D(alpha), every column."""
+    return _displacement_batch(np.array([alpha]), n_max, np.arange(n_max + 1))[0]
+
+
 class TestEigenfunctions:
     def test_ground_state_at_origin(self):
         # closed form: pi**(-1/4)
-        assert oscillator_eigenfunction(0, np.array([0.0]))[0] == pytest.approx(
+        assert _psi(0, np.array([0.0]))[0] == pytest.approx(
             math.pi ** -0.25, abs=1e-15
         )
 
     def test_first_excited_odd_at_origin(self):
-        assert oscillator_eigenfunction(1, np.array([0.0]))[0] == 0.0
+        assert _psi(1, np.array([0.0]))[0] == 0.0
 
     def test_high_order_matches_high_precision_oracle(self):
         xs = np.linspace(-8.0, 8.0, 10)
-        vals = oscillator_eigenfunction(50, xs)
+        vals = _psi(50, xs)
         assert np.all(np.isfinite(vals))
         for x, v in zip(xs, vals):
             ref = _psi_mpmath(50, x)
@@ -76,17 +86,17 @@ class TestEigenfunctions:
     def test_parity_exact(self):
         xs = np.linspace(0.1, 6.0, 40)
         for n in (0, 1, 2, 5, 17, 50):
-            left = oscillator_eigenfunction(n, -xs)
-            right = oscillator_eigenfunction(n, xs)
+            left = _psi(n, -xs)
+            right = _psi(n, xs)
             assert np.array_equal(left, (-1.0) ** n * right)
 
     def test_rejects_large_index(self):
         with pytest.raises(ValidationError):
-            oscillator_eigenfunction(10_001, np.array([0.0]))
+            _psi(10_001, np.array([0.0]))
 
     def test_rejects_nonfinite_grid(self):
         with pytest.raises(ValidationError):
-            oscillator_eigenfunction(3, np.array([0.0, np.inf]))
+            _psi(3, np.array([0.0, np.inf]))
 
 
 class TestCoherentAmplitudes:
@@ -105,7 +115,7 @@ class TestCoherentAmplitudes:
     def test_matches_displacement_column_zero(self):
         beta = 0.7 - 0.4j
         st = coherent_amplitudes(beta, 64)
-        col = displacement_matrix(beta, 64)[:, 0]
+        col = _displacement_batch(np.array([beta]), 64, np.array([0]))[0, :, 0]
         np.testing.assert_allclose(col, st.amplitudes, atol=1e-14)
 
     @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 1.5 + 1.5j])
@@ -142,73 +152,43 @@ class TestDisplacementKernel:
 
 class TestDisplacementMatrix:
     def test_identity_at_zero(self):
-        mat = displacement_matrix(0.0, 32)
-        np.testing.assert_array_equal(mat, np.eye(33))
+        np.testing.assert_array_equal(_dmatrix(0.0, 32), np.eye(33))
 
     def test_inverse_displacement(self):
         alpha = 0.9 + 0.2j
-        prod = displacement_matrix(alpha, 64) @ displacement_matrix(-alpha, 64)
+        prod = _dmatrix(alpha, 64) @ _dmatrix(-alpha, 64)
         certified = prod[:20, :20]
         np.testing.assert_allclose(certified, np.eye(20), atol=1e-10)
 
     def test_unitary_on_certified_columns(self):
         span = displacement_certified_span(1.3, 64)
         assert span > 5
-        mat = displacement_matrix(1.3, 64)
+        mat = _dmatrix(1.3, 64)
         norms = np.sum(np.abs(mat[:, : span + 1]) ** 2, axis=0)
         assert np.all(norms <= 1.0 + 1e-12)
         assert np.all(norms >= 1.0 - 1e-6)
 
     def test_leakage_shrinks_with_truncation_size(self):
         cols = np.arange(17)
-        leaks = [displacement_leakage(3.5, n, cols)[0] for n in (32, 64, 128)]
+        leaks = []
+        for n_max in (32, 64, 128):
+            block = _displacement_batch(np.array([3.5]), n_max, cols)[0]
+            leaks.append(1.0 - np.min(np.sum(np.abs(block) ** 2, axis=0)))
         assert leaks[0] > leaks[1] > leaks[2]
 
-    def test_leakage_rejects_empty_certified_span(self):
-        assert displacement_certified_span(3.0, 20) < 0
-        with pytest.raises(TruncationError, match="displaced vacuum"):
-            displacement_leakage(3.0, 20)
-
     def test_rejects_leaky_truncation(self):
-        with pytest.raises(TruncationError) as err:
-            displacement_matrix(2.0, 64, leak_tol=1e-16)
+        # column 16 of D(3.5) at n_max = 64 loses ~1.2e-4 of its norm, far
+        # above both the 1e-6 tolerance and roundoff
+        block = _displacement_batch(np.array([3.5]), 64, np.arange(17))
+        with pytest.raises(TruncationError, match="increase n_max") as err:
+            _worst_leak(block, 17)
         assert isinstance(err.value.detail, int)  # worst column index
+        assert 0 <= err.value.detail < 17
 
-    def test_rejects_undersized_truncation(self):
-        with pytest.raises(ValidationError):
-            displacement_matrix(5.0, 16)
-
-    def test_displace_rejects_uncertified_support(self):
-        rho = FockState.fock(20, 20).density()
-        with pytest.raises(TruncationError):
-            displace(rho, 2.0, n_max=40)
-
-
-class TestDisplace:
-    def test_identity_at_zero(self):
-        rho = FockState.fock(2, 8).density()
-        out = displace(rho, 0.0, n_max=32)
-        np.testing.assert_allclose(out.entries[:9, :9], rho.entries, atol=1e-14)
-
-    def test_vacuum_becomes_coherent_projector(self):
-        alpha = 1.1 - 0.5j
-        moved = displace(FockState.vacuum().density(), alpha)
-        coh = coherent_amplitudes(alpha, moved.n_max).amplitudes
-        np.testing.assert_allclose(moved.entries, np.outer(coh, coh.conj()), atol=1e-12)
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.5j, 2.0 - 1.0j])
-    def test_trace_preserved(self, alpha):
-        rho = coherent_amplitudes(1.0).density()
-        moved = displace(rho, alpha)
-        assert abs(np.trace(moved.entries) - 1.0) < EPS_TAIL
-
-    def test_roundtrip_returns_state(self):
-        rho = FockState.fock(3, 16).density()
-        alpha = 0.8 + 0.6j
-        back = displace(displace(rho, alpha), -alpha)
-        np.testing.assert_allclose(
-            back.entries[:17, :17], rho.entries, atol=10 * EPS_TAIL
-        )
+    def test_empty_certified_span_refused(self):
+        assert displacement_certified_span(3.0, 20) < 0
+        with pytest.raises(TruncationError, match="certified only up to n=-1"):
+            energy_distribution(FockState.vacuum().density(), 3.0, n_max=20)
 
 
 class TestEnergyDistribution:
@@ -257,15 +237,6 @@ class TestEnergyDistribution:
 
 
 class TestDomainTypes:
-    def test_phase_point_alpha_consistency(self):
-        pt = PhasePoint(0.3, -1.2)
-        assert pt.alpha == complex(0.3, -1.2)
-
-    def test_phase_point_physical_adapter(self):
-        pt = PhasePoint.from_physical(x=2.0, p=3.0, kappa=0.5, hbar=2.0)
-        assert pt.u == pytest.approx(1.0)
-        assert pt.v == pytest.approx(3.0)
-
     def test_density_rejects_nonhermitian(self):
         bad = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(ValidationError):

@@ -8,10 +8,8 @@ import pytest
 from phasewave import (
     SpinSphere,
     ValidationError,
-    belt_area,
     belts,
     band_table,
-    convergence_report,
     project,
     projected_band,
     projected_band_area,
@@ -50,26 +48,28 @@ class TestBelts:
             belts(-1.0)
 
 
+def _belt_areas(j):
+    """Hat-box areas 2*pi*R*width of the belts, as ``spin belts`` writes them."""
+    r = SpinSphere(j).radius
+    return [2.0 * math.pi * r * b.width for b in belts(j)]
+
+
 class TestBeltAreas:
     def test_hatbox_value_interior(self):
-        # 2*pi*R per unit axial width
-        area = belt_area(10.0, 0.0)
+        # 2*pi*R per unit axial width; m = 0 is the middle belt of j = 10
+        area = _belt_areas(10.0)[10]
+        assert belts(10.0)[10].m == 0.0
         assert area == pytest.approx(2.0 * math.pi * math.sqrt(110.0), abs=1e-10)
 
     def test_total_area_is_sphere(self):
         j = 10.0
-        total = sum(belt_area(j, b.m) for b in belts(j))
+        total = sum(_belt_areas(j))
         r = SpinSphere(j).radius
         assert total == pytest.approx(4.0 * math.pi * r * r, rel=1e-12)
 
     def test_interior_belts_equal(self):
-        j = 10.0
-        areas = [belt_area(j, b.m) for b in belts(j)[1:-1]]
+        areas = _belt_areas(10.0)[1:-1]
         assert np.allclose(areas, areas[0], atol=1e-10)
-
-    def test_unknown_m_rejected(self):
-        with pytest.raises(ValidationError):
-            belt_area(1.0, 0.25)
 
 
 class TestProjection:
@@ -148,21 +148,3 @@ class TestProjectedAreas:
         assert (n, m, lo) == (0, -1.5, 0.0)
         assert area == pytest.approx(math.pi * hi * hi, rel=1e-12)
 
-
-class TestConvergenceReport:
-    def test_report_fields(self):
-        rep = convergence_report([20, 80, 200], 2)
-        assert rep["J_values"] == [20.0, 80.0, 200.0]
-        assert rep["n"] == 2
-        assert rep["target"] == pytest.approx(2.0, abs=1e-12)
-        assert len(rep["radii"]) == 3
-
-    def test_report_serializes_to_json(self):
-        import json
-
-        rep = convergence_report([20, 80], 3)
-        assert json.loads(json.dumps(rep)) == rep
-
-    def test_rejects_missing_band(self):
-        with pytest.raises(ValidationError):
-            convergence_report([1.0], 5)

@@ -32,6 +32,7 @@ from phasewave import (
     wigner_parity,
     wigner_values,
 )
+from phasewave.wigner import _wigner_eval
 
 
 def _states():
@@ -130,7 +131,9 @@ class TestDirectRoute:
     def test_nonconvergence_reports_worst_node(self):
         rho = FockState.vacuum().density()
         with pytest.raises(QuadratureError) as err:
-            wigner_values(rho, 0.3, 0.1, rel_tol=1e-16, max_refinements=2)
+            _wigner_eval(
+                rho.entries, [0.3], [0.1], True, rel_tol=1e-16, max_refinements=2
+            )
         assert err.value.worst_node is not None
 
 
