@@ -185,10 +185,63 @@ class TestDisplacementMatrix:
         assert isinstance(err.value.detail, int)  # worst column index
         assert 0 <= err.value.detail < 17
 
-    def test_empty_certified_span_refused(self):
+    def test_leakage_rejects_empty_certified_span(self):
         assert displacement_certified_span(3.0, 20) < 0
         with pytest.raises(TruncationError, match="certified only up to n=-1"):
             energy_distribution(FockState.vacuum().density(), 3.0, n_max=20)
+
+    def test_rejects_undersized_truncation(self):
+        # n_max = 16 is far below 2|alpha|^2 + 10|alpha| = 100 for |alpha| = 5;
+        # the policy cutoff for the same displacement is accepted
+        vac = FockState.vacuum().density()
+        with pytest.raises(TruncationError, match="increase n_max"):
+            energy_distribution(vac, 5.0, n_max=16)
+        p = energy_distribution(vac, 5.0, n_max=default_cutoff(5.0))
+        assert abs(np.sum(p) - 1.0) < EPS_TAIL
+
+    def test_displace_rejects_uncertified_support(self):
+        rho = FockState.fock(20, 20).density()
+        with pytest.raises(TruncationError, match="state support reaches n=20") as err:
+            energy_distribution(rho, 2.0, n_max=40)
+        assert err.value.detail == 20
+
+
+def _displace(rho, alpha, n_max):
+    """D(alpha) rho D(alpha)^dagger with the full truncated kernel matrix."""
+    mat = _dmatrix(alpha, n_max)
+    work = rho.embedded(n_max).entries
+    return mat @ work @ mat.conj().T
+
+
+class TestDisplace:
+    def test_identity_at_zero(self):
+        rho = FockState.fock(2, 8).density()
+        out = _displace(rho, 0.0, 32)
+        np.testing.assert_allclose(out[:9, :9], rho.entries, atol=1e-14)
+        np.testing.assert_array_equal(out[9:, :], 0.0)
+
+    def test_vacuum_becomes_coherent_projector(self):
+        alpha = 1.1 - 0.5j
+        n_max = default_cutoff(abs(alpha))
+        moved = _displace(FockState.vacuum().density(), alpha, n_max)
+        coh = coherent_amplitudes(alpha, n_max).amplitudes
+        np.testing.assert_allclose(moved, np.outer(coh, coh.conj()), atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5j, 2.0 - 1.0j])
+    def test_trace_preserved(self, alpha):
+        rho = coherent_amplitudes(1.0).density()
+        n_max = default_cutoff(abs(alpha), math.sqrt(rho.top_occupied()))
+        moved = _displace(rho, alpha, n_max)
+        assert abs(np.trace(moved) - 1.0) < EPS_TAIL
+
+    def test_roundtrip_returns_state(self):
+        rho = FockState.fock(3, 16).density()
+        alpha = 0.8 + 0.6j
+        n_max = default_cutoff(abs(alpha), math.sqrt(3.0))
+        there = _displace(rho, alpha, n_max)
+        mat = _dmatrix(-alpha, n_max)
+        back = mat @ there @ mat.conj().T
+        np.testing.assert_allclose(back[:17, :17], rho.entries, atol=10 * EPS_TAIL)
 
 
 class TestEnergyDistribution:
