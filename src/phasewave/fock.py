@@ -24,6 +24,11 @@ EPS_TAIL = 1e-10
 #: Largest Fock index the eigenfunction recurrence is validated for.
 MAX_EIGENFUNCTION_INDEX = 10_000
 
+#: Largest truncation :func:`default_cutoff` may choose: the direct route
+#: cannot evaluate a larger state, and its density matrix alone would take
+#: (n_max+1)**2 complex entries.
+MAX_CUTOFF = MAX_EIGENFUNCTION_INDEX
+
 #: Largest norm deficit a certified column of a truncated D(alpha) may show.
 _LEAK_TOL = 1e-6
 
@@ -37,9 +42,15 @@ def default_cutoff(*amplitudes: float) -> int:
     Displaced Poisson tails decay super-exponentially past their mean, so
     ``4 * (sum of amplitude magnitudes)**2 + 20`` keeps the lost mass far
     below EPS_TAIL; 64 is the floor so small states get comfortable room.
+    A size above MAX_CUTOFF is refused before anything is allocated.
     """
     total = sum(abs(a) for a in amplitudes)
-    return max(64, math.ceil(4.0 * total * total + 20.0))
+    size = 4.0 * total * total + 20.0  # inf, not OverflowError, for huge amplitudes
+    if size > MAX_CUTOFF:
+        raise ValidationError(
+            f"truncation n_max={size:.6g} exceeds the limit of {MAX_CUTOFF}"
+        )
+    return max(64, math.ceil(size))
 
 
 class FockState:

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import ValidationError
 from .fock import log_factorials
 
+#: Largest overlap table: every band costs one Python lens evaluation.
+MAX_BANDS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Band:
@@ -77,7 +80,13 @@ def circle_circle_lens(r1: float, r2: float, d: float) -> float:
 def _auto_bands(beta_mag: float, n_bands: int | None) -> int:
     if n_bands is not None and n_bands < 0:
         raise ValidationError("band count must be nonnegative")
-    needed = math.ceil((beta_mag + 1.0) ** 2) + 2
+    reach = beta_mag + 1.0
+    requested = max(reach * reach + 2.0, n_bands or 0)  # inf for huge beta, no overflow
+    if requested > MAX_BANDS:
+        raise ValidationError(
+            f"{requested:.6g} bands exceed the limit of {MAX_BANDS}"
+        )
+    needed = math.ceil(reach**2) + 2
     return needed if n_bands is None else max(n_bands, needed)
 
 

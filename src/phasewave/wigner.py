@@ -4,9 +4,12 @@ Two independent evaluation routes are provided and cross-checked:
 
 * :func:`wigner_direct` integrates the position-representation Fourier
   kernel over the chord coordinate y at every node,
-* :func:`parity_sum` (one point) and :func:`wigner_parity` (a grid) form
-  twice the alternating sum of the occupation probabilities of the state
-  displaced to the opposite phase point (``fock._displaced_occupations``).
+* :func:`parity_sum` forms twice the alternating sum of the occupation
+  probabilities of the state displaced to the opposite phase point
+  (``fock._displaced_occupations``); :func:`wigner_parity` evaluates the
+  same sum on a grid as Royer's trace 2*Tr[rho D(2 alpha) Pi] over the
+  state's support, and applies the occupation route's truncation checks
+  at the grid's four corners.
 
 Route agreement fixes the identification between the phase-plane
 coordinate u + i*v and the displacement amplitude: the winning scale is
@@ -339,7 +342,8 @@ def parity_sum(
 ) -> ParitySum:
     """S(alpha) = 2 * sum_n (-1)^n P_n(-alpha) over the truncated basis.
 
-    The one-point case of :func:`wigner_parity`.  The last retained
+    Summed from the occupations themselves, so it is an independent
+    reference for the grid route of :func:`wigner_parity`.  The last retained
     occupation probability is the truncation diagnostic; above 1e-8 a
     TruncationError asks for a larger n_max.
     """
@@ -347,12 +351,44 @@ def parity_sum(
     return ParitySum(value=float(values[0]), last_term=float(last[0]))
 
 
+def _royer_sums(rho: fock.DensityMatrix, alphas: np.ndarray) -> np.ndarray:
+    """S(alpha) = 2 * sum_n (-1)^n P_n(-alpha) per point, as a trace.
+
+    Royer, Phys. Rev. A 15, 449 (1977): D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi
+    for the parity Pi, so the sum is 2 Re sum_{m,n<s} rho_nm <m|D(2 alpha)|n> (-1)^n
+    over the s stored support states.  Only the s x s block of D(2 alpha)
+    enters, and the kernel gives those entries exactly at any truncation.
+    """
+    s = rho.top_occupied(0.0) + 1
+    signs = 1.0 - 2.0 * (np.arange(s) % 2)
+    weights = (rho.entries[:s, :s] * signs[:, None]).T.ravel()  # rho_nm (-1)^n at [m, n]
+    cols = np.arange(s)
+    out = np.empty(alphas.size)
+    step = max(1, fock._CHUNK_ELEMS // (s * s))
+    for lo in range(0, alphas.size, step):
+        block = fock._displacement_batch(2.0 * alphas[lo : lo + step], s - 1, cols)
+        out[lo : lo + step] = 2.0 * (block.reshape(-1, s * s) @ weights).real
+        del block  # freed before the next block is built
+    return out
+
+
 def wigner_parity(
     rho: fock.DensityMatrix, grid: PhaseGrid, n_max: int | None = None
 ) -> WignerField:
-    """Wigner function on a grid via the alternating parity sum, W = S/(2*pi)."""
-    uu, vv = np.meshgrid(grid.u_axis, grid.v_axis, indexing="ij")
-    sums, _ = _parity_sums(rho, alpha_from_uv(uu.ravel(), vv.ravel()), n_max)
+    """Wigner function on a grid via the alternating parity sum, W = S/(2*pi).
+
+    Every node's S(alpha) is Royer's trace over the state's support (see
+    :func:`_royer_sums`), which needs no truncation.  The truncation
+    contract of :func:`parity_sum` (certified span, column leak, row sums,
+    last alternating term, all at ``n_max``) is applied at the four
+    corners: they hold the grid's largest |alpha| and, wherever the state
+    sits, its largest |beta - alpha|.  A TruncationError there refuses the
+    grid.
+    """
+    u, v = grid.u_axis, grid.v_axis
+    _parity_sums(rho, alpha_from_uv(u[[0, 0, -1, -1]], v[[0, -1, 0, -1]]), n_max)
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    sums = _royer_sums(rho, alpha_from_uv(uu.ravel(), vv.ravel()))
     return WignerField(grid, (sums / (2.0 * math.pi)).reshape(grid.n_u, grid.n_v))
 
 

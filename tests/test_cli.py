@@ -290,6 +290,22 @@ def test_nonfinite_and_negative_numbers_rejected(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (("overlap", "--beta", "1e200"), "limit of 1000000"),
+    (("overlap", "--beta", "1", "--n-bands", "10000000"), "limit of 1000000"),
+    (("wigner", "--state", "coherent:1e200", "--grid", "-1:1:3"), "limit of 10000"),
+    (("wigner", "--state", "vacuum", "--grid", "-80:80:3", "--method", "parity"),
+     "limit of 10000"),
+])
+def test_oversized_numbers_rejected_before_allocation(capsys, argv, limit):
+    # each budget is pure arithmetic on the request, so nothing is allocated
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert limit in err
+    assert "Traceback" not in err
+
+
 class TestValidateAndDeterminism:
     def _both_runs(self, capsys, tmp_path, name, *argv):
         a, b = tmp_path / f"{name}.a", tmp_path / f"{name}.b"

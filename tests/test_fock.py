@@ -17,6 +17,7 @@ from phasewave import (
     energy_distribution,
 )
 from phasewave.fock import (
+    MAX_CUTOFF,
     _displacement_batch,
     _worst_leak,
     displacement_certified_span,
@@ -148,6 +149,19 @@ class TestDisplacementKernel:
                     ref = _displacement_mpmath(a, m, n)
                     assert abs(batch[i, m, j] - ref) < 1e-13, (a, m, n)
         assert kinds == {-1, 0, 1}  # below, on and above the diagonal
+
+    @pytest.mark.parametrize("mag", [12.0, 14.0])
+    def test_royer_block_matches_mpmath(self, mag):
+        # the s x s support block the parity grid reads at 2*alpha for the
+        # corners of the -6:6 and -7:7 grids, s = 65 as for coherent:2
+        alpha = mag * complex(math.cos(2.3), math.sin(2.3))
+        block = _displacement_batch(np.array([alpha]), 64, np.arange(65))[0]
+        for n in (0, 1, 13, 32, 51, 63, 64):
+            for m in range(65):
+                ref = _displacement_mpmath(alpha, m, n)
+                err = abs(block[m, n] - ref)
+                assert err < 1e-14, (m, n)
+                assert abs(ref) < 1e-12 or err < 1e-10 * abs(ref), (m, n)
 
 
 class TestDisplacementMatrix:
@@ -318,3 +332,10 @@ class TestDomainTypes:
     def test_default_cutoff_floor_and_growth(self):
         assert default_cutoff(0.0) == 64
         assert default_cutoff(3.0, 2.0) == max(64, math.ceil(4 * 25 + 20))
+
+    def test_default_cutoff_budget(self):
+        # arithmetic only: the refused sizes are never allocated
+        assert default_cutoff(49.0) == 4 * 49 * 49 + 20 <= MAX_CUTOFF
+        for amplitudes in ((50.0,), (30.0, 20.0), (1e200,)):
+            with pytest.raises(ValidationError, match=f"limit of {MAX_CUTOFF}"):
+                default_cutoff(*amplitudes)

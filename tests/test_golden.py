@@ -35,6 +35,16 @@ CASES = {
         ("wigner", "--state", "fock:1", "--grid", "-4:4:21", "--method", "both"),
         True, False,
     ),
+    "wigner_coherent_direct": (
+        ("wigner", "--state", "coherent:0.6,0.8", "--grid", "-3:3:15",
+         "--method", "direct"),
+        True, False,
+    ),
+    "wigner_mixture_direct": (
+        ("wigner", "--state", "mixture:fock:1@0.5;coherent:1@0.5",
+         "--grid", "-5:5:15", "--method", "direct"),
+        True, False,
+    ),
     "wigner_coherent_parity": (
         ("wigner", "--state", "coherent:0.6,0.8", "--grid", "-3:3:15",
          "--method", "parity"),

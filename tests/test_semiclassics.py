@@ -13,6 +13,7 @@ from phasewave import (
     overlap_distribution,
     poisson_pmf,
 )
+from phasewave.semiclassics import MAX_BANDS, _auto_bands
 
 # regression value frozen at first build: total-variation distance between
 # the beta=5 overlap-area distribution and Poisson(25)
@@ -119,6 +120,14 @@ class TestOverlapDistribution:
     def test_negative_beta_rejected(self):
         with pytest.raises(ValidationError):
             overlap_distribution(-0.1)
+
+    def test_band_budget_is_checked_first(self):
+        # (998 + 1)**2 + 2 bands fit the budget, (999 + 1)**2 + 2 do not;
+        # only the count is computed, no table is built
+        assert _auto_bands(998.0, None) == MAX_BANDS - 1997
+        for beta, n_bands in ((999.0, None), (1e200, None), (1.0, MAX_BANDS + 1)):
+            with pytest.raises(ValidationError, match=f"limit of {MAX_BANDS}"):
+                _auto_bands(beta, n_bands)
 
 
 class TestComparePoisson:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from phasewave import (
     ContainmentError,
@@ -157,7 +157,7 @@ class TestParityRoute:
             parity_sum(rho, 0.9, n_max=64)
 
     def test_single_point_is_a_batch_row(self):
-        # one occupation route and one truncation policy behind both
+        # the point sums occupations, the grid takes Royer's trace: two routes
         grid = PhaseGrid(-2.0, 2.0, -1.5, 1.5, 5, 4)
         uu, vv = np.meshgrid(grid.u_axis, grid.v_axis, indexing="ij")
         alphas = alpha_from_uv(uu.ravel(), vv.ravel())
@@ -165,6 +165,62 @@ class TestParityRoute:
             batch = 2.0 * math.pi * wigner_parity(rho, grid, n_max=160).values.ravel()
             single = [parity_sum(rho, a, n_max=160).value for a in alphas]
             assert np.max(np.abs(batch - single)) <= 1e-14, name
+
+    @pytest.mark.parametrize("bounds", [(-3.0, 2.0, -2.5, 3.0), (-2.0, 3.0, -3.0, 2.5)])
+    def test_grid_refuses_exactly_when_a_node_does(self, bounds):
+        # the grid route checks truncation at its corners only; sweep n_max
+        # across the refusal boundary and compare with every node's own check
+        # (the two grids put the largest |alpha| at opposite corners)
+        grid = PhaseGrid(*bounds, 5, 5)
+        uu, vv = np.meshgrid(grid.u_axis, grid.v_axis, indexing="ij")
+        alphas = alpha_from_uv(uu.ravel(), vv.ravel())
+        states = {**_states(), "phased": coherent_amplitudes(1.2 + 1.6j).density()}
+
+        def refused(call, *args):
+            try:
+                call(*args)
+            except TruncationError:
+                return True
+            return False
+
+        for name, rho in states.items():
+            lo, hi = rho.n_max, 400  # refused at lo, accepted at hi
+            assert refused(wigner_parity, rho, grid, lo), name
+            assert not refused(wigner_parity, rho, grid, hi), name
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if refused(wigner_parity, rho, grid, mid) else (lo, mid)
+            for n_max in range(hi - 2, hi + 2):
+                by_grid = refused(wigner_parity, rho, grid, n_max)
+                by_node = any(refused(parity_sum, rho, a, n_max) for a in alphas)
+                assert by_grid == by_node == (n_max < hi), (name, n_max)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_royer_grid_matches_node_sums(self, data):
+        # random mixed states with complex coherences on random small grids
+        size = data.draw(st.integers(1, 6))
+        rank = data.draw(st.integers(1, size))
+        parts = data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=2 * size * rank, max_size=2 * size * rank
+        ))
+        a = np.reshape(parts[::2], (size, rank)) + 1j * np.reshape(parts[1::2], (size, rank))
+        mat = a @ a.conj().T
+        trace = float(np.trace(mat).real)
+        assume(trace > 1e-3)
+        mat = mat / trace
+        rho = DensityMatrix(0.5 * (mat + mat.conj().T))
+        bounds = []
+        for _ in range(2):  # |alpha| <= 3 on the whole grid
+            lo = data.draw(st.floats(-3.0, 2.5))
+            bounds += [lo, data.draw(st.floats(lo + 0.1, 3.0))]
+        n_u, n_v = data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5))
+        grid = PhaseGrid(*bounds, n_u, n_v)
+        field = wigner_parity(rho, grid)
+        uu, vv = np.meshgrid(grid.u_axis, grid.v_axis, indexing="ij")
+        single = [parity_sum(rho, a).value for a in alpha_from_uv(uu.ravel(), vv.ravel())]
+        assert np.max(np.abs(2.0 * math.pi * field.values.ravel() - single)) <= 1e-13
+        assert np.max(np.abs(field.values)) <= 1.0 / math.pi
 
     def test_uncertified_support_refused_by_both(self):
         # at n_max = 60 displacement by |alpha| = 3 is certified up to n = 2 only
