@@ -92,7 +92,7 @@ def parse_grid(spec: str, spec_v: str | None) -> wigner.PhaseGrid:
 
 def _serialize_field(field: wigner.WignerField, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(field.to_json_dict()) + "\n"
+        return field.to_json() + "\n"
     return field.to_csv()
 
 

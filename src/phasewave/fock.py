@@ -12,6 +12,7 @@ in the thousands are safe.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -91,6 +92,10 @@ class FockState:
         size = (n if n_max is None else n_max) + 1
         if size < n + 1:
             raise ValidationError(f"n_max {n_max} cannot hold Fock index {n}")
+        if size - 1 > MAX_CUTOFF:  # before the vector and its (n_max+1)**2 density
+            raise ValidationError(
+                f"truncation n_max={size - 1} exceeds the limit of {MAX_CUTOFF}"
+            )
         amp = np.zeros(size, dtype=complex)
         amp[n] = 1.0
         return cls(amp)
@@ -99,24 +104,23 @@ class FockState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite truncated operator."""
 
-    def __init__(self, entries, *, check: bool = True):
+    def __init__(self, entries):
         mat = np.asarray(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
             raise ValidationError("density matrix must be square and non-empty")
         self._mat = mat
         self._mat.setflags(write=False)
-        if check:
-            herm = float(np.max(np.abs(mat - mat.conj().T)))
-            if herm > 1e-12:
-                raise ValidationError(f"not Hermitian: elementwise deviation {herm:.3e}")
-            tr = float(np.real(np.trace(mat)))
-            if abs(tr - 1.0) > EPS_TAIL:
-                raise TruncationError(
-                    f"trace misses 1 by {abs(tr - 1.0):.3e}", detail=abs(tr - 1.0)
-                )
-            lo = float(np.min(np.linalg.eigvalsh(mat)))
-            if lo < -1e-10:
-                raise ValidationError(f"negative eigenvalue {lo:.3e} below roundoff band")
+        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        if herm > 1e-12:
+            raise ValidationError(f"not Hermitian: elementwise deviation {herm:.3e}")
+        tr = float(np.real(np.trace(mat)))
+        if abs(tr - 1.0) > EPS_TAIL:
+            raise TruncationError(
+                f"trace misses 1 by {abs(tr - 1.0):.3e}", detail=abs(tr - 1.0)
+            )
+        lo = float(np.min(np.linalg.eigvalsh(mat)))
+        if lo < -1e-10:
+            raise ValidationError(f"negative eigenvalue {lo:.3e} below roundoff band")
 
     @property
     def entries(self) -> np.ndarray:
@@ -130,6 +134,18 @@ class DensityMatrix:
         occ = np.real(np.diag(self._mat)) > threshold
         return int(np.max(np.nonzero(occ)[0])) if occ.any() else 0
 
+    @functools.cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs (weights, vectors) above 1e-13 of rho[:s, :s], s - 1 the last
+        nonzero occupation; every stored level counts, since amplitudes near
+        sqrt(eps) still shift displaced probabilities at the 1e-8 level."""
+        s = self.top_occupied(0.0) + 1
+        evals, evecs = np.linalg.eigh(self._mat[:s, :s])
+        pair = evals[evals > 1e-13], evecs[:, evals > 1e-13]
+        for arr in pair:  # shared by every route, so read-only like the entries
+            arr.setflags(write=False)
+        return pair
+
     def embedded(self, n_max: int) -> "DensityMatrix":
         """Same operator in a Fock space truncated at ``n_max`` >= current."""
         if n_max < self.n_max:
@@ -138,7 +154,7 @@ class DensityMatrix:
             return self
         big = np.zeros((n_max + 1, n_max + 1), dtype=complex)
         big[: self._mat.shape[0], : self._mat.shape[1]] = self._mat
-        return DensityMatrix(big, check=False)
+        return DensityMatrix(big)
 
     @classmethod
     def mixture(cls, states_and_weights) -> "DensityMatrix":
@@ -303,42 +319,39 @@ def _worst_leak(block, certified: int) -> None:
 def _displaced_occupations(rho: DensityMatrix, alphas, n_max=None) -> np.ndarray:
     """Occupations P_n of D(alpha) rho D(alpha)^dag, one row per alpha.
 
-    P_n = sum_e w_e |<n|D(alpha)|v_e>|^2 over the support eigenpairs of rho,
-    so only the support columns of D(alpha) are built, a block of points at
-    a time; the default cutoff follows the largest |alpha|.  TruncationError
-    unless the support lies in the certified span at that |alpha|, each
-    certified column built leaks at most 1e-6 and each row sums to 1 within
+    P_n = sum_e w_e |<n|D(alpha)|v_e>|^2 over ``rho.support``, so only the
+    support columns of D(alpha) are built, a block of points at a time; the
+    default cutoff follows the largest |alpha|.  TruncationError unless the
+    support lies in the certified span at that |alpha|, each certified
+    column built leaks at most 1e-6 and each row sums to 1 within
     [-EPS_TAIL, 1e-10].
     """
     alphas = np.asarray(alphas, dtype=complex).ravel()
     largest = float(np.max(np.abs(alphas)))
     if n_max is None:
         n_max = default_cutoff(largest, math.sqrt(rho.top_occupied()))
-    work = rho.embedded(max(n_max, rho.n_max))
-    span = displacement_certified_span(largest, work.n_max)
-    reach = work.top_occupied(1e-12)
+    n_max = max(n_max, rho.n_max)
+    span = displacement_certified_span(largest, n_max)
+    reach = rho.top_occupied(1e-12)
     if reach > span:
         raise TruncationError(
             f"state support reaches n={reach} but displacement by "
             f"|alpha|={largest:.3f} is certified only up to n={span} at "
-            f"n_max={work.n_max}; increase n_max",
+            f"n_max={n_max}; increase n_max",
             detail=reach,
         )
-    # keep every stored component: amplitudes as small as sqrt(eps) still
-    # shift the displaced probabilities at the 1e-8 level via interference
-    support = work.top_occupied(0.0) + 1
-    evals, evecs = np.linalg.eigh(work.entries[:support, :support])
-    keep = evals > 1e-13
-    weights, vectors = evals[keep], evecs[:, keep]
-    cols = np.arange(support)
-    certified = min(span + 1, support)
-    out = np.empty((alphas.size, work.n_max + 1))
-    step = max(1, int(_CHUNK_ELEMS // ((work.n_max + 1) * support)))
+    weights, vectors = rho.support
+    cols = np.arange(vectors.shape[0])
+    certified = min(span + 1, cols.size)
+    out = np.empty((alphas.size, n_max + 1))
+    step = max(1, int(_CHUNK_ELEMS // ((n_max + 1) * cols.size)))
     for lo in range(0, alphas.size, step):
-        block = _displacement_batch(alphas[lo : lo + step], work.n_max, cols)
+        block = _displacement_batch(alphas[lo : lo + step], n_max, cols)
         _worst_leak(block, certified)
         moved = block @ vectors  # (chunk, n_max+1, n_eig)
+        del block  # each block is freed before the next is built
         out[lo : lo + step] = np.einsum("e,ame->am", weights, np.abs(moved) ** 2)
+        del moved
     totals = out.sum(axis=1)
     bad = ~((totals >= 1.0 - EPS_TAIL) & (totals <= 1.0 + 1e-10))
     if bad.any():

@@ -3,7 +3,10 @@
 Two independent evaluation routes are provided and cross-checked:
 
 * :func:`wigner_direct` integrates the position-representation Fourier
-  kernel over the chord coordinate y at every node,
+  kernel over the chord coordinate y at every node; the kernel is the
+  weighted sum over the eigenpairs (w_e, phi_e) of ``rho.support`` of
+  w_e phi_e(u + y/2) conj(phi_e(u - y/2)), so a pure state costs one
+  wavefunction product,
 * :func:`parity_sum` forms twice the alternating sum of the occupation
   probabilities of the state displaced to the opposite phase point
   (``fock._displaced_occupations``); :func:`wigner_parity` evaluates the
@@ -44,6 +47,9 @@ UV_TO_ALPHA = 1.0 / math.sqrt(2.0)
 #: Hard bound of the dimensionless Wigner function, with roundoff slack.
 WIGNER_BOUND = 1.0 / math.pi + 1e-6
 
+#: Largest n_u * n_v a PhaseGrid may hold (the Fresnel quadrature-point budget).
+MAX_GRID_NODES = 4_000_000
+
 
 class ContainmentWarning(UserWarning):
     """The sampled grid may not contain the state's classical support."""
@@ -76,6 +82,10 @@ class PhaseGrid:
                 raise ValidationError(f"{name}_max must exceed {name}_min")
             if n < 2:
                 raise ValidationError(f"n_{name} must be at least 2")
+        if self.n_u * self.n_v > MAX_GRID_NODES:
+            raise ValidationError(
+                f"{self.n_u} x {self.n_v} grid nodes exceed the limit of {MAX_GRID_NODES}"
+            )
 
     @property
     def u_axis(self) -> np.ndarray:
@@ -208,32 +218,35 @@ class WignerField:
 # -- direct Fourier-integral route ----------------------------------------
 
 
-def _chord_integrand(rho: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F(u, y) = <u + y/2| rho |u - y/2> built from oscillator eigenfunctions.
+def _chord_integrand(rho: fock.DensityMatrix, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """F(u, y) = <u + y/2| rho |u - y/2> from the state's support eigenpairs.
 
-    F is complex for states with complex coherences; only the Fourier sum
-    over y is real, so the real part is taken after it.
+    With rho.support = (w, V), F = sum_e w_e phi_e(u + y/2) conj(phi_e(u - y/2)),
+    phi_e = sum_n V_ne psi_n, built one eigenfunction stack at a time; a pure
+    state has one term.  F is complex for states with complex coherences;
+    only the Fourier sum over y is real, so the real part is taken after it.
     """
-    n_max = rho.shape[0] - 1
+    weights, vectors = rho.support
+    top = vectors.shape[0] - 1
     out = np.empty((u.size, y.size), dtype=complex)
-    step = max(1, int(fock._CHUNK_ELEMS // ((n_max + 1) * y.size)))
+    step = max(1, int(fock._CHUNK_ELEMS // ((top + 1) * y.size)))
     for lo in range(0, u.size, step):
-        ub = u[lo : lo + step]
-        psi_p = fock.eigenfunction_stack(n_max, ub[:, None] + 0.5 * y[None, :])
-        psi_m = fock.eigenfunction_stack(n_max, ub[:, None] - 0.5 * y[None, :])
-        out[lo : lo + step] = np.einsum("mxy,mn,nxy->xy", psi_p, rho, psi_m, optimize=True)
+        ub = u[lo : lo + step, None]
+        phi_p, phi_m = (np.tensordot(vectors.T, fock.eigenfunction_stack(top, ub + h), 1)
+                        for h in (0.5 * y, -0.5 * y))
+        out[lo : lo + step] = np.einsum("e,exy,exy->xy", weights, phi_p, phi_m.conj())
     return out
 
 
 def _wigner_eval(
-    rho_mat, u_vec, v_vec, paired, min_points=None, rel_tol=1e-10, max_refinements=8
+    rho, u_vec, v_vec, paired, min_points=None, rel_tol=1e-10, max_refinements=8
 ):
     """Trapezoid-with-halving evaluation of the chord integral.
 
     paired=False: full outer grid, result (len(u), len(v)).
     paired=True: pointwise, result (len(u),) with u_vec/v_vec zipped.
     """
-    n_max = rho_mat.shape[0] - 1
+    n_max = rho.n_max
     u_vec = np.asarray(u_vec, dtype=float)
     v_vec = np.asarray(v_vec, dtype=float)
     half_window = 2.0 * (math.sqrt(2.0 * n_max + 1.0) + float(np.max(np.abs(u_vec)))) + 12.0
@@ -247,7 +260,7 @@ def _wigner_eval(
     prev = None
     for _ in range(max_refinements):
         y = np.linspace(-half_window, half_window, npts)
-        f = _chord_integrand(rho_mat, u_vec, y)
+        f = _chord_integrand(rho, u_vec, y)
         wy = np.full(npts, y[1] - y[0])
         wy[0] *= 0.5
         wy[-1] *= 0.5
@@ -289,7 +302,7 @@ def wigner_direct(rho: fock.DensityMatrix, grid: PhaseGrid) -> WignerField:
             ContainmentWarning,
             stacklevel=2,
         )
-    vals = _wigner_eval(rho.entries, grid.u_axis, grid.v_axis, False)
+    vals = _wigner_eval(rho, grid.u_axis, grid.v_axis, False)
     return WignerField(grid, vals)
 
 
@@ -301,7 +314,7 @@ def wigner_values(
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if u.shape != v.shape:
         raise ValidationError("u and v must have matching shapes")
-    return _wigner_eval(rho.entries, u, v, True, min_points)
+    return _wigner_eval(rho, u, v, True, min_points)
 
 
 # -- alternating parity-sum route ------------------------------------------
@@ -359,7 +372,7 @@ def _royer_sums(rho: fock.DensityMatrix, alphas: np.ndarray) -> np.ndarray:
     over the s stored support states.  Only the s x s block of D(2 alpha)
     enters, and the kernel gives those entries exactly at any truncation.
     """
-    s = rho.top_occupied(0.0) + 1
+    s = rho.support[1].shape[0]
     signs = 1.0 - 2.0 * (np.arange(s) % 2)
     weights = (rho.entries[:s, :s] * signs[:, None]).T.ravel()  # rho_nm (-1)^n at [m, n]
     cols = np.arange(s)

@@ -296,6 +296,12 @@ def test_nonfinite_and_negative_numbers_rejected(capsys, argv):
     (("wigner", "--state", "coherent:1e200", "--grid", "-1:1:3"), "limit of 10000"),
     (("wigner", "--state", "vacuum", "--grid", "-80:80:3", "--method", "parity"),
      "limit of 10000"),
+    (("wigner", "--state", "fock:20000", "--grid", "-1:1:3"), "limit of 10000"),
+    (("wigner", "--state", "mixture:vacuum@1;fock:10001@1", "--grid", "-1:1:3"),
+     "limit of 10000"),
+    (("wigner", "--state", "vacuum", "--grid", "-1:1:2001"), "limit of 4000000"),
+    (("wigner", "--state", "vacuum", "--grid", "-1:1:2", "--grid-v", "-1:1:2000001"),
+     "limit of 4000000"),
 ])
 def test_oversized_numbers_rejected_before_allocation(capsys, argv, limit):
     # each budget is pure arithmetic on the request, so nothing is allocated

@@ -1,6 +1,7 @@
 """Oscillator eigenfunctions, displacement operators, displaced statistics."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,8 +17,10 @@ from phasewave import (
     default_cutoff,
     energy_distribution,
 )
+from phasewave import fock
 from phasewave.fock import (
     MAX_CUTOFF,
+    _displaced_occupations,
     _displacement_batch,
     _worst_leak,
     displacement_certified_span,
@@ -301,6 +304,62 @@ class TestEnergyDistribution:
         p = energy_distribution(rho_builder(), alpha)
         assert np.all(p >= 0.0)
         assert abs(p.sum() - 1.0) <= EPS_TAIL
+
+    def test_blocks_freed_before_the_next(self, monkeypatch):
+        # a block of D(alpha) support columns takes 16 * _CHUNK_ELEMS bytes;
+        # holding the previous one while the next is built doubles the peak
+        monkeypatch.setattr(fock, "_CHUNK_ELEMS", 1_000_000)
+        rho = coherent_amplitudes(2.0).density()
+        alphas = np.linspace(-6.0, 6.0, 100)
+        support = rho.support[1].shape[0]  # cached before the traced call
+        n_max = default_cutoff(6.0, math.sqrt(rho.top_occupied()))
+        assert alphas.size > 2 * (fock._CHUNK_ELEMS // ((n_max + 1) * support))
+        tracemalloc.start()
+        try:
+            _displaced_occupations(rho, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * fock._CHUNK_ELEMS
+
+
+def _random_density(rng, size, rank, empty_tail=0):
+    """Random unit-trace rho of the given rank with complex coherences, stored
+    with ``empty_tail`` unoccupied levels after the last occupied one."""
+    a = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+    mat = np.zeros((size + empty_tail,) * 2, dtype=complex)
+    mat[:size, :size] = a @ a.conj().T
+    mat /= np.trace(mat).real
+    return DensityMatrix(0.5 * (mat + mat.conj().T))
+
+
+class TestSupport:
+    @pytest.mark.parametrize("size, rank, empty_tail", [
+        (1, 1, 0), (3, 1, 2), (5, 3, 0), (8, 8, 4),
+    ])
+    def test_reconstructs_support_block(self, size, rank, empty_tail):
+        rho = _random_density(np.random.default_rng(size), size, rank, empty_tail)
+        weights, vectors = rho.support
+        assert vectors.shape == (size, rank)
+        np.testing.assert_allclose(
+            (vectors * weights) @ vectors.conj().T, rho.entries[:size, :size],
+            rtol=0, atol=1e-13,
+        )
+
+    def test_excludes_trailing_empty_levels(self):
+        weights, vectors = FockState.fock(1, 5).density().support
+        assert vectors.shape == (2, 1)
+        assert weights[0] == pytest.approx(1.0, abs=1e-15)
+        assert abs(vectors[1, 0]) == pytest.approx(1.0, abs=1e-15)
+        assert not (weights.flags.writeable or vectors.flags.writeable)
+
+    def test_drops_eigenvalues_at_or_below_1e_13(self):
+        q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 3)) + 0j)
+        mat = np.zeros((5, 5), dtype=complex)
+        mat[:3, :3] = (q * [1.0 - 1.05e-12, 1e-12, 5e-14]) @ q.conj().T
+        weights, vectors = DensityMatrix(mat).support
+        assert vectors.shape == (3, 2)
+        np.testing.assert_allclose(weights, [1e-12, 1.0 - 1.05e-12], rtol=1e-3)
 
 
 class TestDomainTypes:

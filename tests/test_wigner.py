@@ -32,7 +32,8 @@ from phasewave import (
     wigner_parity,
     wigner_values,
 )
-from phasewave.wigner import _wigner_eval
+from phasewave.fock import eigenfunction_stack
+from phasewave.wigner import _chord_integrand, _wigner_eval
 
 
 def _states():
@@ -128,11 +129,28 @@ class TestDirectRoute:
         with pytest.warns(ContainmentWarning):
             wigner_direct(coherent_amplitudes(2.0).density(), grid)
 
+    def test_chord_integrand_matches_dense_contraction(self):
+        # rank 2, complex coherences, two empty levels after the last occupied one
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        mat = np.zeros((6, 6), dtype=complex)
+        mat[:4, :4] = a @ a.conj().T
+        mat /= np.trace(mat).real
+        rho = DensityMatrix(0.5 * (mat + mat.conj().T))
+        u, y = np.linspace(-3.0, 3.0, 13), np.linspace(-8.0, 8.0, 41)
+        # the dense contraction sum_mn psi_m(u + y/2) rho_mn psi_n(u - y/2)
+        psi_p = eigenfunction_stack(rho.n_max, u[:, None] + 0.5 * y)
+        psi_m = eigenfunction_stack(rho.n_max, u[:, None] - 0.5 * y)
+        dense = np.einsum("mxy,mn,nxy->xy", psi_p, rho.entries, psi_m, optimize=True)
+        assert np.max(np.abs(dense.imag)) > 1e-2
+        got = _chord_integrand(rho, u, y)
+        assert np.max(np.abs(got - dense)) <= 1e-14
+
     def test_nonconvergence_reports_worst_node(self):
         rho = FockState.vacuum().density()
         with pytest.raises(QuadratureError) as err:
             _wigner_eval(
-                rho.entries, [0.3], [0.1], True, rel_tol=1e-16, max_refinements=2
+                rho, [0.3], [0.1], True, rel_tol=1e-16, max_refinements=2
             )
         assert err.value.worst_node is not None
 
