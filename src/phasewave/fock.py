@@ -7,6 +7,9 @@ plain numbers.
 Factorial-sized prefactors are always built from log-factorial
 differences (:func:`log_factorials`), never from raw factorials, so indices
 in the thousands are safe.
+
+A mixed state is kept as its normalized pure components and their weights
+(:class:`DensityMatrix`), so no dense density matrix is ever factored.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ EPS_TAIL = 1e-10
 #: Largest Fock index the eigenfunction recurrence is validated for.
 MAX_EIGENFUNCTION_INDEX = 10_000
 
-#: Largest truncation :func:`default_cutoff` may choose: the direct route
-#: cannot evaluate a larger state, and its density matrix alone would take
-#: (n_max+1)**2 complex entries.
+#: Largest truncation a state, a cutoff or a route accepts: the direct route
+#: cannot evaluate a larger state.
 MAX_CUTOFF = MAX_EIGENFUNCTION_INDEX
 
 #: Largest norm deficit a certified column of a truncated D(alpha) may show.
@@ -47,28 +49,30 @@ def default_cutoff(*amplitudes: float) -> int:
     """
     total = sum(abs(a) for a in amplitudes)
     size = 4.0 * total * total + 20.0  # inf, not OverflowError, for huge amplitudes
-    if size > MAX_CUTOFF:
-        raise ValidationError(
-            f"truncation n_max={size:.6g} exceeds the limit of {MAX_CUTOFF}"
-        )
+    _check_cutoff(size)
     return max(64, math.ceil(size))
+
+
+def _check_cutoff(n_max) -> None:
+    """ValidationError naming the limit unless 0 <= ``n_max`` <= MAX_CUTOFF; pure
+    arithmetic, so every truncation is checked before anything is allocated."""
+    if n_max < 0:
+        raise ValidationError(f"truncation n_max={n_max} is below the limit of 0")
+    if n_max > MAX_CUTOFF:
+        shown = f"{n_max:.6g}" if isinstance(n_max, float) else n_max
+        raise ValidationError(f"truncation n_max={shown} exceeds the limit of {MAX_CUTOFF}")
 
 
 class FockState:
     """Pure state as a truncated vector of Fock amplitudes c_0..c_N."""
 
     def __init__(self, amplitudes):
-        amp = np.asarray(amplitudes, dtype=complex)
+        amp = np.array(amplitudes, dtype=complex)  # a copy: no caller can change it later
         if amp.ndim != 1 or amp.size == 0:
             raise ValidationError("amplitudes must be a non-empty 1-d vector")
+        _require_unit_norm(amp)
         self._amp = amp
         self._amp.setflags(write=False)
-        tail = abs(1.0 - float(np.sum(np.abs(amp) ** 2)))
-        if tail > EPS_TAIL:
-            raise TruncationError(
-                f"state norm misses 1 by {tail:.3e} (allowed {EPS_TAIL:.0e})",
-                detail=tail,
-            )
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -79,7 +83,7 @@ class FockState:
         return self._amp.size - 1
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self._amp, self._amp.conj()))
+        return DensityMatrix(self._amp[:, None], [1.0])
 
     @classmethod
     def vacuum(cls, n_max: int = 0) -> "FockState":
@@ -92,56 +96,72 @@ class FockState:
         size = (n if n_max is None else n_max) + 1
         if size < n + 1:
             raise ValidationError(f"n_max {n_max} cannot hold Fock index {n}")
-        if size - 1 > MAX_CUTOFF:  # before the vector and its (n_max+1)**2 density
-            raise ValidationError(
-                f"truncation n_max={size - 1} exceeds the limit of {MAX_CUTOFF}"
-            )
+        _check_cutoff(size - 1)
         amp = np.zeros(size, dtype=complex)
         amp[n] = 1.0
         return cls(amp)
 
 
+def _require_unit_norm(amp: np.ndarray) -> None:
+    """TruncationError unless the vector ``amp``, or each column, has unit norm."""
+    tail = float(np.max(np.abs(1.0 - np.sum(np.abs(amp) ** 2, axis=0))))
+    if tail > EPS_TAIL:
+        raise TruncationError(
+            f"state norm misses 1 by {tail:.3e} (allowed {EPS_TAIL:.0e})", detail=tail
+        )
+
+
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite truncated operator."""
+    """Convex mixture rho = sum_i w_i |a_i><a_i| of normalized pure states, stored
+    as the amplitude matrix A (one a_i per column) and the weights w (renormalized),
+    so rho is Hermitian, unit-trace and positive by construction."""
 
-    def __init__(self, entries):
-        mat = np.asarray(entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-            raise ValidationError("density matrix must be square and non-empty")
-        self._mat = mat
-        self._mat.setflags(write=False)
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > 1e-12:
-            raise ValidationError(f"not Hermitian: elementwise deviation {herm:.3e}")
-        tr = float(np.real(np.trace(mat)))
-        if abs(tr - 1.0) > EPS_TAIL:
-            raise TruncationError(
-                f"trace misses 1 by {abs(tr - 1.0):.3e}", detail=abs(tr - 1.0)
+    def __init__(self, amplitudes, weights):
+        amp = np.array(amplitudes, dtype=complex)  # a copy, as in FockState
+        w = np.asarray(weights, dtype=float)
+        if amp.ndim != 2 or amp.shape[0] == 0 or w.shape != amp.shape[1:]:
+            raise ValidationError("amplitudes must be (levels, components), a weight each")
+        if w.size == 0:
+            raise ValidationError("mixture needs at least one component")
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
+            raise ValidationError(
+                "mixture weights must be finite and nonnegative with positive sum"
             )
-        lo = float(np.min(np.linalg.eigvalsh(mat)))
-        if lo < -1e-10:
-            raise ValidationError(f"negative eigenvalue {lo:.3e} below roundoff band")
+        _require_unit_norm(amp)
+        self._amp, self._w = amp, w / w.sum()
+        self._amp.setflags(write=False)
 
-    @property
+    @functools.cached_property
     def entries(self) -> np.ndarray:
-        return self._mat
+        """Dense rho = sum_i w_i outer(a_i, conj(a_i)), built on first read."""
+        mat = np.zeros((self.n_max + 1,) * 2, dtype=complex)
+        for a, w in zip(self._amp.T, self._w):
+            mat += w * np.outer(a, a.conj())
+        mat.setflags(write=False)
+        return mat
 
     @property
     def n_max(self) -> int:
-        return self._mat.shape[0] - 1
+        return self._amp.shape[0] - 1
 
     def top_occupied(self, threshold: float = 1e-14) -> int:
-        occ = np.real(np.diag(self._mat)) > threshold
-        return int(np.max(np.nonzero(occ)[0])) if occ.any() else 0
+        occ = np.zeros(self.n_max + 1)
+        for a, w in zip(self._amp.T, self._w):  # the arithmetic of rho's diagonal
+            occ += w * (a * a.conj()).real
+        return int(np.flatnonzero(occ > threshold).max(initial=0))
 
     @functools.cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs (weights, vectors) above 1e-13 of rho[:s, :s], s - 1 the last
         nonzero occupation; every stored level counts, since amplitudes near
-        sqrt(eps) still shift displaced probabilities at the 1e-8 level."""
+        sqrt(eps) still shift displaced probabilities at the 1e-8 level.  They are
+        the squared singular values and left singular vectors of the first s rows
+        of A diag(sqrt(w)), weights ascending; parallel components collapse."""
         s = self.top_occupied(0.0) + 1
-        evals, evecs = np.linalg.eigh(self._mat[:s, :s])
-        pair = evals[evals > 1e-13], evecs[:, evals > 1e-13]
+        scaled = self._amp[:s] * np.sqrt(self._w)
+        vectors, sing, _ = np.linalg.svd(scaled, full_matrices=False)
+        keep = sing * sing > 1e-13
+        pair = (sing[keep] ** 2)[::-1], vectors[:, keep][:, ::-1]
         for arr in pair:  # shared by every route, so read-only like the entries
             arr.setflags(write=False)
         return pair
@@ -150,31 +170,18 @@ class DensityMatrix:
         """Same operator in a Fock space truncated at ``n_max`` >= current."""
         if n_max < self.n_max:
             raise ValidationError("embedding may only enlarge the truncation")
-        if n_max == self.n_max:
-            return self
-        big = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        big[: self._mat.shape[0], : self._mat.shape[1]] = self._mat
-        return DensityMatrix(big)
+        _check_cutoff(n_max)
+        return DensityMatrix(np.pad(self._amp, ((0, n_max - self.n_max), (0, 0))), self._w)
 
     @classmethod
     def mixture(cls, states_and_weights) -> "DensityMatrix":
         """Convex mixture of (FockState, weight) pairs; weights renormalized."""
         pairs = list(states_and_weights)
-        if not pairs:
-            raise ValidationError("mixture needs at least one component")
-        weights = np.array([w for _, w in pairs], dtype=float)
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0) or weights.sum() <= 0:
-            raise ValidationError(
-                "mixture weights must be finite and nonnegative with positive sum"
-            )
-        weights = weights / weights.sum()
-        size = max(s.n_max for s, _ in pairs) + 1
-        mat = np.zeros((size, size), dtype=complex)
-        for (state, _), w in zip(pairs, weights):
-            a = np.zeros(size, dtype=complex)
-            a[: state.n_max + 1] = state.amplitudes
-            mat += w * np.outer(a, a.conj())
-        return cls(mat)
+        size = max((state.n_max for state, _ in pairs), default=0) + 1
+        amp = np.zeros((size, len(pairs)), dtype=complex)
+        for i, (state, _) in enumerate(pairs):
+            amp[: state.n_max + 1, i] = state.amplitudes
+        return cls(amp, [w for _, w in pairs])
 
 
 def eigenfunction_stack(n_max: int, xs) -> np.ndarray:
@@ -223,11 +230,10 @@ def coherent_amplitudes(beta: complex, n_max: int | None = None) -> FockState:
         raise ValidationError(f"coherent amplitude {beta} must be finite")
     if n_max is None:
         n_max = default_cutoff(abs(beta))
-    n = np.arange(n_max + 1)
+    _check_cutoff(n_max)
     if abs(beta) == 0.0:
-        amp = np.zeros(n_max + 1, dtype=complex)
-        amp[0] = 1.0
-        return FockState(amp)
+        return FockState.fock(0, n_max)
+    n = np.arange(n_max + 1)
     logmag = -0.5 * abs(beta) ** 2 + n * math.log(abs(beta)) - 0.5 * log_factorials(n_max)
     amp = np.exp(logmag) * np.exp(1j * n * np.angle(beta))
     tail = abs(1.0 - float(np.sum(np.abs(amp) ** 2)))
@@ -330,6 +336,7 @@ def _displaced_occupations(rho: DensityMatrix, alphas, n_max=None) -> np.ndarray
     largest = float(np.max(np.abs(alphas)))
     if n_max is None:
         n_max = default_cutoff(largest, math.sqrt(rho.top_occupied()))
+    _check_cutoff(n_max)
     n_max = max(n_max, rho.n_max)
     span = displacement_certified_span(largest, n_max)
     reach = rho.top_occupied(1e-12)

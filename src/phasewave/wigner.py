@@ -4,7 +4,8 @@ Two independent evaluation routes are provided and cross-checked:
 
 * :func:`wigner_direct` integrates the position-representation Fourier
   kernel over the chord coordinate y at every node; the kernel is the
-  weighted sum over the eigenpairs (w_e, phi_e) of ``rho.support`` of
+  sum over the pairs (w_e, phi_e) of ``rho.support`` (a thin SVD of the
+  state's weighted pure components) of
   w_e phi_e(u + y/2) conj(phi_e(u - y/2)), so a pure state costs one
   wavefunction product,
 * :func:`parity_sum` forms twice the alternating sum of the occupation
@@ -25,6 +26,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -76,6 +78,11 @@ class PhaseGrid:
             (self.u_min, self.u_max, self.n_u, "u"),
             (self.v_min, self.v_max, self.n_v, "v"),
         ):
+            if any(isinstance(b, bool) or not isinstance(b, numbers.Real)
+                   for b in (lo, hi)):
+                raise ValidationError(f"{name} bounds must be real numbers")
+            if not isinstance(n, numbers.Integral):
+                raise ValidationError(f"n_{name} must be an integer")
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValidationError(f"{name} bounds must be finite")
             if hi <= lo:
@@ -219,12 +226,14 @@ class WignerField:
 
 
 def _chord_integrand(rho: fock.DensityMatrix, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F(u, y) = <u + y/2| rho |u - y/2> from the state's support eigenpairs.
+    """F(u, y) = <u + y/2| rho |u - y/2> from the state's support.
 
-    With rho.support = (w, V), F = sum_e w_e phi_e(u + y/2) conj(phi_e(u - y/2)),
-    phi_e = sum_n V_ne psi_n, built one eigenfunction stack at a time; a pure
-    state has one term.  F is complex for states with complex coherences;
-    only the Fourier sum over y is real, so the real part is taken after it.
+    With rho.support = (w, V), the eigenpairs of rho's occupied block from a
+    thin SVD of its weighted pure components,
+    F = sum_e w_e phi_e(u + y/2) conj(phi_e(u - y/2)), phi_e = sum_n V_ne psi_n,
+    built one eigenfunction stack at a time; a pure state has one term.  F is
+    complex for states with complex coherences; only the Fourier sum over y is
+    real, so the real part is taken after it.
     """
     weights, vectors = rho.support
     top = vectors.shape[0] - 1

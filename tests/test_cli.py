@@ -282,6 +282,8 @@ class TestSpinCommand:
     ("wigner", "--state", "coherent:inf", "--grid", "-1:1:3"),
     ("wigner", "--state", "mixture:vacuum@nan;fock:1@1", "--grid", "-1:1:3"),
     ("wigner", "--state", "mixture:vacuum@inf;fock:1@1", "--grid", "-1:1:3"),
+    ("wigner", "--state", "fock:1", "--grid", "-1:1:3", "--method", "parity",
+     "--n-max", "-5"),
 ])
 def test_nonfinite_and_negative_numbers_rejected(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -302,6 +304,8 @@ def test_nonfinite_and_negative_numbers_rejected(capsys, argv):
     (("wigner", "--state", "vacuum", "--grid", "-1:1:2001"), "limit of 4000000"),
     (("wigner", "--state", "vacuum", "--grid", "-1:1:2", "--grid-v", "-1:1:2000001"),
      "limit of 4000000"),
+    (("wigner", "--state", "fock:1", "--grid", "-1:1:3", "--method", "parity",
+      "--n-max", "10001"), "limit of 10000"),
 ])
 def test_oversized_numbers_rejected_before_allocation(capsys, argv, limit):
     # each budget is pure arithmetic on the request, so nothing is allocated

@@ -324,13 +324,12 @@ class TestEnergyDistribution:
 
 
 def _random_density(rng, size, rank, empty_tail=0):
-    """Random unit-trace rho of the given rank with complex coherences, stored
-    with ``empty_tail`` unoccupied levels after the last occupied one."""
+    """Random rho = A A^dag / tr of the given rank with complex coherences, stored
+    with ``empty_tail`` unoccupied levels after the last occupied one; built as
+    the mixture of A's normalized columns weighted by their squared norms."""
     a = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
-    mat = np.zeros((size + empty_tail,) * 2, dtype=complex)
-    mat[:size, :size] = a @ a.conj().T
-    mat /= np.trace(mat).real
-    return DensityMatrix(0.5 * (mat + mat.conj().T))
+    norms = np.linalg.norm(a, axis=0)
+    return DensityMatrix(np.pad(a / norms, ((0, empty_tail), (0, 0))), norms**2)
 
 
 class TestSupport:
@@ -355,27 +354,68 @@ class TestSupport:
 
     def test_drops_eigenvalues_at_or_below_1e_13(self):
         q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 3)) + 0j)
-        mat = np.zeros((5, 5), dtype=complex)
-        mat[:3, :3] = (q * [1.0 - 1.05e-12, 1e-12, 5e-14]) @ q.conj().T
-        weights, vectors = DensityMatrix(mat).support
+        rho = DensityMatrix(np.pad(q, ((0, 2), (0, 0))), [1.0 - 1.05e-12, 1e-12, 5e-14])
+        weights, vectors = rho.support
         assert vectors.shape == (3, 2)
         np.testing.assert_allclose(weights, [1e-12, 1.0 - 1.05e-12], rtol=1e-3)
 
+    def test_parallel_components_collapse_to_rank(self):
+        coh = coherent_amplitudes(1.0 + 1.0j, 40)
+        rho = DensityMatrix.mixture([
+            (coh, 0.3), (FockState.fock(2, 40), 0.2), (FockState(1j * coh.amplitudes), 0.5),
+        ])
+        weights, vectors = rho.support
+        assert vectors.shape == (41, 2)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(
+            (vectors * weights) @ vectors.conj().T, rho.entries, rtol=0, atol=1e-14
+        )
+
+
+class TestComponentStorage:
+    def test_pure_states_build_no_dense_matrix(self):
+        # the dense (n_max+1)**2 matrix alone takes 64 MB for fock:2000 and
+        # 42 MB for coherent:20; the components take 32 kB and 26 kB
+        tracemalloc.start()
+        try:
+            for rho in (FockState.fock(2000).density(), coherent_amplitudes(20.0).density()):
+                assert rho.support[1].shape[1] == 1
+                assert rho.top_occupied() > 400
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestDomainTypes:
-    def test_density_rejects_nonhermitian(self):
-        bad = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
-        with pytest.raises(ValidationError):
-            DensityMatrix(bad)
-
     def test_density_rejects_bad_trace(self):
-        with pytest.raises(TruncationError):
-            DensityMatrix(0.5 * np.eye(3, dtype=complex))
+        # a component of squared norm 1/2 would leave rho with trace 1/2
+        with pytest.raises(TruncationError, match="state norm misses 1"):
+            DensityMatrix(np.array([[0.5], [0.5]]), [1.0])
 
     def test_density_rejects_negative_eigenvalue(self):
-        bad = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(ValidationError):
-            DensityMatrix(bad)
+        # diag(1.5, -0.5) as a mixture of |0> and |1>
+        with pytest.raises(ValidationError, match="nonnegative"):
+            DensityMatrix(np.eye(2), [1.5, -0.5])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DensityMatrix.mixture([]), "at least one component"),
+        (lambda: DensityMatrix(np.eye(2), [1.0]), "a weight each"),
+        (lambda: DensityMatrix(np.ones(2) / math.sqrt(2.0), [1.0]), "a weight each"),
+        (lambda: DensityMatrix(np.eye(2), [0.0, 0.0]), "positive sum"),
+        (lambda: DensityMatrix(np.eye(2), [1.0, math.inf]), "finite"),
+    ], ids=["empty", "weight_count", "vector", "zero_sum", "infinite"])
+    def test_density_rejects_malformed_components(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+    def test_constructors_copy_their_input(self):
+        # a state validated on the caller's array must not follow later writes to it
+        base = np.eye(2, dtype=complex)
+        state, rho = FockState(base[:, 1]), DensityMatrix(base, [1.0, 1.0])
+        base[:] = 5.0
+        np.testing.assert_array_equal(state.amplitudes, [0.0, 1.0])
+        np.testing.assert_array_equal(rho.entries, np.diag([0.5, 0.5]))
 
     def test_mixture_weights_renormalized(self):
         rho = DensityMatrix.mixture(
@@ -391,6 +431,18 @@ class TestDomainTypes:
     def test_default_cutoff_floor_and_growth(self):
         assert default_cutoff(0.0) == 64
         assert default_cutoff(3.0, 2.0) == max(64, math.ceil(4 * 25 + 20))
+
+    @pytest.mark.parametrize("build", [
+        lambda: coherent_amplitudes(0.0, n_max=-1),
+        lambda: coherent_amplitudes(1.0, n_max=MAX_CUTOFF + 1),
+        lambda: energy_distribution(FockState.vacuum().density(), 0.5, n_max=-5),
+        lambda: energy_distribution(FockState.vacuum().density(), 0.5, n_max=MAX_CUTOFF + 1),
+    ], ids=["coherent_negative", "coherent_above", "occupations_negative",
+            "occupations_above"])
+    def test_explicit_truncation_budget(self, build):
+        # arithmetic only: refused before any vector or kernel block is allocated
+        with pytest.raises(ValidationError, match=r"truncation n_max=-?\d+ .* limit of"):
+            build()
 
     def test_default_cutoff_budget(self):
         # arithmetic only: the refused sizes are never allocated

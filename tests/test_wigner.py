@@ -33,7 +33,7 @@ from phasewave import (
     wigner_values,
 )
 from phasewave.fock import eigenfunction_stack
-from phasewave.wigner import _chord_integrand, _wigner_eval
+from phasewave.wigner import _chord_integrand, _royer_sums, _wigner_eval
 
 
 def _states():
@@ -133,10 +133,8 @@ class TestDirectRoute:
         # rank 2, complex coherences, two empty levels after the last occupied one
         rng = np.random.default_rng(5)
         a = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        mat = np.zeros((6, 6), dtype=complex)
-        mat[:4, :4] = a @ a.conj().T
-        mat /= np.trace(mat).real
-        rho = DensityMatrix(0.5 * (mat + mat.conj().T))
+        norms = np.linalg.norm(a, axis=0)  # rho = A A^dag / tr as a mixture of A's columns
+        rho = DensityMatrix(np.pad(a / norms, ((0, 2), (0, 0))), norms**2)
         u, y = np.linspace(-3.0, 3.0, 13), np.linspace(-8.0, 8.0, 41)
         # the dense contraction sum_mn psi_m(u + y/2) rho_mn psi_n(u - y/2)
         psi_p = eigenfunction_stack(rho.n_max, u[:, None] + 0.5 * y)
@@ -223,11 +221,10 @@ class TestParityRoute:
             st.floats(-1.0, 1.0), min_size=2 * size * rank, max_size=2 * size * rank
         ))
         a = np.reshape(parts[::2], (size, rank)) + 1j * np.reshape(parts[1::2], (size, rank))
-        mat = a @ a.conj().T
-        trace = float(np.trace(mat).real)
-        assume(trace > 1e-3)
-        mat = mat / trace
-        rho = DensityMatrix(0.5 * (mat + mat.conj().T))
+        norms = np.linalg.norm(a, axis=0)
+        assume(np.sum(norms**2) > 1e-3)
+        keep = norms > 1e-100  # rho = A A^dag / tr as a mixture of A's nonzero columns
+        rho = DensityMatrix(a[:, keep] / norms[keep], norms[keep] ** 2)
         bounds = []
         for _ in range(2):  # |alpha| <= 3 on the whole grid
             lo = data.draw(st.floats(-3.0, 2.5))
@@ -261,6 +258,29 @@ class TestParityRoute:
                 [parity_sum(rho, alpha_from_uv(u, v)).value for u, v in pts]
             )
             assert np.max(np.abs(par - direct)) < 1e-6, name
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_routes_agree_on_random_mixtures(self, data):
+        # mixtures of 1-3 random complex components of up to 6 levels, at
+        # random points |alpha| <= 3: the chord integral against Royer's trace
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            size = data.draw(st.integers(1, 6))
+            parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * size,
+                                       max_size=2 * size))
+            amp = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+            norm = np.linalg.norm(amp)
+            assume(norm > 1e-3)
+            pairs.append((FockState(amp / norm), data.draw(st.floats(0.01, 1.0))))
+        rho = DensityMatrix.mixture(pairs)
+        radius = data.draw(st.floats(0.0, 3.0))
+        angle = data.draw(st.floats(-math.pi, math.pi))
+        u, v = np.array([radius * math.cos(angle), radius * math.sin(angle)]) / UV_TO_ALPHA
+        w = wigner_values(rho, u, v)
+        royer = _royer_sums(rho, alpha_from_uv([u], [v]))
+        assert abs(2.0 * math.pi * w[0] - royer[0]) <= 1e-12
+        assert abs(w[0]) <= 1.0 / math.pi
 
     @pytest.mark.parametrize("beta", [1.0, 0.6 + 0.8j])
     def test_parity_grid_matches_direct_grid(self, beta):
@@ -470,8 +490,14 @@ class TestFieldSerialization:
          '"n_v": 2}, "values": [[0.1, 0.1], [0.1]]}'),
         # NaN compares False against the Wigner bound, so it needs its own check
         (WignerField.from_csv, "u,v,w\n-1,-1,nan\n-1,1,0\n1,-1,0\n1,1,0\n"),
+        (WignerField.from_json,
+         '{"grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "n_u": 3.0, '
+         '"n_v": 3}, "values": [[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1]]}'),
+        (WignerField.from_json,
+         '{"grid": {"u_min": false, "u_max": true, "v_min": -1, "v_max": 1, "n_u": 2, '
+         '"n_v": 2}, "values": [[0.1, 0.1], [0.1, 0.1]]}'),
     ], ids=["non_numeric", "two_columns", "ragged_csv", "empty_body", "not_json",
-            "ragged_json", "nan_value"])
+            "ragged_json", "nan_value", "float_count_json", "bool_bounds_json"])
     def test_rejects_malformed_body(self, read, text):
         with pytest.raises(ValidationError):
             read(text)
@@ -539,3 +565,7 @@ class TestFieldSerialization:
             PhaseGrid(-2.0, 2.0, -1.0, 1.0, 1, 5)
         with pytest.raises(ValidationError):
             PhaseGrid(-np.inf, 2.0, -1.0, 1.0, 5, 5)
+        with pytest.raises(ValidationError, match="n_u must be an integer"):
+            PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3.0, 3)
+        with pytest.raises(ValidationError, match="u bounds must be real numbers"):
+            PhaseGrid(False, True, -1.0, 1.0, 3, 3)
