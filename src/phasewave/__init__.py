@@ -6,134 +6,63 @@ integral and by alternating parity sum, the diffracted field by direct
 surface integral and by alternating zone sum, occupation statistics by
 operator algebra and by overlap areas, and oscillator annuli as the
 large-j limit of projected sphere belts.
+
+Public names are imported from their submodule on first use (PEP 562), so
+importing the package, or the CLI, loads no numerics and no numpy.
 """
 
-from .errors import (
-    ContainmentError,
-    GridMismatchError,
-    NumericsError,
-    PhasewaveError,
-    QuadratureError,
-    TruncationError,
-    ValidationError,
-)
-from .fock import (
-    EPS_TAIL,
-    DensityMatrix,
-    FockState,
-    coherent_amplitudes,
-    default_cutoff,
-    displacement_certified_span,
-    energy_distribution,
-    position_wavefunction,
-)
-from .wigner import (
-    UV_TO_ALPHA,
-    ContainmentWarning,
-    ConventionReport,
-    ParitySum,
-    PhaseGrid,
-    WignerField,
-    alpha_from_uv,
-    convention_check,
-    overlap_trace,
-    parity_sum,
-    radon_slice,
-    rotated_quadrature,
-    wigner_direct,
-    wigner_parity,
-    wigner_values,
-)
-from .semiclassics import (
-    Band,
-    Disc,
-    OverlapComparison,
-    band,
-    circle_circle_lens,
-    compare_poisson,
-    overlap_distribution,
-    poisson_pmf,
-)
-from .fresnel import (
-    FresnelGeometry,
-    Zone,
-    fit_zone_scaling,
-    huygens_integral,
-    inclination,
-    zone,
-    zone_boundary_angle,
-    zone_contribution,
-    zone_plate,
-    zone_sum,
-    zone_table,
-)
-from .spinmap import (
-    Belt,
-    SpinSphere,
-    belts,
-    band_table,
-    project,
-    projected_band,
-    projected_band_area,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Band",
-    "Belt",
-    "ContainmentError",
-    "ContainmentWarning",
-    "ConventionReport",
-    "DensityMatrix",
-    "Disc",
-    "EPS_TAIL",
-    "FockState",
-    "FresnelGeometry",
-    "GridMismatchError",
-    "NumericsError",
-    "OverlapComparison",
-    "ParitySum",
-    "PhaseGrid",
-    "PhasewaveError",
-    "QuadratureError",
-    "SpinSphere",
-    "TruncationError",
-    "UV_TO_ALPHA",
-    "ValidationError",
-    "WignerField",
-    "Zone",
-    "alpha_from_uv",
-    "band",
-    "band_table",
-    "belts",
-    "circle_circle_lens",
-    "coherent_amplitudes",
-    "compare_poisson",
-    "convention_check",
-    "default_cutoff",
-    "displacement_certified_span",
-    "energy_distribution",
-    "fit_zone_scaling",
-    "huygens_integral",
-    "inclination",
-    "overlap_distribution",
-    "overlap_trace",
-    "parity_sum",
-    "poisson_pmf",
-    "position_wavefunction",
-    "project",
-    "projected_band",
-    "projected_band_area",
-    "radon_slice",
-    "rotated_quadrature",
-    "wigner_direct",
-    "wigner_parity",
-    "wigner_values",
-    "zone",
-    "zone_boundary_angle",
-    "zone_contribution",
-    "zone_plate",
-    "zone_sum",
-    "zone_table",
-]
+#: Every public name, listed once under the submodule that defines it.
+_EXPORTS = {
+    "errors": (
+        "ContainmentError", "GridMismatchError", "NumericsError", "PhasewaveError",
+        "QuadratureError", "TruncationError", "ValidationError",
+    ),
+    "fock": (
+        "EPS_TAIL", "DensityMatrix", "FockState", "coherent_amplitudes",
+        "default_cutoff", "displacement_certified_span", "energy_distribution",
+        "position_wavefunction",
+    ),
+    "wigner": (
+        "UV_TO_ALPHA", "ContainmentWarning", "ConventionReport", "ParitySum",
+        "PhaseGrid", "WignerField", "alpha_from_uv", "convention_check",
+        "overlap_trace", "parity_sum", "radon_slice", "rotated_quadrature",
+        "wigner_direct", "wigner_parity", "wigner_values",
+    ),
+    "semiclassics": (
+        "Band", "Disc", "OverlapComparison", "band", "circle_circle_lens",
+        "compare_poisson", "overlap_distribution", "poisson_pmf",
+    ),
+    "fresnel": (
+        "FresnelGeometry", "Zone", "fit_zone_scaling", "huygens_integral",
+        "inclination", "zone", "zone_boundary_angle", "zone_contribution",
+        "zone_plate", "zone_sum", "zone_table",
+    ),
+    "spinmap": (
+        "Belt", "SpinSphere", "belts", "band_table", "project", "projected_band",
+        "projected_band_area",
+    ),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    """Import a public name, or a numerics submodule, on its first lookup."""
+    if name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _ORIGIN:
+        value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

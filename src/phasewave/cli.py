@@ -3,6 +3,9 @@
 Exit codes: 0 success, 2 rejected input, 3 numerical failure.  Output
 files are deterministic: fixed summation order, no timestamps, floats
 printed with 17 significant digits (lossless for doubles).
+
+Each subcommand imports the one numerics module it computes with (and
+numpy with it) when it runs, so start-up loads the standard library only.
 """
 
 from __future__ import annotations
@@ -11,12 +14,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import fock, fresnel, semiclassics, spinmap, wigner
 from .errors import NumericsError, ValidationError
 
 
@@ -43,6 +42,8 @@ def _write(out: str | None, text: str) -> None:
 
 def parse_state(spec: str) -> fock.DensityMatrix:
     """State mini-grammar: vacuum | fock:<n> | coherent:<re>[,<im>] | mixture:..."""
+    from . import fock
+
     spec = spec.strip()
     if spec.startswith("mixture:"):
         parts = spec[len("mixture:"):].split(";")
@@ -57,6 +58,8 @@ def parse_state(spec: str) -> fock.DensityMatrix:
 
 
 def _parse_pure(spec: str) -> fock.FockState:
+    from . import fock
+
     spec = spec.strip()
     try:
         if spec == "vacuum":
@@ -76,6 +79,8 @@ def _parse_pure(spec: str) -> fock.FockState:
 
 def parse_grid(spec: str, spec_v: str | None) -> wigner.PhaseGrid:
     """Grid mini-grammar min:max:count, symmetric unless a v-spec overrides."""
+    from . import wigner
+
     def axis(text):
         parts = text.split(":")
         if len(parts) != 3:
@@ -122,6 +127,8 @@ def _emit_table(args, key: str, columns, rows, **head) -> None:
 
 
 def cmd_wigner(args) -> int:
+    from . import wigner
+
     rho = parse_state(args.state)
     grid = parse_grid(args.grid, args.grid_v)
     if args.method in ("direct", "both"):
@@ -139,12 +146,16 @@ def cmd_wigner(args) -> int:
         parity_path = path.with_name(path.stem + ".parity" + path.suffix)
         _write(args.out, _serialize_field(direct, args.format))
         _write(str(parity_path), _serialize_field(parity, args.format))
-        deviation = float(np.max(np.abs(direct.values - parity.values)))
+        deviation = float(abs(direct.values - parity.values).max())
         sys.stdout.write(f"max_abs_deviation={_fmt(deviation)}\n")
     return 0
 
 
 def cmd_overlap(args) -> int:
+    from dataclasses import asdict
+
+    from . import semiclassics
+
     head = asdict(semiclassics.compare_poisson(args.beta, args.n_bands))
     p_overlap, p_poisson = head.pop("p_overlap"), head.pop("p_poisson")
     rows = zip(range(p_overlap.size), p_overlap.tolist(), p_poisson.tolist())
@@ -153,6 +164,10 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_fresnel(args) -> int:
+    from dataclasses import asdict
+
+    from . import fresnel
+
     geom = fresnel.FresnelGeometry(
         r0=args.r0, b=args.b, wavelength=args.wavelength, amplitude=args.amplitude
     )
@@ -224,6 +239,8 @@ def _parse_mask(spec: str, count: int) -> tuple[list[int], int]:
 
 
 def cmd_spin(args) -> int:
+    from . import spinmap
+
     if args.subaction == "belts":
         sphere = spinmap.SpinSphere(args.j)
         rows = [
@@ -245,6 +262,8 @@ def cmd_validate(args) -> int:
     text = Path(args.path).read_text()
     is_json = text.lstrip().startswith("{")
     if args.kind == "wigner":
+        from . import wigner
+
         field = (
             wigner.WignerField.from_json(text) if is_json
             else wigner.WignerField.from_csv(text)

@@ -123,21 +123,24 @@ class DensityMatrix:
             raise ValidationError("amplitudes must be (levels, components), a weight each")
         if w.size == 0:
             raise ValidationError("mixture needs at least one component")
-        if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            total = w.sum()
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or total <= 0:
             raise ValidationError(
                 "mixture weights must be finite and nonnegative with positive sum"
             )
+        if total == math.inf:
+            raise ValidationError("mixture weights sum past the largest double")
         _require_unit_norm(amp)
-        self._amp, self._w = amp, w / w.sum()
+        self._amp, self._w = amp, w / total
         self._amp.setflags(write=False)
 
-    @functools.cached_property
-    def entries(self) -> np.ndarray:
-        """Dense rho = sum_i w_i outer(a_i, conj(a_i)), built on first read."""
-        mat = np.zeros((self.n_max + 1,) * 2, dtype=complex)
-        for a, w in zip(self._amp.T, self._w):
+    def leading_block(self, size: int) -> np.ndarray:
+        """rho[:size, :size] = sum_i w_i outer(a_i[:size], conj(a_i[:size])), summed
+        in component order; no row or column past ``size`` is built."""
+        mat = np.zeros((size, size), dtype=complex)
+        for a, w in zip(self._amp[:size].T, self._w):
             mat += w * np.outer(a, a.conj())
-        mat.setflags(write=False)
         return mat
 
     @property
@@ -162,7 +165,7 @@ class DensityMatrix:
         vectors, sing, _ = np.linalg.svd(scaled, full_matrices=False)
         keep = sing * sing > 1e-13
         pair = (sing[keep] ** 2)[::-1], vectors[:, keep][:, ::-1]
-        for arr in pair:  # shared by every route, so read-only like the entries
+        for arr in pair:  # shared by every route, so read-only
             arr.setflags(write=False)
         return pair
 

@@ -14,12 +14,12 @@ direct integral's cap, and two-partial-sum averaging of the zone series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 #: Minimum quadrature nodes per zone; the phase advances by pi across a
 #: zone, so fewer nodes cannot resolve the integrand.
@@ -29,6 +29,16 @@ MIN_NODES_PER_ZONE = 10
 MAX_NODES_PER_ZONE = 1024
 #: Maximum segments x nodes evaluated at once (a few hundred MB of arrays).
 MAX_QUADRATURE_POINTS = 4_000_000
+#: Largest r0 or b in wavelengths: below 2**51 consecutive zone boundaries
+#: b + n * wavelength/2 are still distinct doubles.
+MAX_WAVELENGTHS = 1e15
+#: Lengths and the amplitude lie within [1/MAX_SCALE, MAX_SCALE], so squared
+#: lengths and the wavelet prefactor stay inside the normal double range.
+MAX_SCALE = 1e100
+#: Largest (r0**2 + (r0 + b)**2) / (b * wavelength).  The law of cosines
+#: rounds 1 - cos(theta) by about eps times this over the first zone's
+#: extent, so at the limit a boundary angle still carries six digits.
+MAX_CANCELLATION = 1e10
 
 
 @dataclass(frozen=True)
@@ -41,12 +51,27 @@ class FresnelGeometry:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if min(self.r0, self.b, self.wavelength, self.amplitude) <= 0:
+        values = asdict(self)
+        if not all(map(math.isfinite, values.values())):
+            raise ValidationError("r0, b, wavelength and amplitude must be finite")
+        if min(values.values()) <= 0:
             raise ValidationError("r0, b, wavelength and amplitude must be positive")
         if self.r0 < 10.0 * self.wavelength or self.b < 10.0 * self.wavelength:
             raise ValidationError(
                 "geometry outside the validated regime: need r0 and b >= 10 wavelengths"
             )
+        for name in ("r0", "b"):
+            if values[name] / self.wavelength > MAX_WAVELENGTHS:
+                raise ValidationError(
+                    f"{name} = {values[name] / self.wavelength:.6g} wavelengths exceeds "
+                    f"the limit of {MAX_WAVELENGTHS:.6g}"
+                )
+        for name, value in values.items():
+            if not 1.0 / MAX_SCALE <= value <= MAX_SCALE:
+                raise ValidationError(
+                    f"{name} = {value:.6g} lies outside the limits "
+                    f"[{1.0 / MAX_SCALE:.6g}, {MAX_SCALE:.6g}]"
+                )
 
     @property
     def k(self) -> float:
@@ -153,6 +178,19 @@ def zone(geom: FresnelGeometry, n: int) -> Zone:
     )
 
 
+def _check_resolved(geom: FresnelGeometry) -> None:
+    """NumericsError unless the law of cosines resolves the first zone (see
+    MAX_CANCELLATION); run after the size budgets, before any quadrature."""
+    d = geom.r0 + geom.b
+    cancellation = (geom.r0**2 + d * d) / (geom.b * geom.wavelength)
+    if cancellation > MAX_CANCELLATION:
+        raise NumericsError(
+            f"zone boundaries are not resolved in double precision: "
+            f"(r0^2 + (r0 + b)^2)/(b * wavelength) = {cancellation:.3g} exceeds "
+            f"{MAX_CANCELLATION:.0e}"
+        )
+
+
 def _check_grid(n_segments: int, nodes: int | None) -> None:
     """Reject a Gauss rule too coarse for a zone, or a grid too large to allocate.
 
@@ -181,6 +219,7 @@ def _segment_integral(geom, th_lo, th_hi, nodes, taper=None) -> np.ndarray:
     evaluated at once.
     """
     _check_grid(th_lo.size, nodes)
+    _check_resolved(geom)
     x, w = leggauss(nodes)
     half = (0.5 * (th_hi - th_lo))[:, None]
     th = half * x + (0.5 * (th_hi + th_lo))[:, None]
@@ -315,6 +354,7 @@ def fit_zone_scaling(geom: FresnelGeometry, n_max: int = 100) -> float:
     if n_max < 2:
         raise ValidationError("need at least two boundaries for a fit")
     _check_grid(n_max, None)  # before the angles are allocated
+    _check_resolved(geom)
     n = np.arange(1, n_max + 1)
     rho = geom.r0 * _libm(math.sin, _boundary_angles(geom, n))
     x = np.log(n)

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ValidationError
+
+#: Most belts one sphere may carry: every belt is one Python object and row.
+MAX_BELTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,10 @@ class SpinSphere:
         two_j = 2.0 * self.j
         if not math.isfinite(two_j) or self.j < 0 or abs(two_j - round(two_j)) > 1e-12:
             raise ValidationError("j must be a nonnegative integer or half-integer")
+        if two_j + 1.0 > MAX_BELTS:  # arithmetic only, before any belt is built
+            raise ValidationError(
+                f"{two_j + 1.0:.6g} belts exceed the limit of {MAX_BELTS}"
+            )
 
     @property
     def radius(self) -> float:
@@ -60,9 +66,9 @@ class Belt:
 
 
 def _m_values(sphere: SpinSphere) -> list[float]:
-    # exact half-integer arithmetic so belt boundaries tile without gaps
+    # (2k - 2j)/2 is exact in doubles below 2**53, so belt boundaries tile without gaps
     two_j = int(round(2.0 * sphere.j))
-    return [float(Fraction(-two_j + 2 * k, 2)) for k in range(two_j + 1)]
+    return [(2 * k - two_j) / 2 for k in range(two_j + 1)]
 
 
 def belts(j: float) -> list[Belt]:
@@ -82,10 +88,13 @@ def project(j: float, z):
 
     Axial shadow of the sphere, sqrt(R^2 - z^2), scaled by 1/sqrt(R); both
     poles map to the origin and the equator to the outermost radius
-    sqrt(R).  Heights beyond the sphere are rejected.
+    sqrt(R).  Heights beyond the sphere, and j = 0 (R = 0, no scale), are
+    rejected.
     """
     sphere = SpinSphere(j)
     r = sphere.radius
+    if r == 0.0:
+        raise ValidationError("projection needs j > 0: the sphere of j = 0 has radius 0")
     z_arr = np.asarray(z, dtype=float)
     if np.any(np.abs(z_arr) > r + 1e-12):
         raise ValidationError(f"height |z| > sphere radius {r:.6g}")

@@ -383,7 +383,7 @@ def _royer_sums(rho: fock.DensityMatrix, alphas: np.ndarray) -> np.ndarray:
     """
     s = rho.support[1].shape[0]
     signs = 1.0 - 2.0 * (np.arange(s) % 2)
-    weights = (rho.entries[:s, :s] * signs[:, None]).T.ravel()  # rho_nm (-1)^n at [m, n]
+    weights = (rho.leading_block(s) * signs[:, None]).T.ravel()  # rho_nm (-1)^n at [m, n]
     cols = np.arange(s)
     out = np.empty(alphas.size)
     step = max(1, fock._CHUNK_ELEMS // (s * s))

@@ -1,14 +1,18 @@
 """End-to-end command-line runs: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phasewave
 from phasewave.cli import main
@@ -204,6 +208,13 @@ class TestFresnelCommand:
         )
         assert code == 2
 
+    def test_unresolved_boundaries_fail_numerically(self, capsys):
+        # b = 10 wavelengths under r0 = 1e15: the law of cosines cancels all digits
+        code, _, err = run(capsys, "fresnel", "--r0", "1e15", "--b", "10", "--lambda", "1",
+                           "zones", "--n", "3")
+        assert code == 3
+        assert "not resolved in double precision" in err
+
     def test_low_node_count_rejected(self, capsys):
         code, _, _ = run(capsys, *self.GEOM, "zones", "--n", "5", "--nodes", "4")
         assert code == 2
@@ -268,6 +279,12 @@ class TestSpinCommand:
         code, _, _ = run(capsys, "spin", "--j", "0.3", "belts")
         assert code == 2
 
+    def test_projection_of_j0_rejected(self, capsys):
+        # R = 0 leaves the 1/sqrt(R) plane scale undefined
+        code, _, err = run(capsys, "spin", "--j", "0", "project")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_global_flags_accepted_after_subcommand(self, capsys, tmp_path):
         out = tmp_path / "b.csv"
         code, _, _ = run(capsys, "spin", "--j", "1", "belts", "--out", str(out))
@@ -284,6 +301,13 @@ class TestSpinCommand:
     ("wigner", "--state", "mixture:vacuum@inf;fock:1@1", "--grid", "-1:1:3"),
     ("wigner", "--state", "fock:1", "--grid", "-1:1:3", "--method", "parity",
      "--n-max", "-5"),
+    ("wigner", "--state", "mixture:fock:1@1e308;fock:2@1e308", "--grid", "-1:1:3"),
+    ("fresnel", "--r0", "inf", "--b", "1000", "--lambda", "1", "zones", "--n", "3"),
+    ("fresnel", "--r0", "nan", "--b", "1000", "--lambda", "1", "zones", "--n", "3"),
+    ("fresnel", "--r0", "1000", "--b", "1000", "--lambda", "1", "--amplitude", "nan",
+     "zonesum", "--n", "4"),
+    ("fresnel", "--r0", "1000", "--b", "1000", "--lambda", "1", "--amplitude", "inf",
+     "plate", "--open", "odd", "--n", "2"),
 ])
 def test_nonfinite_and_negative_numbers_rejected(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -306,6 +330,11 @@ def test_nonfinite_and_negative_numbers_rejected(capsys, argv):
      "limit of 4000000"),
     (("wigner", "--state", "fock:1", "--grid", "-1:1:3", "--method", "parity",
       "--n-max", "10001"), "limit of 10000"),
+    (("fresnel", "--r0", "1e155", "--b", "1e155", "--lambda", "1", "zones", "--n", "3"),
+     "limit of 1e+15"),
+    (("fresnel", "--r0", "1000", "--b", "1e16", "--lambda", "1", "zones", "--n", "3"),
+     "limit of 1e+15"),
+    (("spin", "--j", "1e12", "belts"), "limit of 1000000"),
 ])
 def test_oversized_numbers_rejected_before_allocation(capsys, argv, limit):
     # each budget is pure arithmetic on the request, so nothing is allocated
@@ -402,3 +431,119 @@ def test_cli_import_needs_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+#: Modules a subcommand may import, watched by the start-up guard.
+_WATCHED = ("numpy", "scipy", "phasewave.fock", "phasewave.wigner",
+            "phasewave.fresnel", "phasewave.spinmap", "phasewave.semiclassics")
+
+
+def _fresh_cli(*argvs):
+    """Exit codes of each argv, run through cli.main in one fresh interpreter
+    after ``import phasewave.cli``, and the watched modules it then holds."""
+    src = str(Path(phasewave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import json, sys, phasewave.cli\n"
+        "codes = [phasewave.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        f"loaded = sorted(m for m in {_WATCHED!r} if m in sys.modules)\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    return codes, set(loaded)
+
+
+def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
+    assert _fresh_cli() == ([], set())
+
+    golden = Path(__file__).parent / "golden"
+    table = tmp_path / "overlap.csv"
+    table.write_text("n,p_overlap,p_poisson\n0,0.5,0.25\n1,0.5,0.75\n")
+    codes, loaded = _fresh_cli(
+        ["validate", "--kind", "zones", str(golden / "zones.out")],
+        ["validate", "--kind", "spin-bands", str(golden / "spin_project.stdout")],
+        ["validate", "--kind", "overlap", str(table)],
+    )
+    assert codes == [0, 0, 0]
+    assert loaded == set()
+
+    codes, loaded = _fresh_cli(["--out", str(tmp_path / "z.csv"), "fresnel", "--r0", "100",
+                                "--b", "100", "--lambda", "1", "zones", "--n", "3"])
+    assert codes == [0]
+    assert loaded == {"numpy", "phasewave.fresnel"}
+
+    codes, loaded = _fresh_cli(["--out", str(tmp_path / "b.csv"), "spin", "--j", "2",
+                                "project"])
+    assert codes == [0]
+    assert loaded == {"numpy", "phasewave.spinmap"}
+
+    # the Fock-space commands never touch the zone or belt modules, nor scipy
+    codes, loaded = _fresh_cli(
+        ["--out", str(tmp_path / "o.csv"), "overlap", "--beta", "1"],
+        ["--out", str(tmp_path / "w.csv"), "wigner", "--state", "fock:1", "--grid",
+         "-4:4:5", "--method", "both"],
+    )
+    assert codes == [0, 0]
+    assert loaded == {"numpy", "phasewave.fock", "phasewave.semiclassics",
+                      "phasewave.wigner"}
+
+
+#: Special number tokens every fuzzed number slot may receive.
+_SPECIAL_NUMBERS = ("nan", "inf", "-inf", "-0.0", "0", "-1", "1e300", "5e-324",
+                    "1e-300", "1e-100", "1e100", "1e15", "1e16")
+
+_NONFINITE = re.compile(r"\b(?:nan|NaN|inf|Infinity)\b")
+
+_FRESNEL_ACTIONS = (
+    ("zones", "--n", "3"),
+    ("zonesum", "--n", "4"),
+    ("integral", "--zones", "3"),
+    ("plate", "--open", "odd", "--n", "2"),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_number_tokens_exit_cleanly(tmp_path_factory, data):
+    # every accepted size stays far below its budget, so each example is quick
+    def number(accepted):
+        if data.draw(st.integers(0, 3)) == 0:  # one number in four is a special token
+            return data.draw(st.sampled_from(_SPECIAL_NUMBERS))
+        return repr(data.draw(accepted))
+
+    kind = data.draw(st.sampled_from(("spin", "overlap", "fresnel", "mixture")))
+    if kind == "spin":
+        argv = ["spin", "--j", number(st.integers(0, 80).map(lambda k: k / 2)),
+                data.draw(st.sampled_from(("belts", "project")))]
+    elif kind == "overlap":
+        argv = ["overlap", "--beta", number(st.floats(-1.0, 6.0))]
+    elif kind == "fresnel":
+        length = st.floats(1.0, 1e6)
+        argv = ["fresnel", "--r0", number(length), "--b", number(length),
+                "--lambda", number(st.floats(1e-3, 1.0)),
+                "--amplitude", number(st.floats(1e-3, 1e3)),
+                *data.draw(st.sampled_from(_FRESNEL_ACTIONS))]
+    else:
+        weight = st.floats(0.0, 1e308)
+        argv = ["wigner", "--state",
+                f"mixture:fock:1@{number(weight)};coherent:0.5@{number(weight)}",
+                "--grid", "-6:6:3", "--method",
+                data.draw(st.sampled_from(("direct", "parity", "both")))]
+    workdir = tmp_path_factory.mktemp("fuzz")
+    fmt = data.draw(st.sampled_from(("csv", "json")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", fmt, "--out", str(workdir / f"out.{fmt}"), *argv])
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        for text in [out.getvalue()] + [p.read_text() for p in workdir.iterdir()]:
+            assert not _NONFINITE.search(text), (argv, text[:200])
+    else:
+        # argparse prefixes its own refusals with the usage text
+        assert re.search(r"^(?:phasewave.*: )?error: |^numerical failure: ", err.getvalue(),
+                         re.MULTILINE), argv

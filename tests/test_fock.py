@@ -223,10 +223,15 @@ class TestDisplacementMatrix:
         assert err.value.detail == 20
 
 
+def _dense(rho):
+    """The whole (n_max+1)^2 density matrix."""
+    return rho.leading_block(rho.n_max + 1)
+
+
 def _displace(rho, alpha, n_max):
     """D(alpha) rho D(alpha)^dagger with the full truncated kernel matrix."""
     mat = _dmatrix(alpha, n_max)
-    work = rho.embedded(n_max).entries
+    work = _dense(rho.embedded(n_max))
     return mat @ work @ mat.conj().T
 
 
@@ -234,7 +239,7 @@ class TestDisplace:
     def test_identity_at_zero(self):
         rho = FockState.fock(2, 8).density()
         out = _displace(rho, 0.0, 32)
-        np.testing.assert_allclose(out[:9, :9], rho.entries, atol=1e-14)
+        np.testing.assert_allclose(out[:9, :9], _dense(rho), atol=1e-14)
         np.testing.assert_array_equal(out[9:, :], 0.0)
 
     def test_vacuum_becomes_coherent_projector(self):
@@ -258,7 +263,7 @@ class TestDisplace:
         there = _displace(rho, alpha, n_max)
         mat = _dmatrix(-alpha, n_max)
         back = mat @ there @ mat.conj().T
-        np.testing.assert_allclose(back[:17, :17], rho.entries, atol=10 * EPS_TAIL)
+        np.testing.assert_allclose(back[:17, :17], _dense(rho), atol=10 * EPS_TAIL)
 
 
 class TestEnergyDistribution:
@@ -341,7 +346,7 @@ class TestSupport:
         weights, vectors = rho.support
         assert vectors.shape == (size, rank)
         np.testing.assert_allclose(
-            (vectors * weights) @ vectors.conj().T, rho.entries[:size, :size],
+            (vectors * weights) @ vectors.conj().T, _dense(rho)[:size, :size],
             rtol=0, atol=1e-13,
         )
 
@@ -368,7 +373,7 @@ class TestSupport:
         assert vectors.shape == (41, 2)
         assert weights.sum() == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(
-            (vectors * weights) @ vectors.conj().T, rho.entries, rtol=0, atol=1e-14
+            (vectors * weights) @ vectors.conj().T, _dense(rho), rtol=0, atol=1e-14
         )
 
 
@@ -404,7 +409,8 @@ class TestDomainTypes:
         (lambda: DensityMatrix(np.ones(2) / math.sqrt(2.0), [1.0]), "a weight each"),
         (lambda: DensityMatrix(np.eye(2), [0.0, 0.0]), "positive sum"),
         (lambda: DensityMatrix(np.eye(2), [1.0, math.inf]), "finite"),
-    ], ids=["empty", "weight_count", "vector", "zero_sum", "infinite"])
+        (lambda: DensityMatrix(np.eye(2), [1e308, 1e308]), "sum past the largest double"),
+    ], ids=["empty", "weight_count", "vector", "zero_sum", "infinite", "overflowing_sum"])
     def test_density_rejects_malformed_components(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
@@ -415,14 +421,14 @@ class TestDomainTypes:
         state, rho = FockState(base[:, 1]), DensityMatrix(base, [1.0, 1.0])
         base[:] = 5.0
         np.testing.assert_array_equal(state.amplitudes, [0.0, 1.0])
-        np.testing.assert_array_equal(rho.entries, np.diag([0.5, 0.5]))
+        np.testing.assert_array_equal(_dense(rho), np.diag([0.5, 0.5]))
 
     def test_mixture_weights_renormalized(self):
         rho = DensityMatrix.mixture(
             [(FockState.vacuum(3), 2.0), (FockState.fock(1, 3), 2.0)]
         )
-        assert np.trace(rho.entries) == pytest.approx(1.0, abs=1e-14)
-        assert rho.entries[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert np.trace(_dense(rho)) == pytest.approx(1.0, abs=1e-14)
+        assert _dense(rho)[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_state_norm_enforced(self):
         with pytest.raises(TruncationError):

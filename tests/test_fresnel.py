@@ -8,6 +8,7 @@ import pytest
 
 from phasewave import (
     FresnelGeometry,
+    NumericsError,
     ValidationError,
     fit_zone_scaling,
     huygens_integral,
@@ -204,6 +205,42 @@ class TestGeometryValidation:
     def test_rejects_sub_wavelength_scale(self):
         with pytest.raises(ValidationError):
             FresnelGeometry(5.0, 100.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["r0", "b", "wavelength", "amplitude"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite(self, field, value):
+        args = {"r0": 100.0, "b": 100.0, "wavelength": 1.0, "amplitude": 1.0, field: value}
+        with pytest.raises(ValidationError, match="must be finite"):
+            FresnelGeometry(**args)
+
+    def test_wavelength_budget(self):
+        assert FresnelGeometry(1e15, 1e15, 1.0).max_zones == 4 * 10**15
+        with pytest.raises(ValidationError, match="r0 = 1.1e\\+15 wavelengths exceeds "
+                                                  "the limit of 1e\\+15"):
+            FresnelGeometry(1.1e15, 100.0, 1.0)
+        with pytest.raises(ValidationError, match="b = 1e\\+155 wavelengths"):
+            FresnelGeometry(100.0, 1e155, 1.0)
+
+    @pytest.mark.parametrize("args, field", [
+        ((1e101, 1e101, 1e99), "r0"),
+        ((1e-99, 1e-99, 1e-101), "wavelength"),
+        ((100.0, 100.0, 1.0, 1e101), "amplitude"),
+        ((100.0, 100.0, 1.0, 1e-101), "amplitude"),
+    ])
+    def test_scale_limits(self, args, field):
+        with pytest.raises(ValidationError, match=f"{field} = .* lies outside the limits "
+                                                  "\\[1e-100, 1e\\+100\\]"):
+            FresnelGeometry(*args)
+
+    def test_unresolved_boundaries_fail_numerically(self):
+        # the law of cosines cancels every digit of 1 - cos(theta) at b << r0
+        g = FresnelGeometry(1e15, 10.0, 1.0)
+        with pytest.raises(NumericsError, match="not resolved in double precision"):
+            zone_table(g, 3)
+        with pytest.raises(NumericsError, match="not resolved in double precision"):
+            fit_zone_scaling(g, 3)
+        with pytest.raises(NumericsError, match="not resolved in double precision"):
+            zone_contribution(g, 0)
 
     def test_wavenumber_consistency(self):
         g = FresnelGeometry(100.0, 100.0, 0.5)

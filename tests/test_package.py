@@ -1,6 +1,9 @@
 """The package's public name list and the internal names the tracer wraps."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import phasewave
@@ -32,3 +35,14 @@ def test_traced_names_resolve():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_dir_lists_every_public_name():
+    # names resolve on first use, so a fresh package must list them unresolved
+    src = str(Path(phasewave.__file__).resolve().parents[1])
+    probe = "import phasewave; print(sorted(set(phasewave.__all__) - set(dir(phasewave))))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Sphere belts, the hat-box areas, and the plane projection limits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from phasewave import (
     projected_band,
     projected_band_area,
 )
+from phasewave.spinmap import MAX_BELTS
 
 
 class TestBelts:
@@ -46,6 +48,18 @@ class TestBelts:
             SpinSphere(0.3)
         with pytest.raises(ValidationError):
             belts(-1.0)
+
+    @pytest.mark.parametrize("j", [0.0, 0.5, 7.0, 62.5, 4095.5])
+    def test_heights_are_exact_half_integers(self, j):
+        exact = [Fraction(2 * k - int(2 * j), 2) for k in range(int(2 * j) + 1)]
+        assert [Fraction(b.m) for b in belts(j)] == exact
+
+    def test_belt_budget(self):
+        # 2j + 1 is checked before any belt is built; these would take 1e12 objects
+        assert SpinSphere((MAX_BELTS - 1) / 2).multiplicity == MAX_BELTS
+        for j in (MAX_BELTS / 2, 1e12, 1e300):
+            with pytest.raises(ValidationError, match=f"limit of {MAX_BELTS}"):
+                SpinSphere(j)
 
 
 def _belt_areas(j):
@@ -93,6 +107,14 @@ class TestProjection:
     def test_rejects_heights_beyond_sphere(self):
         with pytest.raises(ValidationError):
             project(2.0, 10.0)
+
+    def test_rejects_the_sphere_of_radius_zero(self):
+        # the plane scale 1/sqrt(R) is undefined at j = 0
+        for j in (0.0, -0.0):
+            with pytest.raises(ValidationError, match="j > 0"):
+                project(j, 0.0)
+        with pytest.raises(ValidationError, match="j > 0"):
+            band_table(0.0)
 
     def test_band_zero_starts_at_origin(self):
         for j in (0.5, 10.0, 200.0):

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -139,7 +140,9 @@ class TestDirectRoute:
         # the dense contraction sum_mn psi_m(u + y/2) rho_mn psi_n(u - y/2)
         psi_p = eigenfunction_stack(rho.n_max, u[:, None] + 0.5 * y)
         psi_m = eigenfunction_stack(rho.n_max, u[:, None] - 0.5 * y)
-        dense = np.einsum("mxy,mn,nxy->xy", psi_p, rho.entries, psi_m, optimize=True)
+        dense = np.einsum(
+            "mxy,mn,nxy->xy", psi_p, rho.leading_block(rho.n_max + 1), psi_m, optimize=True
+        )
         assert np.max(np.abs(dense.imag)) > 1e-2
         got = _chord_integrand(rho, u, y)
         assert np.max(np.abs(got - dense)) <= 1e-14
@@ -236,6 +239,19 @@ class TestParityRoute:
         single = [parity_sum(rho, a).value for a in alpha_from_uv(uu.ravel(), vv.ravel())]
         assert np.max(np.abs(2.0 * math.pi * field.values.ravel() - single)) <= 1e-13
         assert np.max(np.abs(field.values)) <= 1.0 / math.pi
+
+    def test_grid_builds_only_the_support_block(self):
+        # fock:1 stored in 3001 levels has a support of 2 levels; its dense
+        # 3001 x 3001 matrix alone would take 144 MB
+        tracemalloc.start()
+        try:
+            wigner_parity(
+                FockState.fock(1, 3000).density(), PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_uncertified_support_refused_by_both(self):
         # at n_max = 60 displacement by |alpha| = 3 is certified up to n = 2 only
