@@ -18,18 +18,17 @@ __version__ = "0.1.0"
 #: Every public name, listed once under the submodule that defines it.
 _EXPORTS = {
     "errors": (
-        "ContainmentError", "GridMismatchError", "NumericsError", "PhasewaveError",
-        "QuadratureError", "TruncationError", "ValidationError",
+        "ContainmentError", "NumericsError", "PhasewaveError", "QuadratureError",
+        "TruncationError", "ValidationError",
     ),
     "fock": (
         "EPS_TAIL", "DensityMatrix", "FockState", "coherent_amplitudes",
         "default_cutoff", "displacement_certified_span", "energy_distribution",
-        "position_wavefunction",
     ),
     "wigner": (
         "UV_TO_ALPHA", "ContainmentWarning", "ConventionReport", "ParitySum",
         "PhaseGrid", "WignerField", "alpha_from_uv", "convention_check",
-        "overlap_trace", "parity_sum", "radon_slice", "rotated_quadrature",
+        "parity_sum", "radon_slice", "rotated_quadrature",
         "wigner_direct", "wigner_parity", "wigner_values",
     ),
     "semiclassics": (

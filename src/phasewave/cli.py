@@ -1,8 +1,9 @@
 """Batch command-line surface emitting CSV/JSON for external plotting.
 
 Exit codes: 0 success, 2 rejected input, 3 numerical failure.  Output
-files are deterministic: fixed summation order, no timestamps, floats
-printed with 17 significant digits (lossless for doubles).
+files are deterministic: fixed summation order, no timestamps, CSV floats
+printed with 17 significant digits and JSON floats as Python's shortest
+round-trip repr (both lossless for doubles).
 
 Each subcommand imports the one numerics module it computes with (and
 numpy with it) when it runs, so start-up loads the standard library only.
@@ -173,7 +174,7 @@ def cmd_fresnel(args) -> int:
     )
     if args.subaction == "zones":
         rows = fresnel.zone_table(geom, args.n, args.nodes)
-        slope = fresnel.fit_zone_scaling(geom, args.n) if args.n >= 2 else float("nan")
+        slope = fresnel.fit_zone_scaling(geom, args.n)
         _emit_table(args, "zones", _COLUMNS["zones"], rows, slope_loglog=slope)
         sys.stdout.write(f"slope_loglog={_fmt(slope)}\n")
         return 0
@@ -258,6 +259,10 @@ def cmd_spin(args) -> int:
     raise ValidationError(f"unknown spin subaction {args.subaction!r}")
 
 
+def _refuse_constant(token: str):
+    raise ValidationError(f"non-finite value {token!r}")
+
+
 def cmd_validate(args) -> int:
     text = Path(args.path).read_text()
     is_json = text.lstrip().startswith("{")
@@ -273,7 +278,7 @@ def cmd_validate(args) -> int:
         sys.stdout.write("ok\n")
         return 0
     if is_json:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_refuse_constant)
         if json.dumps(obj) + "\n" != text:
             raise ValidationError("JSON round-trip differs from the file")
         sys.stdout.write("ok\n")
@@ -367,12 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_negative_values(argv):
-    """Fuse flag/value pairs whose value starts with '-' (e.g. --grid -4:4:81)."""
+    """Fuse each --flag with a next token that starts with a single '-', such as
+    --grid -4:4:81 or --beta -1e-5, so argparse reads it as the flag's value."""
     fused, i = [], 0
-    flags = ("--grid", "--grid-v")
     while i < len(argv):
         tok = argv[i]
-        if tok in flags and i + 1 < len(argv):
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok.startswith("--") and nxt.startswith("-") and not nxt.startswith("--"):
             fused.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -14,10 +14,6 @@ class ValidationError(PhasewaveError, ValueError):
     """Input violates a documented precondition."""
 
 
-class GridMismatchError(ValidationError):
-    """Two phase-space fields were combined on different grids."""
-
-
 class NumericsError(PhasewaveError, RuntimeError):
     """A numerical procedure failed to reach its accuracy target."""
 

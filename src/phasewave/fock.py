@@ -187,14 +187,21 @@ class DensityMatrix:
         return cls(amp, [w for _, w in pairs])
 
 
-def eigenfunction_stack(n_max: int, xs) -> np.ndarray:
-    """All oscillator eigenfunctions psi_0..psi_n_max on a grid, shape (n_max+1, len(xs)).
+def eigenfunction_stack(coeffs, xs) -> np.ndarray:
+    """sum_n coeffs[n, e] psi_n(xs) per column e, shape (columns,) + xs.shape.
 
-    Three-term recurrence on the orthonormal Hermite functions; each term
-    carries its Gaussian factor, so there is no overflow for any n accepted.
+    The orthonormal Hermite functions psi_n follow the three-term recurrence
+        psi_(n+1) = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_(n-1);
+    each carries its Gaussian factor, so there is no overflow for any n
+    accepted.  Each psi_n is added to the column sums when it is reached, so
+    the working set is two recurrence rows and the sums, and no psi past the
+    last coefficient row is computed.  The identity matrix gives the stack
+    psi_0..psi_N itself.
     """
-    if n_max < 0:
-        raise ValidationError("Fock index must be nonnegative")
+    c = np.asarray(coeffs)
+    if c.ndim != 2 or c.shape[0] == 0:
+        raise ValidationError("coefficients must be a (levels, columns) matrix")
+    n_max = c.shape[0] - 1
     if n_max > MAX_EIGENFUNCTION_INDEX:
         raise ValidationError(
             f"n={n_max} above validated recurrence range {MAX_EIGENFUNCTION_INDEX}"
@@ -202,19 +209,13 @@ def eigenfunction_stack(n_max: int, xs) -> np.ndarray:
     x = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValidationError("sample grid must be finite")
-    out = np.empty((n_max + 1,) + x.shape, dtype=float)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = np.sqrt(2.0 / (k + 1)) * x * out[k] - np.sqrt(k / (k + 1)) * out[k - 1]
+    c = c.reshape(c.shape + (1,) * x.ndim)  # coefficient rows broadcast over the samples
+    prev, cur = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    out = c[0] * cur
+    for n in range(n_max):
+        prev, cur = cur, np.sqrt(2.0 / (n + 1)) * x * cur - np.sqrt(n / (n + 1)) * prev
+        out += c[n + 1] * cur
     return out
-
-
-def position_wavefunction(state: FockState, xs) -> np.ndarray:
-    """psi(x) of a pure state from its Fock amplitudes."""
-    stack = eigenfunction_stack(state.n_max, xs)
-    return np.tensordot(state.amplitudes, stack, axes=(0, 0))
 
 
 def log_factorials(n: int) -> np.ndarray:

@@ -35,7 +35,6 @@ import numpy as np
 from . import fock
 from .errors import (
     ContainmentError,
-    GridMismatchError,
     QuadratureError,
     TruncationError,
     ValidationError,
@@ -116,12 +115,13 @@ class PhaseGrid:
 class WignerField:
     """Wigner values sampled on a PhaseGrid, shape (n_u, n_v).
 
-    Serialized layouts (both written with 17 significant digits, ``%.17g``):
+    Serialized layouts (both lossless for doubles):
 
     * CSV: header ``u,v,w``, then one row ``u,v,w`` per node, u-major with
-      v varying fastest, i.e. ``values`` in C order.
+      v varying fastest, i.e. ``values`` in C order; every number ``%.17g``.
     * JSON: ``{"grid": {"u_min", "u_max", "v_min", "v_max", "n_u", "n_v"},
-      "values": [[...n_v...], ...n_u rows...]}``.
+      "values": [[...n_v...], ...n_u rows...]}``, written by ``json.dumps``,
+      so each float is Python's shortest round-trip repr (``-1.0``, not ``-1``).
 
     The readers accept exactly these layouts and raise ValidationError on
     anything else, including CSV nodes in any other order or not evenly
@@ -231,18 +231,16 @@ def _chord_integrand(rho: fock.DensityMatrix, u: np.ndarray, y: np.ndarray) -> n
     With rho.support = (w, V), the eigenpairs of rho's occupied block from a
     thin SVD of its weighted pure components,
     F = sum_e w_e phi_e(u + y/2) conj(phi_e(u - y/2)), phi_e = sum_n V_ne psi_n,
-    built one eigenfunction stack at a time; a pure state has one term.  F is
-    complex for states with complex coherences; only the Fourier sum over y is
-    real, so the real part is taken after it.
+    each phi_e summed inside the Hermite recurrence; a pure state has one term.
+    F is complex for states with complex coherences; only the Fourier sum over
+    y is real, so the real part is taken after it.
     """
     weights, vectors = rho.support
-    top = vectors.shape[0] - 1
     out = np.empty((u.size, y.size), dtype=complex)
-    step = max(1, int(fock._CHUNK_ELEMS // ((top + 1) * y.size)))
+    step = max(1, int(fock._CHUNK_ELEMS // (vectors.shape[0] * y.size)))  # levels x nodes
     for lo in range(0, u.size, step):
         ub = u[lo : lo + step, None]
-        phi_p, phi_m = (np.tensordot(vectors.T, fock.eigenfunction_stack(top, ub + h), 1)
-                        for h in (0.5 * y, -0.5 * y))
+        phi_p, phi_m = (fock.eigenfunction_stack(vectors, ub + h) for h in (0.5 * y, -0.5 * y))
         out[lo : lo + step] = np.einsum("e,exy,exy->xy", weights, phi_p, phi_m.conj())
     return out
 
@@ -454,14 +452,7 @@ def convention_check(rho: fock.DensityMatrix, points) -> ConventionReport:
     )
 
 
-# -- overlap and tomography --------------------------------------------------
-
-
-def overlap_trace(w1: WignerField, w2: WignerField) -> float:
-    """Trace of the product of two states as 2*pi times the field overlap."""
-    if w1.grid != w2.grid:
-        raise GridMismatchError("overlap requires identical grids")
-    return float(2.0 * math.pi * np.sum(w1.values * w2.values) * w1.grid.cell_area)
+# -- tomography -------------------------------------------------------------
 
 
 def rotated_quadrature(
@@ -492,9 +483,9 @@ def rotated_quadrature(
 
 def _rotated_once(psi: fock.FockState, theta: float, xs, oversample: int) -> np.ndarray:
     st, ct = math.sin(theta), math.cos(theta)
+    amp = psi.amplitudes[:, None]  # one column: psi(x) from the Fock amplitudes
     if abs(st) < 1e-12:
-        dens = np.abs(fock.position_wavefunction(psi, math.copysign(1.0, ct) * xs)) ** 2
-        return dens
+        return np.abs(fock.eigenfunction_stack(amp, math.copysign(1.0, ct) * xs)[0]) ** 2
     half = math.sqrt(2.0 * psi.n_max + 1.0) + 8.0
     cot, csc = ct / st, 1.0 / st
     freq = abs(cot) * half + abs(csc) * float(np.max(np.abs(xs), initial=1.0))
@@ -504,7 +495,7 @@ def _rotated_once(psi: fock.FockState, theta: float, xs, oversample: int) -> np.
     w = np.full(npts, xp[1] - xp[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    inner = np.exp(0.5j * cot * xp**2) * fock.position_wavefunction(psi, xp) * w
+    inner = np.exp(0.5j * cot * xp**2) * fock.eigenfunction_stack(amp, xp)[0] * w
     kernel_phase = np.exp(-1j * csc * np.outer(xs, xp))
     pref = np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi))
     out = pref * np.exp(0.5j * cot * xs**2) * (kernel_phase @ inner)

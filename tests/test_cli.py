@@ -229,6 +229,17 @@ class TestFresnelCommand:
         assert code == 2
         assert "two zones" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_single_zone_table_rejected(self, capsys, tmp_path, fmt):
+        # the slope fit needs two boundaries; no table is written without it
+        out = tmp_path / "z1"
+        code, stdout, err = run(capsys, "--format", fmt, "--out", str(out), *self.GEOM,
+                                "zones", "--n", "1")
+        assert code == 2
+        assert "at least two boundaries" in err
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("action", [
         ("zonesum", "--n", str(10**15)),
         ("zones", "--n", "5", "--nodes", "100000"),
@@ -308,11 +319,17 @@ class TestSpinCommand:
      "zonesum", "--n", "4"),
     ("fresnel", "--r0", "1000", "--b", "1000", "--lambda", "1", "--amplitude", "inf",
      "plate", "--open", "odd", "--n", "2"),
+    # a negative value in exponent form reaches the range check, not argparse
+    ("overlap", "--beta", "-1e-5"),
+    ("fresnel", "--r0", "100", "--b", "100", "--lambda", "1", "--amplitude", "-1e-3",
+     "zones", "--n", "3"),
+    ("spin", "--j", "-1e-3", "belts"),
 ])
 def test_nonfinite_and_negative_numbers_rejected(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+    assert err.count("error:") == 1
     assert "Traceback" not in err
 
 
@@ -371,6 +388,16 @@ class TestValidateAndDeterminism:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_validate_rejects_nonfinite_json_literal(self, capsys, tmp_path, literal):
+        # json.dumps writes these literals and reads them back unchanged
+        path = tmp_path / "z.json"
+        path.write_text('{"slope_loglog": %s, "zones": []}\n' % literal)
+        code, stdout, err = run(capsys, "validate", "--kind", "zones", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert stdout == ""
+
     def test_validate_wigner_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "w.csv"
         run(capsys, "--out", str(out), "wigner", "--state", "vacuum",
@@ -416,6 +443,22 @@ class TestValidateAndDeterminism:
             "--lambda", "1", "zonesum", "--n", "20")
         code, _, _ = run(capsys, "validate", "--kind", "zones", str(out))
         assert code == 0
+
+
+def test_direct_route_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads, so each count needs a process
+    src = str(Path(phasewave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"w{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "phasewave.cli", "--out", str(out), "wigner",
+             "--state", "coherent:2", "--grid", "-6:6:21", "--method", "direct"],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads), check=True,
+        )
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
 
 
 def test_cli_import_needs_no_scipy():

@@ -60,8 +60,10 @@ def _displacement_mpmath(alpha, m, n, dps=40):
 
 
 def _psi(n, xs):
-    """psi_n on ``xs``: row n of the eigenfunction stack."""
-    return eigenfunction_stack(n, xs)[n]
+    """psi_n on ``xs``: the kernel's sum for the unit column e_n."""
+    unit = np.zeros((n + 1, 1))
+    unit[n] = 1.0
+    return eigenfunction_stack(unit, xs)[0]
 
 
 def _dmatrix(alpha, n_max):

@@ -15,7 +15,6 @@ from phasewave import (
     ContainmentWarning,
     DensityMatrix,
     FockState,
-    GridMismatchError,
     PhaseGrid,
     QuadratureError,
     TruncationError,
@@ -25,7 +24,6 @@ from phasewave import (
     alpha_from_uv,
     coherent_amplitudes,
     convention_check,
-    overlap_trace,
     parity_sum,
     radon_slice,
     rotated_quadrature,
@@ -138,14 +136,28 @@ class TestDirectRoute:
         rho = DensityMatrix(np.pad(a / norms, ((0, 2), (0, 0))), norms**2)
         u, y = np.linspace(-3.0, 3.0, 13), np.linspace(-8.0, 8.0, 41)
         # the dense contraction sum_mn psi_m(u + y/2) rho_mn psi_n(u - y/2)
-        psi_p = eigenfunction_stack(rho.n_max, u[:, None] + 0.5 * y)
-        psi_m = eigenfunction_stack(rho.n_max, u[:, None] - 0.5 * y)
+        psi_p = eigenfunction_stack(np.eye(rho.n_max + 1), u[:, None] + 0.5 * y)
+        psi_m = eigenfunction_stack(np.eye(rho.n_max + 1), u[:, None] - 0.5 * y)
         dense = np.einsum(
             "mxy,mn,nxy->xy", psi_p, rho.leading_block(rho.n_max + 1), psi_m, optimize=True
         )
         assert np.max(np.abs(dense.imag)) > 1e-2
         got = _chord_integrand(rho, u, y)
         assert np.max(np.abs(got - dense)) <= 1e-14
+
+    def test_chord_integrand_builds_no_level_stack(self):
+        # coherent:2 has a 65-level support: a stack of psi_0..psi_64 on these
+        # nodes takes 22 MB, while its one summed column takes 0.7 MB
+        rho = coherent_amplitudes(2.0).density()
+        rho.support  # the cached factorization is not part of the integrand
+        u, y = np.linspace(-6.0, 6.0, 41), np.linspace(-40.0, 40.0, 1025)
+        tracemalloc.start()
+        try:
+            _chord_integrand(rho, u, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_nonconvergence_reports_worst_node(self):
         rho = FockState.vacuum().density()
@@ -356,6 +368,8 @@ class TestConvention:
 
 
 class TestOverlap:
+    """Tr(rho1 rho2) = 2*pi times the overlap of the two fields, as a grid sum."""
+
     def _field(self, rho, n=161, extent=6.0):
         grid = PhaseGrid(-extent, extent, -extent, extent, n, n)
         with warnings.catch_warnings():
@@ -364,26 +378,21 @@ class TestOverlap:
 
     def test_purity_of_pure_state(self):
         w = self._field(FockState.vacuum().density())
-        assert overlap_trace(w, w) == pytest.approx(1.0, abs=1e-3)
+        trace = 2.0 * math.pi * np.sum(w.values * w.values) * w.grid.cell_area
+        assert trace == pytest.approx(1.0, abs=1e-3)
 
     def test_orthogonal_states(self):
         w0 = self._field(FockState.vacuum().density())
         w1 = self._field(FockState.fock(1).density())
-        assert overlap_trace(w0, w1) == pytest.approx(0.0, abs=1e-3)
+        trace = 2.0 * math.pi * np.sum(w0.values * w1.values) * w0.grid.cell_area
+        assert trace == pytest.approx(0.0, abs=1e-3)
 
     def test_coherent_pair_overlap(self):
         # closed form |<b1|b2>|^2 = exp(-|b1-b2|^2)
         w0 = self._field(FockState.vacuum().density())
         w1 = self._field(coherent_amplitudes(1.0).density())
-        assert overlap_trace(w0, w1) == pytest.approx(math.exp(-1.0), abs=1e-3)
-
-    def test_grid_mismatch_rejected(self):
-        g1 = PhaseGrid(-4, 4, -4, 4, 21, 21)
-        g2 = PhaseGrid(-4, 4, -4, 4, 31, 31)
-        f1 = WignerField(g1, np.zeros((21, 21)))
-        f2 = WignerField(g2, np.zeros((31, 31)))
-        with pytest.raises(GridMismatchError):
-            overlap_trace(f1, f2)
+        trace = 2.0 * math.pi * np.sum(w0.values * w1.values) * w0.grid.cell_area
+        assert trace == pytest.approx(math.exp(-1.0), abs=1e-3)
 
 
 class TestRotatedQuadrature:
@@ -391,11 +400,8 @@ class TestRotatedQuadrature:
         xs = np.linspace(-5, 5, 101)
         st = coherent_amplitudes(1.0)
         dens = rotated_quadrature(st, 0.0, xs)
-        from phasewave import position_wavefunction
-
-        np.testing.assert_allclose(
-            dens, np.abs(position_wavefunction(st, xs)) ** 2, atol=1e-14
-        )
+        psi = eigenfunction_stack(st.amplitudes[:, None], xs)[0]
+        np.testing.assert_allclose(dens, np.abs(psi) ** 2, atol=1e-14)
 
     def test_vacuum_rotation_invariant(self):
         xs = np.linspace(-5, 5, 101)
