@@ -249,44 +249,51 @@ def coherent_amplitudes(beta: complex, n_max: int | None = None) -> FockState:
     return FockState(amp)
 
 
-def _displacement_batch(alphas: np.ndarray, n_max: int, columns: np.ndarray) -> np.ndarray:
-    """Selected columns of the displacement operator for a batch of amplitudes.
-
-    Returns shape (len(alphas), n_max+1, len(columns)).  Entries are the
-    closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969),
-        <m|D(a)|n> = sqrt(n!/m!) a^(m-n) e^(-|a|^2/2) L_n^(m-n)(|a|^2)
-    for m >= n, and conj(<n|D(-a)|m>) below the diagonal.  At order k the
-    normalized magnitudes T_n = sqrt(n!/(n+k)!) |a|^k e^(-|a|^2/2) L_n^(k)
-    obey the Laguerre degree recurrence
-        sqrt((n+1)(n+1+k)) T_(n+1) = (2n+1+k-|a|^2) T_n - sqrt(n(n+k)) T_(n-1),
-    stepped over the degree n on arrays over (alpha, order); degree n fills
-    column n from the diagonal down and row n right of the diagonal.  Only
-    orders k <= n_max - n are carried.  As entries of a unitary the T_n stay
-    in [-1, 1], so no truncation size overflows, and D(0) comes out as the
-    exact identity.  Phases and signs are applied in place afterwards, so
-    the working set beyond the result is a few arrays over (alpha, order).
+def _laguerre_degrees(mag: np.ndarray, n_max: int, last: int):
+    """Yield, per degree n = 0..``last``, the moduli of <n+k|D(a)|n> at |a| = r,
+        T_n^(k)(r) = sqrt(n!/(n+k)!) r^k e^(-r^2/2) L_n^(k)(r^2),
+    over (r in ``mag``, order k = 0..n_max - n), by the Laguerre recurrence
+        sqrt((n+1)(n+1+k)) T_(n+1) = (2n+1+k-r^2) T_n - sqrt(n(n+k)) T_(n-1).
+    As entries of a unitary they stay in [-1, 1], so no n_max overflows, and
+    r = 0 gives exactly [k = 0].  Each array yielded is the recurrence's own
+    state, to be read and never written.
     """
-    al = np.asarray(alphas, dtype=complex).reshape(-1, 1)
-    columns = np.asarray(columns, dtype=int)
+    mag = mag.reshape(-1, 1)
     order = np.arange(n_max + 1)
-    mag = np.abs(al)
     aa = mag * mag
     zero = mag[:, 0] == 0.0
     logmag = np.log(np.where(zero[:, None], 1.0, mag))
     cur = np.exp(order * logmag - 0.5 * log_factorials(n_max) - 0.5 * aa)
     cur[zero, 1:] = 0.0
     prev = np.zeros_like(cur)
-    out = np.empty((al.shape[0], n_max + 1, columns.size), dtype=complex)
-    for n in range(int(columns.max(initial=-1)) + 1):
-        out[:, n:, columns == n] = cur[:, :, None]
-        right = columns > n
-        out[:, n, right] = cur[:, columns[right] - n]
+    for n in range(last + 1):
+        yield cur
         k = order[: cur.shape[1] - 1]
         nxt = (2 * n + 1 + k - aa) * cur[:, :-1]
         nxt -= np.sqrt(n * (n + k)) * prev[:, : k.size]
         nxt /= np.sqrt((n + 1) * (n + 1 + k))
         prev, cur = cur, nxt
-    prev = cur = nxt = None  # free the recurrence state before the phase pass
+
+
+def _displacement_batch(alphas: np.ndarray, n_max: int, columns: np.ndarray) -> np.ndarray:
+    """Selected columns of the displacement operator for a batch of amplitudes.
+
+    Returns shape (len(alphas), n_max+1, len(columns)).  Entries are the
+    closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969),
+        <m|D(a)|n> = sqrt(n!/m!) a^(m-n) e^(-|a|^2/2) L_n^(m-n)(|a|^2)
+    for m >= n, and conj(<n|D(-a)|m>) below the diagonal.  Degree n of
+    :func:`_laguerre_degrees` fills column n from the diagonal down and row n
+    right of it, so D(0) is the exact identity; phases and signs follow in
+    place, so the working set beyond the result is a few (alpha, order) arrays.
+    """
+    al = np.asarray(alphas, dtype=complex).reshape(-1, 1)
+    columns = np.asarray(columns, dtype=int)
+    order = np.arange(n_max + 1)
+    out = np.empty((al.shape[0], n_max + 1, columns.size), dtype=complex)
+    for n, cur in enumerate(_laguerre_degrees(np.abs(al), n_max, columns.max(initial=-1))):
+        out[:, n:, columns == n] = cur[:, :, None]
+        right = columns > n
+        out[:, n, right] = cur[:, columns[right] - n]
     theta = np.angle(al)
     out *= np.exp(1j * order * theta)[:, :, None]
     out *= np.exp(-1j * columns * theta)[:, None, :]

@@ -12,8 +12,10 @@ Two independent evaluation routes are provided and cross-checked:
   probabilities of the state displaced to the opposite phase point
   (``fock._displaced_occupations``); :func:`wigner_parity` evaluates the
   same sum on a grid as Royer's trace 2*Tr[rho D(2 alpha) Pi] over the
-  state's support, and applies the occupation route's truncation checks
-  at the grid's four corners.
+  state's support, summed as an angular Fourier series in arg(alpha)
+  whose radial coefficients come from one Laguerre recurrence per distinct
+  |alpha|, and applies the occupation route's truncation checks at the
+  grid's four corners.
 
 Route agreement fixes the identification between the phase-plane
 coordinate u + i*v and the displacement amplitude: the winning scale is
@@ -86,6 +88,8 @@ class PhaseGrid:
                 raise ValidationError(f"{name} bounds must be finite")
             if hi <= lo:
                 raise ValidationError(f"{name}_max must exceed {name}_min")
+            if float(hi) - float(lo) == math.inf:  # Python floats: no overflow warning
+                raise ValidationError(f"{name}_max - {name}_min overflows a double")
             if n < 2:
                 raise ValidationError(f"n_{name} must be at least 2")
         if self.n_u * self.n_v > MAX_GRID_NODES:
@@ -375,20 +379,39 @@ def _royer_sums(rho: fock.DensityMatrix, alphas: np.ndarray) -> np.ndarray:
     """S(alpha) = 2 * sum_n (-1)^n P_n(-alpha) per point, as a trace.
 
     Royer, Phys. Rev. A 15, 449 (1977): D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi
-    for the parity Pi, so the sum is 2 Re sum_{m,n<s} rho_nm <m|D(2 alpha)|n> (-1)^n
-    over the s stored support states.  Only the s x s block of D(2 alpha)
-    enters, and the kernel gives those entries exactly at any truncation.
+    for the parity Pi, so S = 2 Tr[rho D(2 alpha) Pi] over the s support states.
+    With 2 alpha = r e^(i theta) and <n+k|D(2 alpha)|n> = T_n^(k)(r) e^(ik theta)
+    (the entries above the diagonal add the conjugate terms), S is the series
+        S = 2 Re[c_0(r) + 2 sum_(k>=1) e^(ik theta) c_k(r)],
+        c_k(r) = sum_n (-1)^n rho_(n,n+k) T_n^(k)(r),
+    whose c_k come from one Laguerre recurrence (``fock._laguerre_degrees``)
+    per distinct r, for blocks of _CHUNK_ELEMS / s^2 radii at a time; each
+    node then sums its series by Horner's rule in e^(i theta).
     """
     s = rho.support[1].shape[0]
     signs = 1.0 - 2.0 * (np.arange(s) % 2)
-    weights = (rho.leading_block(s) * signs[:, None]).T.ravel()  # rho_nm (-1)^n at [m, n]
-    cols = np.arange(s)
+    rows = rho.leading_block(s) * signs[:, None]  # rho_nm (-1)^n
+    beta = 2.0 * alphas
+    radii, inverse, counts = np.unique(
+        np.abs(beta), return_inverse=True, return_counts=True
+    )
+    by_radius = np.argsort(inverse, kind="stable")  # the nodes of each radius in turn
+    first = np.concatenate(([0], np.cumsum(counts)))  # radius i: first[i] to first[i+1]
     out = np.empty(alphas.size)
     step = max(1, fock._CHUNK_ELEMS // (s * s))
-    for lo in range(0, alphas.size, step):
-        block = fock._displacement_batch(2.0 * alphas[lo : lo + step], s - 1, cols)
-        out[lo : lo + step] = 2.0 * (block.reshape(-1, s * s) @ weights).real
-        del block  # freed before the next block is built
+    for lo in range(0, radii.size, step):
+        hi = min(lo + step, radii.size)
+        coef = np.zeros((hi - lo, s), dtype=complex)  # c_k per radius of the block
+        for n, mags in enumerate(fock._laguerre_degrees(radii[lo:hi], s - 1, s - 1)):
+            coef[:, : s - n] += rows[n, n:] * mags
+        nodes = by_radius[first[lo] : first[hi]]
+        at = inverse[nodes] - lo
+        turn = np.exp(1j * np.angle(beta[nodes]))
+        acc = np.zeros(nodes.size, dtype=complex)
+        for k in range(s - 1, 0, -1):  # Horner: sum_(k>=1) c_k turn^k
+            acc += coef[at, k]
+            acc *= turn
+        out[nodes] = 2.0 * (coef[at, 0].real + 2.0 * acc.real)
     return out
 
 
@@ -397,8 +420,9 @@ def wigner_parity(
 ) -> WignerField:
     """Wigner function on a grid via the alternating parity sum, W = S/(2*pi).
 
-    Every node's S(alpha) is Royer's trace over the state's support (see
-    :func:`_royer_sums`), which needs no truncation.  The truncation
+    Every node's S(alpha) is Royer's trace over the state's support, summed
+    as angular harmonics whose coefficients are computed once per distinct
+    |alpha| (see :func:`_royer_sums`); it needs no truncation.  The truncation
     contract of :func:`parity_sum` (certified span, column leak, row sums,
     last alternating term, all at ``n_max``) is applied at the four
     corners: they hold the grid's largest |alpha| and, wherever the state

@@ -324,6 +324,9 @@ class TestSpinCommand:
     ("fresnel", "--r0", "100", "--b", "100", "--lambda", "1", "--amplitude", "-1e-3",
      "zones", "--n", "3"),
     ("spin", "--j", "-1e-3", "belts"),
+    # finite bounds whose span overflows a double
+    ("wigner", "--state", "fock:1", "--grid", "-1e308:1e308:3", "--method", "parity"),
+    ("wigner", "--state", "fock:1", "--grid", "-1:1:3", "--grid-v", "-1e308:1e308:3"),
 ])
 def test_nonfinite_and_negative_numbers_rejected(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -396,6 +399,16 @@ class TestValidateAndDeterminism:
         code, stdout, err = run(capsys, "validate", "--kind", "zones", str(path))
         assert code == 2
         assert err.startswith("error:")
+        assert stdout == ""
+
+    def test_validate_rejects_overflowing_span(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        grid = {"u_min": -1e308, "u_max": 1e308, "v_min": -1.0, "v_max": 1.0,
+                "n_u": 2, "n_v": 2}
+        path.write_text(json.dumps({"grid": grid, "values": [[0.0, 0.0], [0.0, 0.0]]}))
+        code, stdout, err = run(capsys, "validate", "--kind", "wigner", str(path))
+        assert code == 2
+        assert "u_max - u_min overflows" in err
         assert stdout == ""
 
     def test_validate_wigner_roundtrip(self, capsys, tmp_path):

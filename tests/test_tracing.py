@@ -1,0 +1,56 @@
+"""The benchmark tracer's hold on the package: every name it wraps exists, and
+the Wigner routes fire its layer counters.
+
+``bench/tracing.py`` wraps private kernels by name and reads their arguments,
+so a kernel refactor that renames one or changes its arguments breaks the
+traced benchmark run; these tests make that a tier-1 failure instead.
+"""
+
+import types
+from pathlib import Path
+
+import pytest
+
+import phasewave
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    """bench/tracing.py as a module, compiled from its source (no bytecode written)."""
+    module = types.ModuleType("bench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_target_resolves(tracing):
+    targets = tracing._targets(phasewave)
+    assert targets
+    for owner, attr, _, _ in targets:
+        assert attr in owner.__dict__, (owner, attr)  # what install() replaces
+        assert callable(getattr(owner, attr)), (owner, attr)
+
+
+def test_traced_wigner_routes_fire_their_counters(tracing):
+    fock, wigner = phasewave.fock, phasewave.wigner
+    raw = fock._displacement_batch
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer, phasewave)
+    try:
+        rho = fock.FockState.fock(1).density()
+        grid = wigner.PhaseGrid(-2.0, 2.0, -2.0, 2.0, 3, 3)
+        wigner.wigner_parity(rho, grid)
+        wigner.wigner_direct(rho, grid)
+    finally:
+        tracing.uninstall(undo)
+    assert fock._displacement_batch is raw
+    counts = tracer.counts
+    assert counts["fock.displacement.calls"] > 0
+    assert counts["fock.displacement.entries"] > 0
+    assert counts["wigner.parity.calls"] == 1
+    assert counts["wigner.parity.points"] == 9
+    assert counts["wigner.direct.chord_evals"] > 0
+    self_s, _ = tracer.self_times()
+    assert {"fock.displacement", "wigner.parity", "wigner.direct"} <= set(self_s)

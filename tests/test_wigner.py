@@ -31,7 +31,8 @@ from phasewave import (
     wigner_parity,
     wigner_values,
 )
-from phasewave.fock import eigenfunction_stack
+from phasewave import fock
+from phasewave.fock import _displacement_batch, eigenfunction_stack
 from phasewave.wigner import _chord_integrand, _royer_sums, _wigner_eval
 
 
@@ -67,6 +68,23 @@ def _reference_json_dict(field):
         },
         "values": [[float(x) for x in row] for row in field.values],
     }
+
+
+def _dense_royer_sums(rho, alphas):
+    """2 Re sum_{m,n<s} rho_nm <m|D(2 alpha)|n> (-1)^n, contracted with the whole
+    s x s block of D(2 alpha) per node: the reference for _royer_sums."""
+    s = rho.support[1].shape[0]
+    signs = 1.0 - 2.0 * (np.arange(s) % 2)
+    weights = (rho.leading_block(s) * signs[:, None]).T.ravel()  # rho_nm (-1)^n at [m, n]
+    block = _displacement_batch(2.0 * alphas, s - 1, np.arange(s))
+    return 2.0 * (block.reshape(-1, s * s) @ weights).real
+
+
+def _random_mixture(rng, size, rank):
+    """Mixture of ``rank`` random complex components over ``size`` levels."""
+    a = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+    norms = np.linalg.norm(a, axis=0)
+    return DensityMatrix(a / norms, norms**2)
 
 
 def _coherent_field(grid, beta):
@@ -251,6 +269,52 @@ class TestParityRoute:
         single = [parity_sum(rho, a).value for a in alpha_from_uv(uu.ravel(), vv.ravel())]
         assert np.max(np.abs(2.0 * math.pi * field.values.ravel() - single)) <= 1e-13
         assert np.max(np.abs(field.values)) <= 1.0 / math.pi
+
+    @pytest.mark.parametrize("chunk", [None, 3])
+    @pytest.mark.parametrize("bounds, n_u, n_v, shared, reach", [
+        ((-2.3, 4.1, -3.7, 1.9), 7, 9, False, 7.81),  # no two nodes share a radius
+        ((-3.0, 3.0, -3.0, 3.0), 9, 9, True, 6.0),  # mirrored nodes share radii
+        ((-7.0, 7.0, -7.0, 7.0), 15, 15, True, 14.0),  # as test_royer_block_matches_mpmath
+    ])
+    def test_harmonic_sums_match_dense_block(self, monkeypatch, bounds, n_u, n_v, shared,
+                                             reach, chunk):
+        # random mixtures with complex coherences, a complex coherent state and
+        # a coherent:2-sized support; chunk=3 puts three radii in each block
+        grid = PhaseGrid(*bounds, n_u, n_v)
+        uu, vv = np.meshgrid(grid.u_axis, grid.v_axis, indexing="ij")
+        alphas = alpha_from_uv(uu.ravel(), vv.ravel())
+        radii = np.abs(2.0 * alphas)
+        assert radii.max() == pytest.approx(reach, abs=0.01)
+        distinct = np.unique(radii).size
+        assert (distinct < alphas.size // 4) if shared else (distinct == alphas.size)
+        assert (radii == 0.0).any() == shared  # the symmetric grids hold the origin
+        rng = np.random.default_rng(11)
+        states = [_random_mixture(rng, size, rank) for size, rank in [(1, 1), (6, 2), (40, 3)]]
+        states += [
+            coherent_amplitudes(1.2 + 1.6j).density(),
+            DensityMatrix.mixture([
+                (coherent_amplitudes(2.0 * np.exp(0.7j)), 0.6), (FockState.fock(3, 64), 0.4),
+            ]),
+        ]
+        for i, rho in enumerate(states):
+            if chunk is not None:
+                s = rho.support[1].shape[0]
+                monkeypatch.setattr(fock, "_CHUNK_ELEMS", chunk * s * s)
+            got = _royer_sums(rho, alphas)
+            assert np.max(np.abs(got - _dense_royer_sums(rho, alphas))) <= 1e-13, i
+
+    def test_grid_sums_in_bounded_memory(self):
+        # one _CHUNK_ELEMS block of D(2 alpha) over coherent:2's 65 support
+        # levels takes 128 MiB; the harmonic sums hold arrays over (radii of
+        # a block, 65) and over the nodes
+        rho = coherent_amplitudes(2.0).density()
+        tracemalloc.start()
+        try:
+            wigner_parity(rho, PhaseGrid(-6.0, 6.0, -6.0, 6.0, 201, 201))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_grid_builds_only_the_support_block(self):
         # fock:1 stored in 3001 levels has a support of 2 levels; its dense
@@ -591,3 +655,5 @@ class TestFieldSerialization:
             PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3.0, 3)
         with pytest.raises(ValidationError, match="u bounds must be real numbers"):
             PhaseGrid(False, True, -1.0, 1.0, 3, 3)
+        with pytest.raises(ValidationError, match="v_max - v_min overflows"):
+            PhaseGrid(-1.0, 1.0, -1e308, 1e308, 3, 3)
