@@ -210,6 +210,10 @@ def eigenfunction_stack(coeffs, xs) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValidationError("sample grid must be finite")
     c = c.reshape(c.shape + (1,) * x.ndim)  # coefficient rows broadcast over the samples
+    if np.any(np.abs(x) > 40.0):
+        # every psi_n is 0.0 there already (the Gaussian underflows beyond 39);
+        # clipping keeps x * x finite, and the usual samples are not copied
+        x = np.clip(x, -40.0, 40.0)
     prev, cur = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x * x)
     out = c[0] * cur
     for n in range(n_max):

@@ -212,11 +212,12 @@ def _check_grid(n_segments: int, nodes: int | None) -> None:
         )
 
 
-def _segment_integral(geom, th_lo, th_hi, nodes, taper=None) -> np.ndarray:
+def _segment_integral(geom, th_lo, th_hi, nodes, ramp=None) -> np.ndarray:
     """Wavelet integrals over the theta segments [th_lo[i], th_hi[i]].
 
     One Gauss rule serves every segment; the (segments x nodes) grid is
-    evaluated at once.
+    evaluated at once.  ``ramp = (s0, s1)`` rolls the integrand off by a
+    raised cosine in the distance s from P between s0 and s1.
     """
     _check_grid(th_lo.size, nodes)
     _check_resolved(geom)
@@ -226,8 +227,10 @@ def _segment_integral(geom, th_lo, th_hi, nodes, taper=None) -> np.ndarray:
     s = _s_of_theta(geom, th)
     kirchhoff, _ = _obliquity(geom, s)
     f = np.exp(1j * geom.k * s) / s * kirchhoff * np.sin(th)
-    if taper is not None:
-        f = f * taper(s)
+    if ramp is not None:
+        s0, s1 = ramp
+        on = s > s0
+        f[on] *= 0.5 * (1.0 + np.cos(math.pi * (s[on] - s0) / (s1 - s0)))
     wth = half * w
     # vecdot is a 1-D dot per row: the same summation as one segment at a time
     surface = np.vecdot(f.real, wth) + 1j * np.vecdot(f.imag, wth)
@@ -267,16 +270,7 @@ def huygens_integral(
     if not 0.0 < theta_max <= math.pi:
         raise ValidationError("theta_max must lie in (0, pi]")
     s_end = float(_s_of_theta(geom, theta_max))
-    taper_fn = None
-    if taper:
-        s_start = geom.b + 0.9 * (s_end - geom.b)
-
-        def taper_fn(s, _s0=s_start, _s1=s_end):
-            t = np.ones_like(s)
-            ramp = s > _s0
-            t[ramp] = 0.5 * (1.0 + np.cos(math.pi * (s[ramp] - _s0) / (_s1 - _s0)))
-            return t
-
+    ramp = (geom.b + 0.9 * (s_end - geom.b), s_end) if taper else None
     n_full = int(math.floor((s_end - geom.b) / (0.5 * geom.wavelength) + 1e-12))
     n_full = min(n_full, geom.max_zones)
     _check_grid(n_full + 1, nodes_per_zone)  # before the angles are allocated
@@ -284,7 +278,7 @@ def huygens_integral(
     edges[0] = 0.0  # the cap starts on the axis
     if theta_max > edges[-1] + 1e-15:
         edges = np.append(edges, theta_max)
-    terms = _segment_integral(geom, edges[:-1], edges[1:], nodes_per_zone, taper_fn)
+    terms = _segment_integral(geom, edges[:-1], edges[1:], nodes_per_zone, ramp)
     return sum(terms.tolist(), 0j)
 
 

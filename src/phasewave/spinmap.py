@@ -111,12 +111,8 @@ def projected_band(j: float, n: int) -> tuple[float, float]:
     sphere = SpinSphere(j)
     if not 0 <= n <= sphere.multiplicity - 1:
         raise ValidationError(f"band index must lie in [0, {sphere.multiplicity - 1}]")
-    return _belt_image(j, belts(j)[n])
-
-
-def _belt_image(j: float, belt: Belt) -> tuple[float, float]:
-    """Projected edges of one belt, in ascending order."""
-    lo, hi = sorted((project(j, belt.z_lo), project(j, belt.z_hi)))
+    belt = belts(j)[n]
+    lo, hi = sorted(project(j, [belt.z_lo, belt.z_hi]).tolist())
     return lo, hi
 
 
@@ -127,9 +123,13 @@ def projected_band_area(j: float, n: int) -> float:
 
 
 def band_table(j: float):
-    """Rows (n, m, rho_lo, rho_hi, area) over all 2j+1 bands."""
-    rows = []
-    for n, belt in enumerate(belts(j)):
-        lo, hi = _belt_image(j, belt)
-        rows.append((n, belt.m, lo, hi, math.pi * (hi * hi - lo * lo)))
-    return rows
+    """Rows (n, m, rho_lo, rho_hi, area) over all 2j+1 bands.
+
+    Neighbouring belts share an edge, so the 2j+2 edges are projected at once.
+    """
+    rows = belts(j)
+    edges = project(j, [rows[0].z_lo] + [belt.z_hi for belt in rows])
+    lo, hi = np.minimum(edges[:-1], edges[1:]), np.maximum(edges[:-1], edges[1:])
+    area = math.pi * (hi * hi - lo * lo)
+    bands = zip(rows, lo.tolist(), hi.tolist(), area.tolist())
+    return [(n, belt.m, r_lo, r_hi, a) for n, (belt, r_lo, r_hi, a) in enumerate(bands)]

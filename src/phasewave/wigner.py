@@ -29,6 +29,7 @@ import io
 import json
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +53,11 @@ WIGNER_BOUND = 1.0 / math.pi + 1e-6
 
 #: Largest n_u * n_v a PhaseGrid may hold (the Fresnel quadrature-point budget).
 MAX_GRID_NODES = 4_000_000
+
+#: Largest grid rows x chord nodes the direct route's first quadrature level
+#: may need; a complex (rows, nodes) array then holds 16-32 MB, and each
+#: refinement doubles it.
+MAX_CHORD_SAMPLES = 1_000_000
 
 
 class ContainmentWarning(UserWarning):
@@ -84,8 +90,8 @@ class PhaseGrid:
                 raise ValidationError(f"{name} bounds must be real numbers")
             if not isinstance(n, numbers.Integral):
                 raise ValidationError(f"n_{name} must be an integer")
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValidationError(f"{name} bounds must be finite")
+            if not all(abs(b) <= sys.float_info.max for b in (lo, hi)):  # an int may exceed it
+                raise ValidationError(f"{name} bounds must be finite doubles")
             if hi <= lo:
                 raise ValidationError(f"{name}_max must exceed {name}_min")
             if float(hi) - float(lo) == math.inf:  # Python floats: no overflow warning
@@ -262,8 +268,15 @@ def _wigner_eval(
     v_vec = np.asarray(v_vec, dtype=float)
     half_window = 2.0 * (math.sqrt(2.0 * n_max + 1.0) + float(np.max(np.abs(u_vec)))) + 12.0
     v_scale = float(np.max(np.abs(v_vec))) if v_vec.size else 0.0
+    chord_nodes = 6.0 * half_window * v_scale / math.pi
+    need = max(chord_nodes, min_points or 0)
+    if not u_vec.size * need <= MAX_CHORD_SAMPLES:  # also refuses inf and nan
+        raise ValidationError(
+            f"{u_vec.size} rows x {need:.6g} chord nodes exceed the limit of "
+            f"{MAX_CHORD_SAMPLES} chord samples"
+        )
     npts = 257
-    while npts < 6.0 * half_window * v_scale / math.pi:
+    while npts < chord_nodes:
         npts = 2 * npts - 1
     if min_points is not None:
         npts = max(npts, int(min_points))
@@ -271,16 +284,13 @@ def _wigner_eval(
     prev = None
     for _ in range(max_refinements):
         y = np.linspace(-half_window, half_window, npts)
-        f = _chord_integrand(rho, u_vec, y)
         wy = np.full(npts, y[1] - y[0])
         wy[0] *= 0.5
         wy[-1] *= 0.5
-        if paired:
-            phases = np.exp(-1j * v_vec[:, None] * y[None, :])
-            vals = np.real(np.sum(f * wy * phases, axis=1)) / (2.0 * math.pi)
-        else:
-            phases = np.exp(-1j * np.outer(v_vec, y))
-            vals = np.real((f * wy) @ phases.T) / (2.0 * math.pi)
+        fw = _chord_integrand(rho, u_vec, y) * wy
+        phases = np.exp(-1j * np.outer(v_vec, y))
+        summed = np.sum(fw * phases, axis=1) if paired else fw @ phases.T
+        vals = np.real(summed) / (2.0 * math.pi)
         if prev is not None:
             delta = np.abs(vals - prev)
             if float(delta.max()) < tol:
@@ -288,10 +298,7 @@ def _wigner_eval(
         prev = vals
         npts = 2 * npts - 1
     worst = np.unravel_index(int(np.argmax(delta)), delta.shape)
-    if paired:
-        node = (float(u_vec[worst[0]]), float(v_vec[worst[0]]))
-    else:
-        node = (float(u_vec[worst[0]]), float(v_vec[worst[1]]))
+    node = (float(u_vec[worst[0]]), float(v_vec[worst[-1]]))
     raise QuadratureError(
         f"chord quadrature not converged: Richardson estimate "
         f"{float(delta.max()) / 3.0:.3e} above tolerance at node {node}",

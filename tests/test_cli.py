@@ -355,6 +355,9 @@ def test_nonfinite_and_negative_numbers_rejected(capsys, argv):
     (("fresnel", "--r0", "1000", "--b", "1e16", "--lambda", "1", "zones", "--n", "3"),
      "limit of 1e+15"),
     (("spin", "--j", "1e12", "belts"), "limit of 1000000"),
+    (("wigner", "--state", "vacuum", "--grid", "-1e5:1e5:3"), "limit of 1000000"),
+    (("wigner", "--state", "vacuum", "--grid", "-1:1:3", "--grid-v", "-1e300:1e300:3"),
+     "limit of 1000000"),
 ])
 def test_oversized_numbers_rejected_before_allocation(capsys, argv, limit):
     # each budget is pure arithmetic on the request, so nothing is allocated
@@ -474,6 +477,20 @@ def test_direct_route_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert files[0] == files[1]
 
 
+def test_overflowing_chord_target_exits_promptly():
+    # 6 * half_window * v / pi overflows to inf, which no doubling of the node
+    # count reaches; a subprocess, so a hang fails the test instead of stalling it
+    src = str(Path(phasewave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "phasewave.cli", "wigner", "--state", "vacuum",
+         "--grid", "-1e154:1e154:3", "--method", "direct"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 2
+    assert "limit of 1000000 chord samples" in result.stderr
+
+
 def test_cli_import_needs_no_scipy():
     # numpy is the only runtime dependency; scipy must not come back
     src = str(Path(phasewave.__file__).resolve().parents[1])
@@ -562,33 +579,15 @@ _FRESNEL_ACTIONS = (
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(st.data())
-def test_number_tokens_exit_cleanly(tmp_path_factory, data):
-    # every accepted size stays far below its budget, so each example is quick
-    def number(accepted):
-        if data.draw(st.integers(0, 3)) == 0:  # one number in four is a special token
-            return data.draw(st.sampled_from(_SPECIAL_NUMBERS))
-        return repr(data.draw(accepted))
+def _number(data, accepted, one_in=4):
+    """A drawn number as a token; one in ``one_in`` is a special token instead."""
+    if data.draw(st.integers(0, one_in - 1)) == 0:
+        return data.draw(st.sampled_from(_SPECIAL_NUMBERS))
+    return repr(data.draw(accepted))
 
-    kind = data.draw(st.sampled_from(("spin", "overlap", "fresnel", "mixture")))
-    if kind == "spin":
-        argv = ["spin", "--j", number(st.integers(0, 80).map(lambda k: k / 2)),
-                data.draw(st.sampled_from(("belts", "project")))]
-    elif kind == "overlap":
-        argv = ["overlap", "--beta", number(st.floats(-1.0, 6.0))]
-    elif kind == "fresnel":
-        length = st.floats(1.0, 1e6)
-        argv = ["fresnel", "--r0", number(length), "--b", number(length),
-                "--lambda", number(st.floats(1e-3, 1.0)),
-                "--amplitude", number(st.floats(1e-3, 1e3)),
-                *data.draw(st.sampled_from(_FRESNEL_ACTIONS))]
-    else:
-        weight = st.floats(0.0, 1e308)
-        argv = ["wigner", "--state",
-                f"mixture:fock:1@{number(weight)};coherent:0.5@{number(weight)}",
-                "--grid", "-6:6:3", "--method",
-                data.draw(st.sampled_from(("direct", "parity", "both")))]
+
+def _exits_cleanly(tmp_path_factory, data, argv):
+    """Run ``argv`` through main; exit 0, 2 or 3, no traceback, finite output."""
     workdir = tmp_path_factory.mktemp("fuzz")
     fmt = data.draw(st.sampled_from(("csv", "json")))
     out, err = io.StringIO(), io.StringIO()
@@ -603,3 +602,78 @@ def test_number_tokens_exit_cleanly(tmp_path_factory, data):
         # argparse prefixes its own refusals with the usage text
         assert re.search(r"^(?:phasewave.*: )?error: |^numerical failure: ", err.getvalue(),
                          re.MULTILINE), argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_number_tokens_exit_cleanly(tmp_path_factory, data):
+    # every accepted size stays far below its budget, so each example is quick
+    kind = data.draw(st.sampled_from(("spin", "overlap", "fresnel", "mixture")))
+    if kind == "spin":
+        argv = ["spin", "--j", _number(data, st.integers(0, 80).map(lambda k: k / 2)),
+                data.draw(st.sampled_from(("belts", "project")))]
+    elif kind == "overlap":
+        argv = ["overlap", "--beta", _number(data, st.floats(-1.0, 6.0))]
+    elif kind == "fresnel":
+        length = st.floats(1.0, 1e6)
+        argv = ["fresnel", "--r0", _number(data, length), "--b", _number(data, length),
+                "--lambda", _number(data, st.floats(1e-3, 1.0)),
+                "--amplitude", _number(data, st.floats(1e-3, 1e3)),
+                *data.draw(st.sampled_from(_FRESNEL_ACTIONS))]
+    else:
+        weight = st.floats(0.0, 1e308)
+        argv = ["wigner", "--state",
+                f"mixture:fock:1@{_number(data, weight)};coherent:0.5@{_number(data, weight)}",
+                "--grid", "-6:6:3", "--method",
+                data.draw(st.sampled_from(("direct", "parity", "both")))]
+    _exits_cleanly(tmp_path_factory, data, argv)
+
+
+#: Malformed state specs the state grammar fuzz mixes in.
+_BAD_STATES = ("", "fock:", "coherent:", "coherent:1,2,3", "mixture:", "mixture:vacuum",
+               "vacuum@1", ";", "@", "squeezed:1", " vacuum ")
+
+
+def _state_spec(data, depth=0):
+    """A state spec: vacuum, fock:, coherent:, or a mixture whose components
+    may themselves be mixtures (which the grammar refuses)."""
+    kinds = ("vacuum", "fock", "fock", "coherent", "coherent", "mixture", "bad")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "fock":
+        return "fock:" + _number(data, st.integers(0, 12), 16)
+    if kind == "coherent":
+        parts = data.draw(st.integers(1, 2))
+        amplitude = st.floats(-3.0, 3.0)
+        return "coherent:" + ",".join(_number(data, amplitude, 16) for _ in range(parts))
+    if kind == "mixture" and depth < 2:
+        weight = st.floats(0.0, 1e308)
+        parts = [f"{_state_spec(data, depth + 1)}@{_number(data, weight, 16)}"
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        return "mixture:" + ";".join(parts)
+    if kind == "bad":
+        return data.draw(st.sampled_from(_BAD_STATES))
+    return "vacuum"
+
+
+def _grid_axis(data):
+    """min:max:count with bounds up to +-1e300 and at most 5 nodes; one axis in
+    eight carries a special token, one in sixteen a field too few."""
+    small = st.floats(-8.0, 8.0)
+    bound = st.one_of(small, small, small, st.floats(-1e300, 1e300))
+    lo, hi = sorted(data.draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
+    fields = [repr(lo), repr(hi), repr(data.draw(st.integers(2, 5)))]
+    if data.draw(st.integers(0, 7)) == 0:
+        fields[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(_SPECIAL_NUMBERS))
+    if data.draw(st.integers(0, 15)) == 0:
+        del fields[data.draw(st.integers(0, 2))]
+    return ":".join(fields)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.data())
+def test_state_and_grid_grammars_exit_cleanly(tmp_path_factory, data):
+    argv = ["wigner", "--state", _state_spec(data), "--grid", _grid_axis(data)]
+    if data.draw(st.booleans()):
+        argv += ["--grid-v", _grid_axis(data)]
+    argv += ["--method", data.draw(st.sampled_from(("direct", "parity", "both")))]
+    _exits_cleanly(tmp_path_factory, data, argv)

@@ -104,6 +104,13 @@ class TestEigenfunctions:
         with pytest.raises(ValidationError):
             _psi(3, np.array([0.0, np.inf]))
 
+    def test_far_samples_are_zero_without_overflow(self):
+        # x * x overflows beyond 1.3e154; RuntimeWarning is an error in this suite
+        xs = np.array([38.0, 39.0, 1e154, -1e200, 1.7e308])
+        vals = _psi(12, xs)
+        assert vals[0] != 0.0
+        assert np.all(vals[1:] == 0.0)
+
 
 class TestCoherentAmplitudes:
     def test_vacuum(self):

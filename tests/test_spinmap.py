@@ -170,3 +170,15 @@ class TestProjectedAreas:
         assert (n, m, lo) == (0, -1.5, 0.0)
         assert area == pytest.approx(math.pi * hi * hi, rel=1e-12)
 
+    @pytest.mark.parametrize("j", [0.5, 1.0, 7.5, 200.0, 320.0, 320.5])
+    def test_band_table_matches_per_belt_projection(self, j):
+        # reference: each belt's two edges projected one call at a time, then sorted
+        want = []
+        for n, belt in enumerate(belts(j)):
+            lo, hi = sorted((project(j, belt.z_lo), project(j, belt.z_hi)))
+            want.append((n, belt.m, lo, hi, math.pi * (hi * hi - lo * lo)))
+        rows = band_table(j)
+        assert repr(rows) == repr(want)  # bit for bit, Python ints and floats
+        for n in sorted({0, 1, len(rows) // 3, len(rows) // 2, len(rows) - 1}):
+            assert repr(projected_band(j, n)) == repr(rows[n][2:4])
+            assert repr(projected_band_area(j, n)) == repr(rows[n][4])

@@ -1,5 +1,5 @@
 """The benchmark tracer's hold on the package: every name it wraps exists, and
-the Wigner routes fire its layer counters.
+the Wigner, Fresnel and spin layers fire its counters.
 
 ``bench/tracing.py`` wraps private kernels by name and reads their arguments,
 so a kernel refactor that renames one or changes its arguments breaks the
@@ -54,3 +54,26 @@ def test_traced_wigner_routes_fire_their_counters(tracing):
     assert counts["wigner.direct.chord_evals"] > 0
     self_s, _ = tracer.self_times()
     assert {"fock.displacement", "wigner.parity", "wigner.direct"} <= set(self_s)
+
+
+def test_traced_fresnel_and_spin_layers_fire_their_counters(tracing):
+    fresnel, spinmap = phasewave.fresnel, phasewave.spinmap
+    raw = fresnel._segment_integral
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer, phasewave)
+    try:
+        rows = spinmap.band_table(7.5)
+        spinmap.belts(0.5)
+        geom = fresnel.FresnelGeometry(r0=100.0, b=100.0, wavelength=1.0)
+        fresnel.zone_sum(geom, 4)
+        fresnel.huygens_integral(geom, fresnel.zone_boundary_angle(geom, 3))
+    finally:
+        tracing.uninstall(undo)
+    assert fresnel._segment_integral is raw
+    counts = tracer.counts
+    assert counts["spinmap.bands"] == len(rows) == 16
+    assert counts["spinmap.belts_calls"] == 2  # band_table's own, then the direct call
+    assert counts["fresnel.segments"] == 2  # one call per zone series, one per integral
+    assert counts["fresnel.boundary_angles"] == 1
+    self_s, _ = tracer.self_times()
+    assert {"spinmap", "fresnel"} <= set(self_s)

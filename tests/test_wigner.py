@@ -185,6 +185,25 @@ class TestDirectRoute:
             )
         assert err.value.worst_node is not None
 
+    @pytest.mark.parametrize("call", [
+        lambda rho: wigner_values(rho, 0.0, 1e300),
+        lambda rho: wigner_values(rho, 0.0, 0.0, min_points=10**7),
+        lambda rho: wigner_values(rho, 1e308, 0.0),  # window inf, target inf * 0
+        # a first level of 1025 nodes would hold 2000 x 1025 complex samples (33 MB)
+        lambda rho: wigner_direct(rho, PhaseGrid(-5.0, 5.0, -20.0, 20.0, 2000, 2)),
+        lambda rho: wigner_direct(rho, PhaseGrid(-1e154, 1e154, -1e154, 1e154, 3, 3)),
+    ])
+    def test_chord_budget_refuses_before_allocation(self, call):
+        rho = FockState.vacuum().density()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="limit of 1000000 chord samples"):
+                call(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestParityRoute:
     def test_vacuum_parity_at_origin(self):
@@ -657,3 +676,8 @@ class TestFieldSerialization:
             PhaseGrid(False, True, -1.0, 1.0, 3, 3)
         with pytest.raises(ValidationError, match="v_max - v_min overflows"):
             PhaseGrid(-1.0, 1.0, -1e308, 1e308, 3, 3)
+        for i in range(4):  # an integer bound beyond the double range
+            bounds = [-1, 1, -1, 1]
+            bounds[i] = (-1) ** (i + 1) * 10**400
+            with pytest.raises(ValidationError, match="bounds must be finite doubles"):
+                PhaseGrid(*bounds, 3, 3)
