@@ -25,9 +25,10 @@ _EXPORTS = {
         "EPS_TAIL", "DensityMatrix", "FockState", "coherent_amplitudes",
         "default_cutoff", "displacement_certified_span", "energy_distribution",
     ),
+    "field": ("PhaseGrid", "WignerField"),
     "wigner": (
         "UV_TO_ALPHA", "ContainmentWarning", "ConventionReport", "ParitySum",
-        "PhaseGrid", "WignerField", "alpha_from_uv", "convention_check",
+        "alpha_from_uv", "convention_check",
         "parity_sum", "radon_slice", "rotated_quadrature",
         "wigner_direct", "wigner_parity", "wigner_values",
     ),

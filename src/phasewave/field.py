@@ -1,0 +1,288 @@
+"""Wigner values on a rectangular phase grid, and their CSV and JSON codecs.
+
+Standard library only, so ``validate --kind wigner`` reads, checks and
+re-writes a field without importing numpy.  The grid axes are lists of
+floats equal bit for bit to ``np.linspace``; the numerics wrap them with
+``np.asarray``.  A field's ``values`` ndarray is built, and numpy
+imported, on its first use.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import numbers
+import sys
+from dataclasses import dataclass
+from itertools import chain
+
+from .errors import ValidationError
+
+#: Hard bound of the dimensionless Wigner function, with roundoff slack.
+WIGNER_BOUND = 1.0 / math.pi + 1e-6
+
+#: Largest n_u * n_v a PhaseGrid may hold (the Fresnel quadrature-point budget).
+MAX_GRID_NODES = 4_000_000
+
+#: Characters of CSV body parsed per block; a block ends at a newline.
+_BLOCK_CHARS = 1 << 20
+
+_JSON_NUMBERS = {float, int}
+
+
+def _axis(lo, hi, n: int) -> list:
+    """n nodes from lo to hi, computed as np.linspace(lo, hi, n) computes them."""
+    lo, hi = float(lo), float(hi)
+    div = n - 1
+    step = (hi - lo) / div
+    if step == 0.0:  # the span underflows over div steps: subnormal spans
+        span = hi - lo
+        nodes = [i / div * span + lo for i in range(n)]
+    else:
+        nodes = [i * step + lo for i in range(n)]
+    nodes[-1] = hi
+    return nodes
+
+
+@dataclass(frozen=True)
+class PhaseGrid:
+    """Rectangular sampling of the (u, v) phase plane."""
+
+    u_min: float
+    u_max: float
+    v_min: float
+    v_max: float
+    n_u: int
+    n_v: int
+
+    def __post_init__(self):
+        for lo, hi, n, name in (
+            (self.u_min, self.u_max, self.n_u, "u"),
+            (self.v_min, self.v_max, self.n_v, "v"),
+        ):
+            if any(isinstance(b, bool) or not isinstance(b, numbers.Real)
+                   for b in (lo, hi)):
+                raise ValidationError(f"{name} bounds must be real numbers")
+            if not isinstance(n, numbers.Integral):
+                raise ValidationError(f"n_{name} must be an integer")
+            if not all(abs(b) <= sys.float_info.max for b in (lo, hi)):  # an int may exceed it
+                raise ValidationError(f"{name} bounds must be finite doubles")
+            if hi <= lo:
+                raise ValidationError(f"{name}_max must exceed {name}_min")
+            if float(hi) - float(lo) == math.inf:  # Python floats: no overflow warning
+                raise ValidationError(f"{name}_max - {name}_min overflows a double")
+            if n < 2:
+                raise ValidationError(f"n_{name} must be at least 2")
+        if self.n_u * self.n_v > MAX_GRID_NODES:
+            raise ValidationError(
+                f"{self.n_u} x {self.n_v} grid nodes exceed the limit of {MAX_GRID_NODES}"
+            )
+
+    @property
+    def u_axis(self) -> list:
+        return _axis(self.u_min, self.u_max, self.n_u)
+
+    @property
+    def v_axis(self) -> list:
+        return _axis(self.v_min, self.v_max, self.n_v)
+
+    @property
+    def cell_area(self) -> float:
+        du = (self.u_max - self.u_min) / (self.n_u - 1)
+        dv = (self.v_max - self.v_min) / (self.n_v - 1)
+        return du * dv
+
+    @property
+    def max_extent(self) -> float:
+        return max(abs(self.u_min), abs(self.u_max), abs(self.v_min), abs(self.v_max))
+
+
+def _csv_columns(chunk: str):
+    """The u, v and w tokens of consecutive CSV rows (no trailing newline).
+
+    Rows are joined as ``u,v,w,<newline>,u,v,w,...``, so every row has
+    three columns exactly when the newlines are every fourth token and
+    nowhere else.  Empty rows are skipped; a carriage return may only end a
+    row.
+    """
+    if "\r" in chunk:
+        if chunk.count("\r") != chunk.count("\r\n") + chunk.endswith("\r"):
+            raise ValidationError("malformed field CSV: carriage return inside a row")
+        chunk = chunk.replace("\r\n", "\n").removesuffix("\r")
+    if "_" in chunk:  # float() reads 1_0 as 10, but no field file holds one
+        raise ValidationError("malformed field CSV: underscore in a number")
+    if not chunk.isascii() and not all(c.isspace() for c in set(chunk) if not c.isascii()):
+        raise ValidationError("malformed field CSV: non-ASCII character in a number")
+    breaks = chunk.count("\n")
+    toks = chunk.replace("\n", ",\n,").split(",")
+    if len(toks) != 4 * breaks + 3 or toks[3::4].count("\n") != breaks:
+        rows = [row for row in chunk.split("\n") if row]
+        for row in rows:
+            if row.count(",") != 2:
+                raise ValidationError(
+                    f"expected 3 columns u,v,w, found {row.count(',') + 1}"
+                )
+        if not rows:
+            return [], [], []
+        toks = "\n".join(rows).replace("\n", ",\n,").split(",")
+    return toks[0::4], toks[1::4], toks[2::4]
+
+
+class WignerField:
+    """Wigner values sampled on a PhaseGrid, shape (n_u, n_v).
+
+    The samples are held as one flat list of floats in C order, checked on
+    construction for shape, finiteness and the Wigner bound 1/pi;
+    ``values``, a read-only (n_u, n_v) ndarray, is built on first use.
+
+    Serialized layouts (both lossless for doubles):
+
+    * CSV: header ``u,v,w``, then one row ``u,v,w`` per node, u-major with
+      v varying fastest, i.e. ``values`` in C order; every number ``%.17g``.
+    * JSON: ``{"grid": {"u_min", "u_max", "v_min", "v_max", "n_u", "n_v"},
+      "values": [[...n_v...], ...n_u rows...]}``, written by ``json.dumps``,
+      so each float is Python's shortest round-trip repr (``-1.0``, not ``-1``).
+
+    The readers accept exactly these layouts and raise ValidationError on
+    anything else, including CSV nodes in any other order or not evenly
+    spaced between the axis bounds; non-finite values are rejected too.
+    The CSV body is parsed in newline-aligned blocks: each distinct u or v
+    token is converted once, each w token once.
+    """
+
+    def __init__(self, grid: PhaseGrid, values):
+        rows = values.tolist() if hasattr(values, "tolist") else values
+        try:
+            shaped = len(rows) == grid.n_u and all(len(row) == grid.n_v for row in rows)
+            flat = list(map(float, chain.from_iterable(rows))) if shaped else None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"values are not rows of numbers: {exc}") from exc
+        if flat is None:
+            raise ValidationError(f"values do not form {grid.n_u} rows of {grid.n_v} numbers")
+        self._adopt(grid, flat)
+
+    def _adopt(self, grid: PhaseGrid, flat: list) -> None:
+        if not all(map(math.isfinite, flat)):
+            raise ValidationError("Wigner values must be finite")
+        peak = max(map(abs, flat))
+        if peak > WIGNER_BOUND:
+            raise ValidationError(
+                f"values exceed the Wigner bound 1/pi: max |W| = {peak:.6e}"
+            )
+        self.grid = grid
+        self._flat = flat
+        self._values = None
+
+    @property
+    def values(self):
+        """The samples as a read-only (n_u, n_v) float ndarray."""
+        if self._values is None:
+            import numpy as np
+
+            vals = np.array(self._flat, dtype=float).reshape(self.grid.n_u, self.grid.n_v)
+            vals.setflags(write=False)
+            self._values = vals
+        return self._values
+
+    def normalization(self) -> float:
+        """Riemann-sum integral of the field; 1 for a well-contained state."""
+        return float(self.values.sum() * self.grid.cell_area)
+
+    # -- serialization ----------------------------------------------------
+
+    def to_csv(self) -> str:
+        """CSV with header u,v,w, u-major nodes (v fastest), 17 significant digits."""
+        us = ["%.17g," % x for x in self.grid.u_axis]
+        vs = ["%.17g," % x for x in self.grid.v_axis]
+        # one %-template holds every node's "u,v," text; the axes contain no "%"
+        w = "%.17g\n"
+        template = "".join([u + (w + u).join(vs) + w for u in us])
+        return "u,v,w\n" + template % tuple(self._flat)
+
+    @classmethod
+    def from_csv(cls, text: str) -> "WignerField":
+        """Read the layout :meth:`to_csv` writes; nodes must be in its order."""
+        header, _, body = text.partition("\n")
+        if header.rstrip("\r") != "u,v,w":
+            raise ValidationError("expected header u,v,w")
+        if not body or body.isspace():
+            raise ValidationError("no data rows")
+        number = {}  # each distinct u or v token, converted once
+        us, vs, ws = [], [], []
+        pos = 0
+        while pos < len(body):
+            end = body.find("\n", pos + _BLOCK_CHARS)
+            if end < 0:  # the last block; a final newline ends no row
+                end = len(body) - body.endswith("\n")
+            u_toks, v_toks, w_toks = _csv_columns(body[pos:end])
+            new = set(u_toks).union(v_toks).difference(number)
+            try:
+                number.update(zip(new, map(float, new)))
+                ws += map(float, w_toks)
+            except ValueError as exc:
+                raise ValidationError(f"malformed field CSV: {exc}") from exc
+            us += map(number.__getitem__, u_toks)
+            vs += map(number.__getitem__, v_toks)
+            pos = end + 1
+        bounds = []
+        for name, column in (("u", us), ("v", vs)):
+            nodes = set(column)
+            if not all(map(math.isfinite, nodes)):
+                raise ValidationError(f"{name} bounds must be finite doubles")
+            bounds += [min(nodes), max(nodes), len(nodes)]
+        u_lo, u_hi, n_u, v_lo, v_hi, n_v = bounds
+        grid = PhaseGrid(u_lo, u_hi, v_lo, v_hi, n_u, n_v)
+        # against the grid's own axes, so uneven nodes are refused, not relabelled
+        if us != [u for u in grid.u_axis for _ in range(n_v)] or vs != grid.v_axis * n_u:
+            raise ValidationError(
+                "nodes do not form a complete, evenly spaced rectangular grid "
+                "in u-major, v-fastest order"
+            )
+        field = cls.__new__(cls)
+        field._adopt(grid, ws)
+        return field
+
+    def to_json_dict(self) -> dict:
+        g = self.grid
+        flat = self._flat
+        return {
+            "grid": {
+                "u_min": g.u_min, "u_max": g.u_max,
+                "v_min": g.v_min, "v_max": g.v_max,
+                "n_u": g.n_u, "n_v": g.n_v,
+            },
+            "values": [flat[i : i + g.n_v] for i in range(0, len(flat), g.n_v)],
+        }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict())``, encoded one row at a time.
+
+        One join of the rows' texts: json.dumps would hold every number's
+        text as a separate string before its join.
+        """
+        obj = self.to_json_dict()
+        parts = ['{"grid": ', json.dumps(obj["grid"]), ', "values": [']
+        for row in obj["values"]:
+            parts += (json.dumps(row), ", ")
+        parts[-1] = "]}"
+        return "".join(parts)
+
+    @classmethod
+    def from_json(cls, text: str) -> "WignerField":
+        """Read the layout :meth:`to_json` writes; every value is a JSON number."""
+        try:
+            obj = json.loads(text)
+            g = obj["grid"]
+            grid = PhaseGrid(
+                g["u_min"], g["u_max"], g["v_min"], g["v_max"], g["n_u"], g["n_v"]
+            )
+            rows = obj["values"]
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed field JSON: {exc}") from exc
+        if type(rows) is not list or not all(type(row) is list for row in rows):
+            raise ValidationError("malformed field JSON: values must be a list of rows")
+        if not set(map(type, chain.from_iterable(rows))) <= _JSON_NUMBERS:
+            raise ValidationError("malformed field JSON: values must be numbers")
+        return cls(grid, rows)

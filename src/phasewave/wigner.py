@@ -25,11 +25,7 @@ frozen in :data:`UV_TO_ALPHA` and re-derivable with
 
 from __future__ import annotations
 
-import io
-import json
 import math
-import numbers
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -42,21 +38,17 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
+from .field import PhaseGrid, WignerField  # noqa: F401  (re-exported, the same objects)
 
 #: Displacement amplitude per unit of (u + i*v).  Fixed empirically by
 #: convention_check: only alpha = (u + i*v)/sqrt(2) makes the alternating
 #: parity sum equal 2*pi times the direct Fourier-integral value.
 UV_TO_ALPHA = 1.0 / math.sqrt(2.0)
 
-#: Hard bound of the dimensionless Wigner function, with roundoff slack.
-WIGNER_BOUND = 1.0 / math.pi + 1e-6
-
-#: Largest n_u * n_v a PhaseGrid may hold (the Fresnel quadrature-point budget).
-MAX_GRID_NODES = 4_000_000
-
-#: Largest grid rows x chord nodes the direct route's first quadrature level
-#: may need; a complex (rows, nodes) array then holds 16-32 MB, and each
-#: refinement doubles it.
+#: Largest grid rows x chord nodes of any level of the direct route's chord
+#: quadrature; a complex (rows, nodes) array then holds at most 16 MB.  A grid
+#: whose first two levels exceed it is refused before anything is sampled; a
+#: later level that would exceed it ends the refinement unconverged.
 MAX_CHORD_SAMPLES = 1_000_000
 
 
@@ -67,169 +59,6 @@ class ContainmentWarning(UserWarning):
 def alpha_from_uv(u, v) -> np.ndarray:
     """Displacement amplitude matching phase-plane coordinates (u, v)."""
     return (np.asarray(u, dtype=float) + 1j * np.asarray(v, dtype=float)) * UV_TO_ALPHA
-
-
-@dataclass(frozen=True)
-class PhaseGrid:
-    """Rectangular sampling of the (u, v) phase plane."""
-
-    u_min: float
-    u_max: float
-    v_min: float
-    v_max: float
-    n_u: int
-    n_v: int
-
-    def __post_init__(self):
-        for lo, hi, n, name in (
-            (self.u_min, self.u_max, self.n_u, "u"),
-            (self.v_min, self.v_max, self.n_v, "v"),
-        ):
-            if any(isinstance(b, bool) or not isinstance(b, numbers.Real)
-                   for b in (lo, hi)):
-                raise ValidationError(f"{name} bounds must be real numbers")
-            if not isinstance(n, numbers.Integral):
-                raise ValidationError(f"n_{name} must be an integer")
-            if not all(abs(b) <= sys.float_info.max for b in (lo, hi)):  # an int may exceed it
-                raise ValidationError(f"{name} bounds must be finite doubles")
-            if hi <= lo:
-                raise ValidationError(f"{name}_max must exceed {name}_min")
-            if float(hi) - float(lo) == math.inf:  # Python floats: no overflow warning
-                raise ValidationError(f"{name}_max - {name}_min overflows a double")
-            if n < 2:
-                raise ValidationError(f"n_{name} must be at least 2")
-        if self.n_u * self.n_v > MAX_GRID_NODES:
-            raise ValidationError(
-                f"{self.n_u} x {self.n_v} grid nodes exceed the limit of {MAX_GRID_NODES}"
-            )
-
-    @property
-    def u_axis(self) -> np.ndarray:
-        return np.linspace(self.u_min, self.u_max, self.n_u)
-
-    @property
-    def v_axis(self) -> np.ndarray:
-        return np.linspace(self.v_min, self.v_max, self.n_v)
-
-    @property
-    def cell_area(self) -> float:
-        du = (self.u_max - self.u_min) / (self.n_u - 1)
-        dv = (self.v_max - self.v_min) / (self.n_v - 1)
-        return du * dv
-
-    @property
-    def max_extent(self) -> float:
-        return max(abs(self.u_min), abs(self.u_max), abs(self.v_min), abs(self.v_max))
-
-
-class WignerField:
-    """Wigner values sampled on a PhaseGrid, shape (n_u, n_v).
-
-    Serialized layouts (both lossless for doubles):
-
-    * CSV: header ``u,v,w``, then one row ``u,v,w`` per node, u-major with
-      v varying fastest, i.e. ``values`` in C order; every number ``%.17g``.
-    * JSON: ``{"grid": {"u_min", "u_max", "v_min", "v_max", "n_u", "n_v"},
-      "values": [[...n_v...], ...n_u rows...]}``, written by ``json.dumps``,
-      so each float is Python's shortest round-trip repr (``-1.0``, not ``-1``).
-
-    The readers accept exactly these layouts and raise ValidationError on
-    anything else, including CSV nodes in any other order or not evenly
-    spaced between the axis bounds; non-finite values are rejected too.
-    """
-
-    def __init__(self, grid: PhaseGrid, values):
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (grid.n_u, grid.n_v):
-            raise ValidationError(
-                f"values shape {vals.shape} does not match grid ({grid.n_u}, {grid.n_v})"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("Wigner values must be finite")
-        if float(np.max(np.abs(vals))) > WIGNER_BOUND:
-            raise ValidationError(
-                f"values exceed the Wigner bound 1/pi: max |W| = {np.max(np.abs(vals)):.6e}"
-            )
-        self.grid = grid
-        self.values = vals
-        self.values.setflags(write=False)
-
-    def normalization(self) -> float:
-        """Riemann-sum integral of the field; 1 for a well-contained state."""
-        return float(self.values.sum() * self.grid.cell_area)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_csv(self) -> str:
-        """CSV with header u,v,w, u-major nodes (v fastest), 17 significant digits."""
-        us = ["%.17g," % x for x in self.grid.u_axis.tolist()]
-        vs = ["%.17g," % x for x in self.grid.v_axis.tolist()]
-        # one %-template holds every node's "u,v," text; the axes contain no "%"
-        w = "%.17g\n"
-        template = "".join([u + (w + u).join(vs) + w for u in us])
-        return "u,v,w\n" + template % tuple(self.values.ravel().tolist())
-
-    @classmethod
-    def from_csv(cls, text: str) -> "WignerField":
-        """Read the layout :meth:`to_csv` writes; nodes must be in its order."""
-        header, _, body = text.partition("\n")
-        if header.rstrip("\r") != "u,v,w":
-            raise ValidationError("expected header u,v,w")
-        if not body.strip():
-            raise ValidationError("no data rows")
-        try:
-            data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:
-            raise ValidationError(f"malformed field CSV: {exc}") from exc
-        if data.shape[1] != 3:
-            raise ValidationError(f"expected 3 columns u,v,w, found {data.shape[1]}")
-        u_axis = np.unique(data[:, 0])
-        v_axis = np.unique(data[:, 1])
-        grid = PhaseGrid(
-            float(u_axis[0]), float(u_axis[-1]),
-            float(v_axis[0]), float(v_axis[-1]),
-            int(u_axis.size), int(v_axis.size),
-        )
-        # against the grid's own axes, so uneven nodes are refused, not relabelled
-        if not (
-            np.array_equal(data[:, 0], np.repeat(grid.u_axis, grid.n_v))
-            and np.array_equal(data[:, 1], np.tile(grid.v_axis, grid.n_u))
-        ):
-            raise ValidationError(
-                "nodes do not form a complete, evenly spaced rectangular grid "
-                "in u-major, v-fastest order"
-            )
-        return cls(grid, data[:, 2].reshape(grid.n_u, grid.n_v))
-
-    def to_json_dict(self) -> dict:
-        g = self.grid
-        return {
-            "grid": {
-                "u_min": g.u_min, "u_max": g.u_max,
-                "v_min": g.v_min, "v_max": g.v_max,
-                "n_u": g.n_u, "n_v": g.n_v,
-            },
-            "values": self.values.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "WignerField":
-        """Read the layout :meth:`to_json` writes."""
-        try:
-            obj = json.loads(text)
-            g = obj["grid"]
-            grid = PhaseGrid(
-                g["u_min"], g["u_max"], g["v_min"], g["v_max"], g["n_u"], g["n_v"]
-            )
-            values = np.array(obj["values"], dtype=float)
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed field JSON: {exc}") from exc
-        return cls(grid, values)
 
 
 # -- direct Fourier-integral route ----------------------------------------
@@ -270,19 +99,23 @@ def _wigner_eval(
     v_scale = float(np.max(np.abs(v_vec))) if v_vec.size else 0.0
     chord_nodes = 6.0 * half_window * v_scale / math.pi
     need = max(chord_nodes, min_points or 0)
-    if not u_vec.size * need <= MAX_CHORD_SAMPLES:  # also refuses inf and nan
-        raise ValidationError(
-            f"{u_vec.size} rows x {need:.6g} chord nodes exceed the limit of "
-            f"{MAX_CHORD_SAMPLES} chord samples"
-        )
+    rows = max(u_vec.size, v_vec.size)  # the integrand's and the phases' rows
     npts = 257
-    while npts < chord_nodes:
-        npts = 2 * npts - 1
-    if min_points is not None:
-        npts = max(npts, int(min_points))
+    if need <= MAX_CHORD_SAMPLES:  # false for inf and nan, which never end the doubling
+        while npts < chord_nodes:
+            npts = 2 * npts - 1
+        npts = max(npts, int(min_points or 0))
+    # convergence takes two levels; the second has 2 * npts - 1 nodes
+    if not (need <= MAX_CHORD_SAMPLES and rows * (2 * npts - 1) <= MAX_CHORD_SAMPLES):
+        raise ValidationError(
+            f"{rows} rows x {max(need, 2 * npts - 1):.6g} chord nodes exceed the limit "
+            f"of {MAX_CHORD_SAMPLES} chord samples"
+        )
     tol = rel_tol / math.pi
     prev = None
     for _ in range(max_refinements):
+        if rows * npts > MAX_CHORD_SAMPLES:
+            break  # refused below, with the last level's Richardson estimate
         y = np.linspace(-half_window, half_window, npts)
         wy = np.full(npts, y[1] - y[0])
         wy[0] *= 0.5
@@ -436,7 +269,7 @@ def wigner_parity(
     sits, its largest |beta - alpha|.  A TruncationError there refuses the
     grid.
     """
-    u, v = grid.u_axis, grid.v_axis
+    u, v = np.asarray(grid.u_axis), np.asarray(grid.v_axis)
     _parity_sums(rho, alpha_from_uv(u[[0, 0, -1, -1]], v[[0, -1, 0, -1]]), n_max)
     uu, vv = np.meshgrid(u, v, indexing="ij")
     sums = _royer_sums(rho, alpha_from_uv(uu.ravel(), vv.ravel()))

@@ -491,6 +491,40 @@ def test_overflowing_chord_target_exits_promptly():
     assert "limit of 1000000 chord samples" in result.stderr
 
 
+#: Runs argv (after the launcher's own argv[1]) as a forked child and prints
+#: its exit code and peak RSS in kB.  The child is forked from this small
+#: launcher, because Linux carries the forking process's RSS high-water mark
+#: into the child's ru_maxrss.
+_PEAK_LAUNCHER = (
+    "import os, sys\n"
+    "pid = os.fork()\n"
+    "if pid == 0:\n"
+    "    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.fork and os.wait4")
+def test_unconverged_chord_quadrature_stops_at_the_sample_budget():
+    # the window spans |u| <= 1e4 while |v| <= 1e-3 asks for few nodes, so the
+    # levels never agree: the refinement stops before 101 rows x 16385 nodes
+    # (1.65e6 samples) and reports the 8193-node level's estimate.  Measured
+    # peak 101 MB; it was 309 MB when all eight levels up to 32769 nodes ran.
+    src = str(Path(phasewave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_LAUNCHER, "-m", "phasewave.cli", "wigner",
+         "--state", "vacuum", "--grid", "-10000:10000:101", "--grid-v", "-1e-3:1e-3:2",
+         "--method", "direct"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    code, peak_kb = map(int, result.stdout.split())
+    assert code == 3
+    assert "chord quadrature not converged: Richardson estimate" in result.stderr
+    assert peak_kb < 160 * 1024
+
+
 def test_cli_import_needs_no_scipy():
     # numpy is the only runtime dependency; scipy must not come back
     src = str(Path(phasewave.__file__).resolve().parents[1])
@@ -543,6 +577,25 @@ def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
     )
     assert codes == [0, 0, 0]
     assert loaded == set()
+
+    # a Wigner field is read, checked and re-written with the standard library
+    field_csv, field_json = tmp_path / "w.csv", tmp_path / "w.json"
+    field_csv.write_text((golden / "wigner_fock1_both.out").read_text())
+    codes, _ = _fresh_cli(["--format", "json", "--out", str(field_json), "wigner",
+                           "--state", "fock:1", "--grid", "-4:4:5", "--method", "parity"])
+    assert codes == [0]
+    codes, loaded = _fresh_cli(
+        ["validate", "--kind", "wigner", str(field_csv)],
+        ["validate", "--kind", "wigner", str(field_json)],
+    )
+    assert codes == [0, 0]
+    assert loaded == set()
+    src = str(Path(phasewave.__file__).resolve().parents[1])
+    probe = (f"import sys, phasewave; phasewave.PhaseGrid; phasewave.WignerField; "
+             f"print(sorted(m for m in {_WATCHED!r} if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
     codes, loaded = _fresh_cli(["--out", str(tmp_path / "z.csv"), "fresnel", "--r0", "100",
                                 "--b", "100", "--lambda", "1", "zones", "--n", "3"])

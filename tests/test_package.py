@@ -46,3 +46,12 @@ def test_dir_lists_every_public_name():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_wigner_reexports_the_field_classes():
+    # bench/tracing.py wraps the codecs as attributes of wigner.WignerField and
+    # counts wigner.wigner_parity's result through its values
+    from phasewave import field, wigner
+
+    assert wigner.WignerField is field.WignerField is phasewave.WignerField
+    assert wigner.PhaseGrid is field.PhaseGrid is phasewave.PhaseGrid

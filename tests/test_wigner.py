@@ -681,3 +681,302 @@ class TestFieldSerialization:
             bounds[i] = (-1) ** (i + 1) * 10**400
             with pytest.raises(ValidationError, match="bounds must be finite doubles"):
                 PhaseGrid(*bounds, 3, 3)
+
+
+class TestGridAxes:
+    @staticmethod
+    def _cases(rng):
+        """(lo, hi, n) triples over float, int64, subnormal and near-maximal spans."""
+        big = 1.7976931348623157e308
+        for k in range(2500):
+            n = int(round(math.exp(rng.uniform(math.log(2), math.log(3000)))))
+            family = k % 5
+            if family == 0:  # floats of any scale
+                scale = 10.0 ** rng.uniform(-300, 300)
+                lo, span = rng.uniform(-scale, scale), scale * rng.uniform(1e-6, 2.0)
+                hi = lo + span
+            elif family == 1:  # integers within int64
+                lo = int(rng.integers(-2**63, 2**63 - 2))
+                hi = int(rng.integers(lo + 1, 2**63))
+            elif family == 2:  # subnormal spans: the step underflows to 0
+                lo = float(rng.choice([0.0, -1e-310, 2.5e-320]))
+                hi = lo + 5e-324 * int(rng.integers(1, 2 * n))
+            elif family == 3:  # spans near the double maximum
+                lo = -big * rng.uniform(0.0, 0.5)
+                hi = big * rng.uniform(0.5, 1.0) + lo
+                hi = min(hi, big)
+            else:  # small integers and mixed int/float bounds
+                lo = int(rng.integers(-50, 50))
+                hi = float(lo + rng.uniform(1e-12, 100.0))
+            if hi > lo:
+                yield lo, hi, n
+
+    def test_axes_match_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        checked = underflows = 0
+        for lo, hi, n in self._cases(rng):
+            grid = PhaseGrid(lo, hi, 0.0, 1.0, n, 2)
+            ref = np.linspace(lo, hi, n)
+            assert np.asarray(grid.u_axis).tobytes() == ref.tobytes(), (lo, hi, n)
+            checked += 1
+            underflows += (float(hi) - float(lo)) / (n - 1) == 0.0
+        assert checked > 2000 and underflows > 100
+
+    def test_axes_come_from_float_bounds(self):
+        grid = PhaseGrid(-10**20, 10**20, -1, 1, 3, 3)
+        assert grid.u_axis == [-1e20, 0.0, 1e20]
+        assert all(type(x) is float for x in grid.u_axis + grid.v_axis)
+        with pytest.raises(ValidationError, match="limit of 1000000 chord samples"):
+            wigner_direct(FockState.vacuum().density(), grid)
+
+    def test_field_with_integer_bounds_beyond_int64_rewrites(self):
+        text = ('{"grid": {"u_min": -100000000000000000000, "u_max": 100000000000000000000, '
+                '"v_min": -1, "v_max": 1, "n_u": 3, "n_v": 3}, '
+                '"values": [[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1]]}')
+        field = WignerField.from_json(text)
+        assert field.to_json() == text
+        assert field.to_csv().splitlines()[1:4] == [
+            "-1e+20,-1,0.10000000000000001", "-1e+20,0,0.10000000000000001",
+            "-1e+20,1,0.10000000000000001",
+        ]
+
+
+def _reference_field(grid, values):
+    """The numpy field checks, the oracle for WignerField's constructor."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (grid.n_u, grid.n_v):
+        raise ValidationError("values shape does not match the grid")
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError("Wigner values must be finite")
+    if float(np.max(np.abs(vals))) > 1.0 / math.pi + 1e-6:
+        raise ValidationError("values exceed the Wigner bound 1/pi")
+    return grid, vals
+
+
+def _reference_from_csv(text):
+    """The np.loadtxt / np.unique CSV reader, the oracle for WignerField.from_csv."""
+    header, _, body = text.partition("\n")
+    if header.rstrip("\r") != "u,v,w":
+        raise ValidationError("expected header u,v,w")
+    if not body.strip():
+        raise ValidationError("no data rows")
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValidationError(f"malformed field CSV: {exc}") from exc
+    if data.shape[1] != 3:
+        raise ValidationError("expected 3 columns u,v,w")
+    u_axis, v_axis = np.unique(data[:, 0]), np.unique(data[:, 1])
+    grid = PhaseGrid(float(u_axis[0]), float(u_axis[-1]), float(v_axis[0]),
+                     float(v_axis[-1]), int(u_axis.size), int(v_axis.size))
+    us = np.linspace(grid.u_min, grid.u_max, grid.n_u)
+    vs = np.linspace(grid.v_min, grid.v_max, grid.n_v)
+    if not (np.array_equal(data[:, 0], np.repeat(us, grid.n_v))
+            and np.array_equal(data[:, 1], np.tile(vs, grid.n_u))):
+        raise ValidationError("nodes are not in u-major, v-fastest order")
+    return _reference_field(grid, data[:, 2].reshape(grid.n_u, grid.n_v))
+
+
+def _reference_from_json(text):
+    """The np.array JSON reader, the oracle for WignerField.from_json."""
+    try:
+        obj = json.loads(text)
+        g = obj["grid"]
+        grid = PhaseGrid(g["u_min"], g["u_max"], g["v_min"], g["v_max"], g["n_u"], g["n_v"])
+        values = np.array(obj["values"], dtype=float)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed field JSON: {exc}") from exc
+    return _reference_field(grid, values)
+
+
+def _edit_row(fn):
+    """A CSV perturbation applying ``fn(row, rng)`` to one data row."""
+    def perturb(text, rng):
+        rows = text.split("\n")
+        k = int(rng.integers(1, len(rows) - 1))
+        rows[k] = fn(rows[k], rng)
+        return "\n".join(rows)
+    return perturb
+
+
+def _edit_token(column, fn):
+    return _edit_row(lambda row, rng: ",".join(
+        fn(tok) if i == column else tok for i, tok in enumerate(row.split(","))))
+
+
+def _insert_rows(extra):
+    def perturb(text, rng):
+        rows = text.split("\n")
+        k = int(rng.integers(1, len(rows)))
+        return "\n".join(rows[:k] + [extra] + rows[k:])
+    return perturb
+
+
+def _swap_rows(text, rng):
+    rows = text.split("\n")
+    k = int(rng.integers(1, len(rows) - 2))
+    rows[k], rows[k + 1] = rows[k + 1], rows[k]
+    return "\n".join(rows)
+
+
+def _respell(tok):
+    """The same double in another spelling: exponent form, explicit sign."""
+    x = float(tok)
+    return ("%.17e" % x) if x < 0 else "+" + repr(x)
+
+
+#: name -> perturbation of a well-formed CSV text
+_CSV_PERTURBATIONS = {
+    "as_written": lambda text, rng: text,
+    "crlf": lambda text, rng: text.replace("\n", "\r\n"),
+    "crlf_no_final_newline": lambda text, rng: text.replace("\n", "\r\n")[:-1],
+    "blank_line": _insert_rows(""),
+    "crlf_blank_line": lambda text, rng: _insert_rows("")(text, rng).replace("\n", "\r\n"),
+    "trailing_blank_lines": lambda text, rng: text + "\n\n",
+    "space_only_line": _insert_rows("  "),
+    "tab_only_line": _insert_rows("\t"),
+    "spaces_around_tokens": _edit_row(lambda row, rng: " , ".join(row.split(",")) + " "),
+    "tab_and_nbsp_padding": _edit_row(lambda row, rng: "\t" + row + "\xa0"),
+    "leading_plus": _edit_token(2, lambda tok: tok if tok.startswith("-") else "+" + tok),
+    "respelled_u": _edit_token(0, _respell),
+    "respelled_v": _edit_token(1, _respell),
+    "no_final_newline": lambda text, rng: text[:-1],
+    "underscore": _edit_token(2, lambda tok: "1_0e-2"),
+    "comment": _edit_row(lambda row, rng: row + " # c"),
+    "trailing_comma": _edit_row(lambda row, rng: row + ","),
+    "quoted": _edit_token(2, lambda tok: f'"{tok}"'),
+    "hex_float": _edit_token(2, lambda tok: float(tok).hex()),
+    "infinity": _edit_token(2, lambda tok: "infinity"),
+    "nan": _edit_token(2, lambda tok: "nan"),
+    "minus_inf_u": _edit_token(0, lambda tok: "-inf"),
+    "nan_v": _edit_token(1, lambda tok: "NaN"),
+    "above_bound": _edit_token(2, lambda tok: "0.32"),
+    "non_ascii_digit": _edit_token(2, lambda tok: "0.١"),
+    "carriage_return_in_row": _edit_row(lambda row, rng: row.replace(",", "\r,", 1)),
+    "semicolons": _edit_row(lambda row, rng: row.replace(",", ";")),
+    "split_row": _edit_row(lambda row, rng: row.replace(",", "\n", 1)),
+    "dropped_row": _edit_row(lambda row, rng: ""),
+    "duplicated_row": _insert_rows("0,0,0"),
+    "swapped_rows": _swap_rows,
+    "moved_u": _edit_token(0, lambda tok: repr(float(tok) + 1e-3)),
+    "moved_v": _edit_token(1, lambda tok: repr(float(tok) * (1 + 1e-15) + 1e-300)),
+    "empty_token": _edit_token(1, lambda tok: ""),
+    "nul_byte": _edit_token(2, lambda tok: tok + "\x00"),
+    "bad_header": lambda text, rng: "u,v, w" + text[5:],
+    "header_only": lambda text, rng: "u,v,w\r\n",
+}
+
+
+def _json_edit(fn):
+    def perturb(text, rng):
+        obj = json.loads(text)
+        fn(obj, rng)
+        return json.dumps(obj)
+    return perturb
+
+
+def _set_value(new):
+    def fn(obj, rng):
+        row = obj["values"][int(rng.integers(len(obj["values"])))]
+        row[int(rng.integers(len(row)))] = new
+    return _json_edit(fn)
+
+
+#: name -> perturbation of a well-formed JSON text
+_JSON_PERTURBATIONS = {
+    "as_written": lambda text, rng: text,
+    "reindented": lambda text, rng: json.dumps(json.loads(text), indent=2),
+    "integer_value": _set_value(0),
+    "string_value": _set_value("0.1"),
+    "false_value": _set_value(False),
+    "true_value": _set_value(True),
+    "null_value": _set_value(None),
+    "huge_integer_value": _set_value(10**400),
+    "nan_literal": _set_value(math.nan),
+    "nested_value": _set_value([0.1]),
+    "above_bound": _set_value(-0.5),
+    "ragged": _json_edit(lambda obj, rng: obj["values"][0].pop()),
+    "missing_row": _json_edit(lambda obj, rng: obj["values"].pop()),
+    "flat_values": _json_edit(lambda obj, rng: obj.__setitem__(
+        "values", [x for row in obj["values"] for x in row])),
+    "string_bound": _json_edit(lambda obj, rng: obj["grid"].__setitem__("u_min", "-1")),
+    "integer_bounds": _json_edit(lambda obj, rng: obj["grid"].update(
+        u_min=-(10**20), u_max=10**20)),
+    "float_count": _json_edit(lambda obj, rng: obj["grid"].__setitem__("n_v", 3.0)),
+    "missing_grid": _json_edit(lambda obj, rng: obj.pop("grid")),
+    "not_an_object": lambda text, rng: "[1, 2]",
+    "not_json": lambda text, rng: text[:-1],
+}
+
+#: Verdicts that differ from the numpy readers on purpose, as (parent, now).
+_INTENDED = {
+    # a field file holds numbers only; np.array converted these silently
+    ("json", "string_value"): ("ok", "refused"),
+    ("json", "false_value"): ("ok", "refused"),
+    # np.array raised a bare OverflowError, which the CLI let escape
+    ("json", "huge_integer_value"): ("crash", "refused"),
+}
+
+
+def _verdict(read, text):
+    try:
+        return "ok", read(text)
+    except ValidationError as exc:
+        return "refused", str(exc)
+    except OverflowError as exc:
+        return "crash", str(exc)
+
+
+class TestReadersAgainstNumpyReaders:
+    @staticmethod
+    def _field(rng):
+        n_u, n_v = (int(n) for n in rng.integers(2, 9, size=2))
+        lo = rng.uniform(-1e3, 1e3, size=2)
+        span = 10.0 ** rng.uniform(-3, 3, size=2)
+        grid = PhaseGrid(lo[0], lo[0] + span[0], lo[1], lo[1] + span[1], n_u, n_v)
+        values = rng.uniform(-1.0 / math.pi, 1.0 / math.pi, n_u * n_v)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1.0 / math.pi]
+        values[rng.integers(0, n_u * n_v, size=3)] = rng.choice(special, size=3)
+        return WignerField(grid, values.reshape(n_u, n_v))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_same_verdicts_grids_and_bytes(self, fmt):
+        perturbations = _CSV_PERTURBATIONS if fmt == "csv" else _JSON_PERTURBATIONS
+        read = WignerField.from_csv if fmt == "csv" else WignerField.from_json
+        reference = _reference_from_csv if fmt == "csv" else _reference_from_json
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(12):
+            field = self._field(rng)
+            text = field.to_csv() if fmt == "csv" else field.to_json()
+            for name, perturb in perturbations.items():
+                bad = perturb(text, rng)
+                (ref, ref_out), (now, now_out) = _verdict(reference, bad), _verdict(read, bad)
+                seen.add((name, ref))
+                if (fmt, name) in _INTENDED:
+                    assert (ref, now) == _INTENDED[fmt, name], (name, bad)
+                    continue
+                assert ref == now, (name, bad, ref_out, now_out)
+                if now == "ok":
+                    grid, values = ref_out
+                    assert now_out.grid == grid
+                    assert now_out.values.tobytes() == values.tobytes()
+                elif name in ("infinity", "nan", "nan_literal"):
+                    assert ref_out == now_out == "Wigner values must be finite"
+        # every perturbation was tried, and both verdicts occur
+        assert {name for name, _ in seen} == set(perturbations)
+        assert {verdict for _, verdict in seen} >= {"ok", "refused"}
+
+    def test_csv_block_boundaries(self, monkeypatch):
+        from phasewave import field as field_module
+
+        rng = np.random.default_rng(3)
+        field = self._field(rng)
+        text = _insert_rows("")(field.to_csv().replace("\n", "\r\n"), rng)
+        for chars in (1, 7, 40, 1 << 20):
+            monkeypatch.setattr(field_module, "_BLOCK_CHARS", chars)
+            back = WignerField.from_csv(text)
+            assert back.grid == field.grid
+            assert back.values.tobytes() == field.values.tobytes()
