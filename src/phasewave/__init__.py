@@ -33,13 +33,13 @@ _EXPORTS = {
         "wigner_direct", "wigner_parity", "wigner_values",
     ),
     "semiclassics": (
-        "Band", "Disc", "OverlapComparison", "band", "circle_circle_lens",
+        "Band", "OverlapComparison", "band", "circle_circle_lens",
         "compare_poisson", "overlap_distribution", "poisson_pmf",
     ),
     "fresnel": (
-        "FresnelGeometry", "Zone", "fit_zone_scaling", "huygens_integral",
-        "inclination", "zone", "zone_boundary_angle", "zone_contribution",
-        "zone_plate", "zone_sum", "zone_table",
+        "FresnelGeometry", "fit_zone_scaling", "huygens_integral",
+        "zone_boundary_angle", "zone_contribution", "zone_plate", "zone_sum",
+        "zone_table",
     ),
     "spinmap": (
         "Belt", "SpinSphere", "belts", "band_table", "project", "projected_band",

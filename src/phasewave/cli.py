@@ -100,9 +100,7 @@ def parse_grid(spec: str, spec_v: str | None) -> field.PhaseGrid:
 
 
 def _serialize_field(wf: field.WignerField, fmt: str) -> str:
-    if fmt == "json":
-        return wf.to_json() + "\n"
-    return wf.to_csv()
+    return wf.to_json() + "\n" if fmt == "json" else wf.to_csv()
 
 
 #: Column names of every table the CLI writes, by ``validate --kind``.
@@ -133,6 +131,8 @@ def cmd_wigner(args) -> int:
 
     rho = parse_state(args.state)
     grid = parse_grid(args.grid, args.grid_v)
+    if args.method == "both" and args.out is None:
+        raise ValidationError("--method both needs --out to place two files")
     if args.method in ("direct", "both"):
         direct = wigner.wigner_direct(rho, grid)
     if args.method in ("parity", "both"):
@@ -142,8 +142,6 @@ def cmd_wigner(args) -> int:
     elif args.method == "parity":
         _write(args.out, _serialize_field(parity, args.format))
     else:
-        if args.out is None:
-            raise ValidationError("--method both needs --out to place two files")
         path = Path(args.out)
         parity_path = path.with_name(path.stem + ".parity" + path.suffix)
         _write(args.out, _serialize_field(direct, args.format))

@@ -67,9 +67,10 @@ class PhaseGrid:
                 raise ValidationError(f"n_{name} must be an integer")
             if not all(abs(b) <= sys.float_info.max for b in (lo, hi)):  # an int may exceed it
                 raise ValidationError(f"{name} bounds must be finite doubles")
+            lo, hi = float(lo), float(hi)  # as the axes hold them: 2**60 + 1 is 2**60
             if hi <= lo:
                 raise ValidationError(f"{name}_max must exceed {name}_min")
-            if float(hi) - float(lo) == math.inf:  # Python floats: no overflow warning
+            if hi - lo == math.inf:  # Python floats: no overflow warning
                 raise ValidationError(f"{name}_max - {name}_min overflows a double")
             if n < 2:
                 raise ValidationError(f"n_{name} must be at least 2")

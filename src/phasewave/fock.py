@@ -25,12 +25,9 @@ from .errors import TruncationError, ValidationError
 #: Probability mass a truncated representation may lose before it is an error.
 EPS_TAIL = 1e-10
 
-#: Largest Fock index the eigenfunction recurrence is validated for.
-MAX_EIGENFUNCTION_INDEX = 10_000
-
-#: Largest truncation a state, a cutoff or a route accepts: the direct route
-#: cannot evaluate a larger state.
-MAX_CUTOFF = MAX_EIGENFUNCTION_INDEX
+#: Largest truncation a state, a cutoff or a route accepts: the eigenfunction
+#: recurrence of the direct route is validated up to this Fock index.
+MAX_CUTOFF = 10_000
 
 #: Largest norm deficit a certified column of a truncated D(alpha) may show.
 _LEAK_TOL = 1e-6
@@ -202,10 +199,7 @@ def eigenfunction_stack(coeffs, xs) -> np.ndarray:
     if c.ndim != 2 or c.shape[0] == 0:
         raise ValidationError("coefficients must be a (levels, columns) matrix")
     n_max = c.shape[0] - 1
-    if n_max > MAX_EIGENFUNCTION_INDEX:
-        raise ValidationError(
-            f"n={n_max} above validated recurrence range {MAX_EIGENFUNCTION_INDEX}"
-        )
+    _check_cutoff(n_max)
     x = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValidationError("sample grid must be finite")
@@ -244,13 +238,7 @@ def coherent_amplitudes(beta: complex, n_max: int | None = None) -> FockState:
     n = np.arange(n_max + 1)
     logmag = -0.5 * abs(beta) ** 2 + n * math.log(abs(beta)) - 0.5 * log_factorials(n_max)
     amp = np.exp(logmag) * np.exp(1j * n * np.angle(beta))
-    tail = abs(1.0 - float(np.sum(np.abs(amp) ** 2)))
-    if tail > EPS_TAIL:
-        raise TruncationError(
-            f"coherent tail mass {tail:.3e} beyond n_max={n_max} (allowed {EPS_TAIL:.0e})",
-            detail=tail,
-        )
-    return FockState(amp)
+    return FockState(amp)  # whose norm check refuses a truncation that loses the tail
 
 
 def _laguerre_degrees(mag: np.ndarray, n_max: int, last: int):

@@ -91,19 +91,6 @@ class FresnelGeometry:
         )
 
 
-@dataclass(frozen=True)
-class Zone:
-    """One half-wavelength slice of the wavefront."""
-
-    n: int
-    theta_lo: float
-    theta_hi: float
-    s_lo: float
-    s_hi: float
-    chi_mid: float
-    rho: float
-
-
 def _s_of_theta(geom: FresnelGeometry, theta) -> np.ndarray:
     d = geom.r0 + geom.b
     return np.sqrt(geom.r0**2 + d * d - 2.0 * geom.r0 * d * np.cos(theta))
@@ -137,6 +124,7 @@ def _boundary_angles(geom: FresnelGeometry, n) -> np.ndarray:
     s = geom.b + 0.5 * n * geom.wavelength
     d = geom.r0 + geom.b
     cos_theta = (geom.r0**2 + d * d - s * s) / (2.0 * geom.r0 * d)
+    cos_theta[n == 0] = 1.0  # the axis exactly, where the formula may round below 1
     beyond = np.flatnonzero(cos_theta < -1.0)
     if beyond.size:
         raise ValidationError(
@@ -149,33 +137,6 @@ def _boundary_angles(geom: FresnelGeometry, n) -> np.ndarray:
 def zone_boundary_angle(geom: FresnelGeometry, n: int) -> float:
     """Polar angle at the source subtending the n-th zone boundary."""
     return float(_boundary_angles(geom, [n])[0])
-
-
-def inclination(geom: FresnelGeometry, theta: float) -> tuple[float, float]:
-    """Kirchhoff obliquity K and the diffraction angle chi at polar angle theta.
-
-    chi is the angle between the outward wavefront normal at Q and the
-    direction from Q to P; K(chi) = (1 + cos chi)/2.
-    """
-    kirchhoff, cos_chi = _obliquity(geom, _s_of_theta(geom, theta))
-    return float(kirchhoff), math.acos(cos_chi)
-
-
-def zone(geom: FresnelGeometry, n: int) -> Zone:
-    """Geometric summary of zone n."""
-    th_lo, th_hi = _boundary_angles(geom, [n, n + 1]).tolist()
-    s_lo = geom.b + 0.5 * n * geom.wavelength
-    s_hi = s_lo + 0.5 * geom.wavelength
-    _, chi_mid = inclination(geom, 0.5 * (th_lo + th_hi))
-    return Zone(
-        n=n,
-        theta_lo=th_lo,
-        theta_hi=th_hi,
-        s_lo=s_lo,
-        s_hi=s_hi,
-        chi_mid=chi_mid,
-        rho=geom.r0 * math.sin(th_hi),
-    )
 
 
 def _check_resolved(geom: FresnelGeometry) -> None:
@@ -275,7 +236,6 @@ def huygens_integral(
     n_full = min(n_full, geom.max_zones)
     _check_grid(n_full + 1, nodes_per_zone)  # before the angles are allocated
     edges = _boundary_angles(geom, np.arange(n_full + 1))
-    edges[0] = 0.0  # the cap starts on the axis
     if theta_max > edges[-1] + 1e-15:
         edges = np.append(edges, theta_max)
     terms = _segment_integral(geom, edges[:-1], edges[1:], nodes_per_zone, ramp)

@@ -35,18 +35,6 @@ class Band:
         return math.pi * (self.r_outer**2 - self.r_inner**2)
 
 
-@dataclass(frozen=True)
-class Disc:
-    """Displaced circular footprint of a coherent state."""
-
-    d: float
-    radius: float
-
-    def __post_init__(self):
-        if self.d < 0 or self.radius <= 0:
-            raise ValidationError("disc needs d >= 0 and radius > 0")
-
-
 def band(n: int) -> Band:
     """The n-th annulus; enclosed area at the outer edge is 2*pi*(n+1)."""
     if n < 0:
@@ -93,22 +81,17 @@ def _auto_bands(beta_mag: float, n_bands: int | None) -> int:
 def overlap_distribution(beta_mag: float, n_bands: int | None = None) -> np.ndarray:
     """Occupation probabilities as disc/band overlap-area fractions.
 
-    The disc Disc(d = sqrt(2)*beta, radius = sqrt(2)) is partitioned by the
-    bands, so the entries sum to one up to roundoff; ``n_bands`` is grown
-    automatically until the disc lies inside the outermost band.
+    The disc of radius sqrt(2) centered sqrt(2)*beta from the origin is
+    partitioned by the bands, so the entries sum to one up to roundoff;
+    ``n_bands`` is grown automatically until the disc lies inside the
+    outermost band.
     """
     if not (math.isfinite(beta_mag) and beta_mag >= 0):
         raise ValidationError("beta magnitude must be finite and nonnegative")
     n_bands = _auto_bands(beta_mag, n_bands)
-    disc = Disc(d=math.sqrt(2.0) * beta_mag, radius=math.sqrt(2.0))
-    norm = math.pi * disc.radius**2
-    inner_areas = np.array(
-        [circle_circle_lens(disc.radius, band(n).r_outer, disc.d) for n in range(n_bands)]
-    )
-    p = np.empty(n_bands)
-    p[0] = inner_areas[0]
-    p[1:] = np.diff(inner_areas)
-    return p / norm
+    d, radius = math.sqrt(2.0) * beta_mag, math.sqrt(2.0)
+    inner_areas = [circle_circle_lens(radius, band(n).r_outer, d) for n in range(n_bands)]
+    return np.diff(inner_areas, prepend=0.0) / (math.pi * radius**2)
 
 
 def poisson_pmf(mean: float, n_terms: int) -> np.ndarray:

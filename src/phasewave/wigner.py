@@ -92,6 +92,8 @@ def _wigner_eval(
     paired=False: full outer grid, result (len(u), len(v)).
     paired=True: pointwise, result (len(u),) with u_vec/v_vec zipped.
     """
+    if max_refinements < 2:
+        raise ValidationError("convergence needs at least two refinement levels")
     n_max = rho.n_max
     u_vec = np.asarray(u_vec, dtype=float)
     v_vec = np.asarray(v_vec, dtype=float)
@@ -165,6 +167,8 @@ def wigner_values(
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if u.shape != v.shape:
         raise ValidationError("u and v must have matching shapes")
+    if u.size == 0:
+        raise ValidationError("need at least one point")
     return _wigner_eval(rho, u, v, True, min_points)
 
 

@@ -51,23 +51,29 @@ class TestWignerCommand:
         assert deviation < 1e-6
 
     def test_method_both_requires_out(self, capsys):
-        code, _, err = run(
-            capsys, "wigner", "--state", "vacuum", "--grid", "-2:2:5",
-            "--method", "both",
-        )
-        assert code == 2
-        assert "out" in err
+        # refused before either route runs: on coherent:2 the parity route's
+        # corner check would fail the truncation with exit 3
+        for state, extra in (("vacuum", ()), ("coherent:2", ("--n-max", "40"))):
+            code, out, err = run(
+                capsys, "wigner", "--state", state, "--grid", "-7:7:3",
+                "--method", "both", *extra,
+            )
+            assert (code, out) == (2, "")
+            assert "needs --out" in err
 
     def test_malformed_state_rejected(self, capsys):
-        code, _, err = run(
-            capsys, "wigner", "--state", "squeezed:1", "--grid", "-2:2:5"
-        )
-        assert code == 2
-        assert "state spec" in err
+        for method in ("direct", "both"):  # before a missing --out
+            code, _, err = run(capsys, "wigner", "--state", "squeezed:1", "--grid", "-2:2:5",
+                               "--method", method)
+            assert code == 2
+            assert "state spec" in err
 
     def test_malformed_grid_rejected(self, capsys):
-        code, _, _ = run(capsys, "wigner", "--state", "vacuum", "--grid", "-2:2")
-        assert code == 2
+        for method in ("direct", "both"):  # before a missing --out
+            code, _, err = run(capsys, "wigner", "--state", "vacuum", "--grid", "-2:2",
+                               "--method", method)
+            assert code == 2
+            assert "not min:max:count" in err
 
     def test_undersized_truncation_fails_numerically(self, capsys, tmp_path):
         out = tmp_path / "w.csv"

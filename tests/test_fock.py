@@ -97,7 +97,7 @@ class TestEigenfunctions:
             assert np.array_equal(left, (-1.0) ** n * right)
 
     def test_rejects_large_index(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="truncation n_max=10001 exceeds the limit"):
             _psi(10_001, np.array([0.0]))
 
     def test_rejects_nonfinite_grid(self):
@@ -137,7 +137,7 @@ class TestCoherentAmplitudes:
         assert abs(np.sum(np.abs(st.amplitudes) ** 2) - 1.0) < EPS_TAIL
 
     def test_tail_violation_reports_mass(self):
-        with pytest.raises(TruncationError) as err:
+        with pytest.raises(TruncationError, match="state norm misses 1 by") as err:
             coherent_amplitudes(3.0, n_max=10)
         assert err.value.detail > EPS_TAIL
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasewave import (
     ValidationError,
@@ -94,9 +95,15 @@ class TestOverlapDistribution:
         assert p[0] == pytest.approx(1.0, abs=1e-14)
         assert np.all(p[1:] == 0.0)
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 5.0])
-    def test_partition_sums_to_one(self, beta):
-        p = overlap_distribution(beta)
+    # beta over [0, 30], drawn stratum by stratum so that small displacements,
+    # whose disc straddles few bands, get draws of their own; each stratum is
+    # named by its lower end
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 5.0),
+                                        (5.0, 30.0)], ids=["0.0", "0.5", "1.0", "2.0", "5.0"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10)
+    @given(data=st.data())
+    def test_partition_sums_to_one(self, lo, hi, data):
+        p = overlap_distribution(data.draw(st.floats(lo, hi)))
         assert abs(p.sum() - 1.0) < 1e-12
 
     def test_support_bounds(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasewave import (
     SpinSphere,
@@ -19,13 +20,18 @@ from phasewave.spinmap import MAX_BELTS
 
 
 class TestBelts:
-    @pytest.mark.parametrize("j", [0.5, 1.0, 5.0, 10.0, 200.0])
-    def test_count_and_tiling(self, j):
-        sphere = SpinSphere(j)
-        bs = belts(j)
-        assert len(bs) == sphere.multiplicity
-        assert bs[0].z_lo == pytest.approx(-sphere.radius, abs=1e-12)
-        assert bs[-1].z_hi == pytest.approx(sphere.radius, abs=1e-12)
+    # 2j over [0, 2000], drawn stratum by stratum so that small spins get draws
+    # of their own; each stratum is named by a spin it holds
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (2, 9), (10, 19), (20, 399), (400, 2000)],
+                             ids=["0.5", "1.0", "5.0", "10.0", "200.0"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10)
+    @given(data=st.data())
+    def test_count_and_tiling(self, lo, hi, data):
+        two_j = data.draw(st.integers(lo, hi))
+        sphere = SpinSphere(two_j / 2)
+        bs = belts(two_j / 2)
+        assert len(bs) == sphere.multiplicity == two_j + 1
+        assert bs[0].z_lo == -sphere.radius and bs[-1].z_hi == sphere.radius
         for a, b in zip(bs, bs[1:]):
             assert a.z_hi == b.z_lo  # exact shared boundaries, no gaps
 

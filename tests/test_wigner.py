@@ -185,6 +185,16 @@ class TestDirectRoute:
             )
         assert err.value.worst_node is not None
 
+    def test_single_refinement_level_rejected(self):
+        # convergence compares two levels, so one level can never converge
+        rho = FockState.vacuum().density()
+        with pytest.raises(ValidationError, match="two refinement levels"):
+            _wigner_eval(rho, [0.3], [0.1], True, max_refinements=1)
+
+    def test_empty_point_set_rejected(self):
+        with pytest.raises(ValidationError, match="at least one point"):
+            wigner_values(FockState.vacuum().density(), [], [])
+
     @pytest.mark.parametrize("call", [
         lambda rho: wigner_values(rho, 0.0, 1e300),
         lambda rho: wigner_values(rho, 0.0, 0.0, min_points=10**7),
@@ -676,6 +686,9 @@ class TestFieldSerialization:
             PhaseGrid(False, True, -1.0, 1.0, 3, 3)
         with pytest.raises(ValidationError, match="v_max - v_min overflows"):
             PhaseGrid(-1.0, 1.0, -1e308, 1e308, 3, 3)
+        # as doubles 2**60 + 1 is 2**60, so the u axis would hold three equal nodes
+        with pytest.raises(ValidationError, match="u_max must exceed u_min"):
+            PhaseGrid(2**60, 2**60 + 1, -1, 1, 3, 3)
         for i in range(4):  # an integer bound beyond the double range
             bounds = [-1, 1, -1, 1]
             bounds[i] = (-1) ** (i + 1) * 10**400
