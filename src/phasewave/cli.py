@@ -5,11 +5,16 @@ files are deterministic: fixed summation order, no timestamps, CSV floats
 printed with 17 significant digits and JSON floats as Python's shortest
 round-trip repr (both lossless for doubles).
 
-Each subcommand imports the one numerics module it computes with (and
-numpy with it) when it runs, so start-up loads the standard library only.
-``validate`` computes nothing: it imports only the field module
-(``phasewave.field``, standard library only) to check a Wigner field, and
-nothing beyond the standard library for the other tables.
+Each subcommand imports the one numerics module it computes with when it
+runs, so start-up loads the standard library only.  ``spin`` computes on
+the standard library alone; ``wigner``, ``overlap`` and ``fresnel`` load
+numpy with their module.  ``wigner`` parses its state and grid specs
+first, so a refused spec loads no numpy either.  ``validate`` computes
+nothing: it imports only the field module (``phasewave.field``, standard
+library only) to check a Wigner field, and nothing beyond the standard
+library for the other tables.  ``wigner --method both`` fails (exit 3,
+no file written) when its two routes differ by more than ROUTE_TOL.
+Warnings reach stderr as one ``warning: ...`` line each.
 """
 
 from __future__ import annotations
@@ -18,9 +23,13 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import NumericsError, ValidationError
+
+#: Largest max |direct - parity| that ``wigner --method both`` accepts.
+ROUTE_TOL = 1e-6
 
 
 def _fmt(value: float) -> str:
@@ -44,41 +53,62 @@ def _write(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def parse_state(spec: str) -> fock.DensityMatrix:
-    """State mini-grammar: vacuum | fock:<n> | coherent:<re>[,<im>] | mixture:..."""
-    from . import fock
+def parse_state(spec: str) -> list:
+    """State mini-grammar: vacuum | fock:<n> | coherent:<re>[,<im>] | mixture:...
 
+    Parsed with the standard library into (component, weight) pairs, a
+    component being its spec text and a Fock index or complex amplitude; a
+    pure state is the one pair (component, 1.0).
+    """
     spec = spec.strip()
-    if spec.startswith("mixture:"):
-        parts = spec[len("mixture:"):].split(";")
-        pairs = []
-        for part in parts:
-            if "@" not in part:
-                raise ValidationError(f"mixture component {part!r} lacks a @weight")
-            sub, weight = part.rsplit("@", 1)
-            pairs.append((_parse_pure(sub), float(weight)))
-        return fock.DensityMatrix.mixture(pairs)
-    return _parse_pure(spec).density()
+    if not spec.startswith("mixture:"):
+        return [(_parse_pure(spec), 1.0)]
+    pairs = []
+    for part in spec[len("mixture:"):].split(";"):
+        if "@" not in part:
+            raise ValidationError(f"mixture component {part!r} lacks a @weight")
+        sub, weight = part.rsplit("@", 1)
+        pairs.append((_parse_pure(sub), float(weight)))
+    return pairs
 
 
-def _parse_pure(spec: str) -> fock.FockState:
-    from . import fock
+def _malformed(spec: str, exc: Exception) -> ValidationError:
+    return ValidationError(f"malformed state spec {spec!r}: {exc}")
 
+
+def _parse_pure(spec: str) -> tuple[str, int | complex]:
     spec = spec.strip()
     try:
         if spec == "vacuum":
-            return fock.FockState.vacuum()
+            return spec, 0
         if spec.startswith("fock:"):
-            return fock.FockState.fock(int(spec[len("fock:"):]))
+            n = int(spec[len("fock:"):])
+            if n < 0:
+                raise ValidationError("Fock index must be nonnegative")
+            return spec, n
         if spec.startswith("coherent:"):
             parts = spec[len("coherent:"):].split(",")
             if len(parts) not in (1, 2):
                 raise ValidationError(f"bad coherent amplitude in {spec!r}")
-            beta = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
-            return fock.coherent_amplitudes(beta)
+            return spec, complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
     except (ValueError, TypeError) as exc:
-        raise ValidationError(f"malformed state spec {spec!r}: {exc}") from exc
+        raise _malformed(spec, exc) from exc
     raise ValidationError(f"unknown state spec {spec!r}")
+
+
+def build_state(pairs: list) -> fock.DensityMatrix:
+    """The density matrix of ``parse_state``'s pairs: a Fock state per index,
+    a coherent state per amplitude, mixed by their weights."""
+    from . import fock
+
+    states = []
+    for (spec, value), weight in pairs:
+        make = fock.FockState.fock if isinstance(value, int) else fock.coherent_amplitudes
+        try:
+            states.append((make(value), weight))
+        except (ValueError, TypeError) as exc:
+            raise _malformed(spec, exc) from exc
+    return fock.DensityMatrix.mixture(states)
 
 
 def parse_grid(spec: str, spec_v: str | None) -> field.PhaseGrid:
@@ -126,13 +156,31 @@ def _emit_table(args, key: str, columns, rows, **head) -> None:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def cmd_wigner(args) -> int:
-    from . import wigner
+def _route_deviation(direct: field.WignerField, parity: field.WignerField) -> float:
+    """max |direct - parity| over the grid; NumericsError naming the worst node
+    when it exceeds ROUTE_TOL."""
+    diff = abs(direct.values - parity.values)
+    worst = int(diff.argmax())
+    deviation = float(diff.flat[worst])
+    if deviation > ROUTE_TOL:
+        grid = direct.grid
+        i, k = divmod(worst, grid.n_v)
+        raise NumericsError(
+            f"the direct and parity routes disagree: max |direct - parity| = "
+            f"{deviation:.3e} exceeds {ROUTE_TOL:.0e} at node "
+            f"(u, v) = ({grid.u_axis[i]!r}, {grid.v_axis[k]!r})"
+        )
+    return deviation
 
-    rho = parse_state(args.state)
+
+def cmd_wigner(args) -> int:
+    pairs = parse_state(args.state)
     grid = parse_grid(args.grid, args.grid_v)
     if args.method == "both" and args.out is None:
         raise ValidationError("--method both needs --out to place two files")
+    rho = build_state(pairs)
+    from . import wigner
+
     if args.method in ("direct", "both"):
         direct = wigner.wigner_direct(rho, grid)
     if args.method in ("parity", "both"):
@@ -142,11 +190,11 @@ def cmd_wigner(args) -> int:
     elif args.method == "parity":
         _write(args.out, _serialize_field(parity, args.format))
     else:
+        deviation = _route_deviation(direct, parity)
         path = Path(args.out)
         parity_path = path.with_name(path.stem + ".parity" + path.suffix)
         _write(args.out, _serialize_field(direct, args.format))
         _write(str(parity_path), _serialize_field(parity, args.format))
-        deviation = float(abs(direct.values - parity.values).max())
         sys.stdout.write(f"max_abs_deviation={_fmt(deviation)}\n")
     return 0
 
@@ -180,11 +228,13 @@ def cmd_fresnel(args) -> int:
 
     if args.subaction in ("integral", "zonesum"):
         n_zones = args.n if args.subaction == "zonesum" else args.zones
+        # the zone sums check the budgets, then that the boundaries are resolved,
+        # as zones and plate do, before the boundary angle is taken
+        u_raw, u_avg = fresnel._partial_sums(geom, n_zones, args.nodes)
         theta_max = fresnel.zone_boundary_angle(geom, n_zones)
         u_int = fresnel.huygens_integral(
             geom, theta_max, args.nodes, taper=not args.no_taper
         )
-        u_raw, u_avg = fresnel._partial_sums(geom, n_zones, args.nodes)
         summary = {
             "geometry": {**asdict(geom), "n_zones": n_zones},
             "U_free": _complex_dict(geom.free_field()),
@@ -379,6 +429,11 @@ def _join_negative_values(argv):
     return fused
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """One ``warning: ...`` line on stderr, with no path or source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -395,7 +450,9 @@ def main(argv=None) -> int:
     if not hasattr(args, "format"):
         args.format = "csv"
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

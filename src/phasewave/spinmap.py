@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 #: Most belts one sphere may carry: every belt is one Python object and row.
@@ -75,12 +73,7 @@ def belts(j: float) -> list[Belt]:
     """The 2j+1 belts from the south pole up, tiling [-R, R]."""
     sphere = SpinSphere(j)
     r = sphere.radius
-    out = []
-    for m in _m_values(sphere):
-        z_lo = max(-r, m - 0.5)
-        z_hi = min(r, m + 0.5)
-        out.append(Belt(m=m, z_lo=z_lo, z_hi=z_hi))
-    return out
+    return [Belt(m, max(-r, m - 0.5), min(r, m + 0.5)) for m in _m_values(sphere)]
 
 
 def project(j: float, z):
@@ -88,18 +81,20 @@ def project(j: float, z):
 
     Axial shadow of the sphere, sqrt(R^2 - z^2), scaled by 1/sqrt(R); both
     poles map to the origin and the equator to the outermost radius
-    sqrt(R).  Heights beyond the sphere, and j = 0 (R = 0, no scale), are
-    rejected.
+    sqrt(R).  A scalar height gives a float, a sequence of heights a list
+    of floats.  Heights beyond the sphere (or NaN), and j = 0 (R = 0, no
+    scale), are rejected.
     """
     sphere = SpinSphere(j)
     r = sphere.radius
     if r == 0.0:
         raise ValidationError("projection needs j > 0: the sphere of j = 0 has radius 0")
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(np.abs(z_arr) > r + 1e-12):
+    if isinstance(z, (int, float)) or getattr(z, "ndim", 1) == 0:  # one height, or a numpy scalar
+        return project(j, [z])[0]
+    heights = list(map(float, z))
+    if not all(abs(h) <= r + 1e-12 for h in heights):
         raise ValidationError(f"height |z| > sphere radius {r:.6g}")
-    val = np.sqrt(np.maximum(0.0, r * r - z_arr * z_arr) / r)
-    return float(val) if np.isscalar(z) or z_arr.ndim == 0 else val
+    return [math.sqrt(max(0.0, r * r - h * h) / r) for h in heights]
 
 
 def projected_band(j: float, n: int) -> tuple[float, float]:
@@ -111,8 +106,8 @@ def projected_band(j: float, n: int) -> tuple[float, float]:
     sphere = SpinSphere(j)
     if not 0 <= n <= sphere.multiplicity - 1:
         raise ValidationError(f"band index must lie in [0, {sphere.multiplicity - 1}]")
-    belt = belts(j)[n]
-    lo, hi = sorted(project(j, [belt.z_lo, belt.z_hi]).tolist())
+    r, m = sphere.radius, _m_values(sphere)[n]
+    lo, hi = sorted(project(j, [max(-r, m - 0.5), min(r, m + 0.5)]))
     return lo, hi
 
 
@@ -125,11 +120,14 @@ def projected_band_area(j: float, n: int) -> float:
 def band_table(j: float):
     """Rows (n, m, rho_lo, rho_hi, area) over all 2j+1 bands.
 
-    Neighbouring belts share an edge, so the 2j+2 edges are projected at once.
+    Neighbouring belts share an edge, so the 2j+2 edges of belts(j) are
+    projected at once, with no Belt built.
     """
-    rows = belts(j)
-    edges = project(j, [rows[0].z_lo] + [belt.z_hi for belt in rows])
-    lo, hi = np.minimum(edges[:-1], edges[1:]), np.maximum(edges[:-1], edges[1:])
-    area = math.pi * (hi * hi - lo * lo)
-    bands = zip(rows, lo.tolist(), hi.tolist(), area.tolist())
-    return [(n, belt.m, r_lo, r_hi, a) for n, (belt, r_lo, r_hi, a) in enumerate(bands)]
+    sphere = SpinSphere(j)
+    r, ms = sphere.radius, _m_values(sphere)
+    edges = project(j, [max(-r, ms[0] - 0.5)] + [min(r, m + 0.5) for m in ms])
+    rows = []
+    for n, (m, a, b) in enumerate(zip(ms, edges, edges[1:])):
+        lo, hi = (a, b) if a <= b else (b, a)
+        rows.append((n, m, lo, hi, math.pi * (hi * hi - lo * lo)))
+    return rows

@@ -68,12 +68,66 @@ class TestWignerCommand:
             assert code == 2
             assert "state spec" in err
 
+    @pytest.mark.parametrize("state, message", [
+        ("fock:-1", "malformed state spec 'fock:-1': Fock index must be nonnegative"),
+        ("coherent:1,2,3", "malformed state spec 'coherent:1,2,3': bad coherent amplitude "
+                           "in 'coherent:1,2,3'"),
+        ("squeezed:1", "unknown state spec 'squeezed:1'"),
+        ("mixture:fock:1", "mixture component 'fock:1' lacks a @weight"),
+        ("coherent:2j", "malformed state spec 'coherent:2j': could not convert string to "
+                        "float: '2j'"),
+        ("mixture:vacuum@1;fock:20000@1", "malformed state spec 'fock:20000': truncation "
+                                          "n_max=20000 exceeds the limit of 10000"),
+    ])
+    def test_refused_state_messages(self, capsys, state, message):
+        code, out, err = run(capsys, "wigner", "--state", state, "--grid", "-7:7:11")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_malformed_grid_rejected(self, capsys):
         for method in ("direct", "both"):  # before a missing --out
             code, _, err = run(capsys, "wigner", "--state", "vacuum", "--grid", "-2:2",
                                "--method", method)
             assert code == 2
             assert "not min:max:count" in err
+
+    def test_route_disagreement_fails_numerically(self, capsys, tmp_path, monkeypatch):
+        # one parity node moved by 1e-5: exit 3 naming the deviation and that node,
+        # and neither file written
+        from phasewave import wigner
+
+        exact = wigner.wigner_parity
+
+        def perturbed(rho, grid, n_max=None):
+            values = [list(row) for row in exact(rho, grid, n_max).values]
+            values[2][1] += 1e-5
+            return wigner.WignerField(grid, values)
+
+        monkeypatch.setattr(wigner, "wigner_parity", perturbed)
+        out = tmp_path / "w.csv"
+        code, stdout, err = run(capsys, "--out", str(out), "wigner", "--state", "fock:1",
+                                "--grid", "-2:2:3", "--grid-v", "-1:1:5", "--method", "both")
+        assert (code, stdout) == (3, "")
+        assert err.startswith("numerical failure: the direct and parity routes disagree")
+        assert "= 1.000e-05 exceeds 1e-06 at node (u, v) = (2.0, -0.5)" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parity_underflow_beyond_its_range_fails_numerically(self, capsys, tmp_path):
+        # |2 alpha| = 40 at the centre of coherent:20: the parity route's Laguerre start
+        # underflows there, and the route check refuses what it returns
+        out = tmp_path / "o.csv"
+        code, stdout, err = run(capsys, "--out", str(out), "wigner", "--state", "coherent:20",
+                                "--grid", "27.784:28.784:3", "--grid-v", "-0.5:0.5:3",
+                                "--method", "both")
+        assert (code, stdout) == (3, "")
+        assert "routes disagree" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_containment_warning_is_one_line(self, capsys, tmp_path):
+        code, _, err = run(capsys, "--out", str(tmp_path / "w.csv"), "wigner",
+                           "--state", "coherent:2", "--grid", "-2:2:5")
+        assert code == 0
+        assert err == ("warning: state radius 7.35 exceeds 1.2x grid extent 2.00; "
+                       "normalization will fall short\n")
 
     def test_undersized_truncation_fails_numerically(self, capsys, tmp_path):
         out = tmp_path / "w.csv"
@@ -220,6 +274,16 @@ class TestFresnelCommand:
                            "zones", "--n", "3")
         assert code == 3
         assert "not resolved in double precision" in err
+
+    @pytest.mark.parametrize("action", [("integral", "--zones", "50"), ("zonesum", "--n", "50")])
+    def test_unresolved_summaries_fail_numerically(self, capsys, tmp_path, action):
+        # the boundary angles round to 0 here; the summaries fail as zones and plate do
+        out = tmp_path / "f.json"
+        code, _, err = run(capsys, "--out", str(out), "fresnel", "--r0", "1e12", "--b", "10",
+                           "--lambda", "1", *action)
+        assert code == 3
+        assert err.startswith("numerical failure: zone boundaries are not resolved")
+        assert not out.exists()
 
     def test_low_node_count_rejected(self, capsys):
         code, _, _ = run(capsys, *self.GEOM, "zones", "--n", "5", "--nodes", "4")
@@ -608,10 +672,22 @@ def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
     assert codes == [0]
     assert loaded == {"numpy", "phasewave.fresnel"}
 
-    codes, loaded = _fresh_cli(["--out", str(tmp_path / "b.csv"), "spin", "--j", "2",
-                                "project"])
-    assert codes == [0]
-    assert loaded == {"numpy", "phasewave.spinmap"}
+    # the band and belt tables are computed on the standard library
+    codes, loaded = _fresh_cli(
+        ["--out", str(tmp_path / "b.csv"), "spin", "--j", "2", "project"],
+        ["--out", str(tmp_path / "s.csv"), "spin", "--j", "0.5", "belts"],
+    )
+    assert codes == [0, 0]
+    assert loaded == {"phasewave.spinmap"}
+
+    # a state or grid spec the grammar refuses is refused before numpy loads
+    refused = [["wigner", "--state", state, "--grid", "-7:7:11"] for state in
+               ("fock:-1", "coherent:1,2,3", "squeezed:1", "mixture:fock:1", "coherent:2j")]
+    refused += [["wigner", "--state", "vacuum", "--grid", "-2:2"],
+                ["wigner", "--state", "fock:1", "--grid", "-2:2:3", "--method", "both"]]
+    codes, loaded = _fresh_cli(*refused)
+    assert codes == [2] * len(refused)
+    assert loaded == set()
 
     # the Fock-space commands never touch the zone or belt modules, nor scipy
     codes, loaded = _fresh_cli(

@@ -113,6 +113,17 @@ class TestProjection:
     def test_rejects_heights_beyond_sphere(self):
         with pytest.raises(ValidationError):
             project(2.0, 10.0)
+        with pytest.raises(ValidationError):
+            project(2.0, [0.0, math.nan])
+
+    def test_scalar_gives_float_and_sequence_gives_list(self):
+        r = SpinSphere(2.0).radius
+        assert type(project(2.0, 1.0)) is float
+        assert type(project(2.0, np.float64(1.0))) is float
+        assert type(project(2.0, np.array(1.0))) is float
+        rho = project(2.0, np.array([-r, 1.0, r]))
+        assert type(rho) is list and all(type(x) is float for x in rho)
+        assert rho == [0.0, project(2.0, 1.0), 0.0]
 
     def test_rejects_the_sphere_of_radius_zero(self):
         # the plane scale 1/sqrt(R) is undefined at j = 0
@@ -188,3 +199,11 @@ class TestProjectedAreas:
         for n in sorted({0, 1, len(rows) // 3, len(rows) // 2, len(rows) - 1}):
             assert repr(projected_band(j, n)) == repr(rows[n][2:4])
             assert repr(projected_band_area(j, n)) == repr(rows[n][4])
+
+    def test_band_table_matches_projected_band_at_large_j(self):
+        j = 20000.0
+        rows = band_table(j)
+        assert len(rows) == 40001
+        for n in (0, 1, 2, 9999, 20000, 20001, 30000, 39999, 40000):
+            lo, hi = projected_band(j, n)
+            assert repr(rows[n]) == repr((n, n - j, lo, hi, projected_band_area(j, n)))

@@ -72,7 +72,7 @@ def test_traced_fresnel_and_spin_layers_fire_their_counters(tracing):
     assert fresnel._segment_integral is raw
     counts = tracer.counts
     assert counts["spinmap.bands"] == len(rows) == 16
-    assert counts["spinmap.belts_calls"] == 2  # band_table's own, then the direct call
+    assert counts["spinmap.belts_calls"] == 1  # the direct call: band_table builds no belts
     assert counts["fresnel.segments"] == 2  # one call per zone series, one per integral
     assert counts["fresnel.boundary_angles"] == 1
     self_s, _ = tracer.self_times()
