@@ -6,10 +6,11 @@ printed with 17 significant digits and JSON floats as Python's shortest
 round-trip repr (both lossless for doubles).
 
 Each subcommand imports the one numerics module it computes with when it
-runs, so start-up loads the standard library only.  ``spin`` computes on
-the standard library alone; ``wigner``, ``overlap`` and ``fresnel`` load
-numpy with their module.  ``wigner`` parses its state and grid specs
-first, so a refused spec loads no numpy either.  ``validate`` computes
+runs, so start-up loads the standard library only.  ``fresnel`` and
+``spin`` compute on the standard library alone; ``wigner`` and
+``overlap`` load numpy with their module.  ``wigner`` parses its state
+and grid specs first, so a refused spec loads no numpy either.  Tables
+are formatted and written a block of rows at a time.  ``validate`` computes
 nothing: it imports only the field module (``phasewave.field``, standard
 library only) to check a Wigner field, and nothing beyond the standard
 library for the other tables.  ``wigner --method both`` fails (exit 3,
@@ -20,6 +21,7 @@ Warnings reach stderr as one ``warning: ...`` line each.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -30,6 +32,8 @@ from .errors import NumericsError, ValidationError
 
 #: Largest max |direct - parity| that ``wigner --method both`` accepts.
 ROUTE_TOL = 1e-6
+#: Table rows formatted and written at a time.
+_ROWS_PER_WRITE = 4096
 
 
 def _fmt(value: float) -> str:
@@ -45,12 +49,13 @@ def _complex_dict(z: complex) -> dict:
     }
 
 
-def _write(out: str | None, text: str) -> None:
+def _write(out: str | None, chunks) -> None:
+    """Write the text chunks of ``chunks`` in turn to the file ``out``, or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def parse_state(spec: str) -> list:
@@ -143,14 +148,32 @@ _COLUMNS = {
 
 
 def _emit_table(args, key: str, columns, rows, **head) -> None:
-    """Write ``rows`` as CSV, or as JSON records under ``key`` after ``head``."""
-    if args.format == "json":
-        records = [dict(zip(columns, row)) for row in rows]
-        _write(args.out, json.dumps({**head, key: records}) + "\n")
+    """Write ``rows`` as CSV, or as JSON records under ``key`` after ``head``.
+
+    The text is formatted and written _ROWS_PER_WRITE rows at a time, so a
+    large table is never held as one string; the bytes are those of
+    formatting it whole.
+    """
+    _write(args.out, _table_chunks(args.format, key, columns, rows, head))
+
+
+def _table_chunks(fmt: str, key: str, columns, rows, head: dict):
+    """The text of ``_emit_table``'s table, one block of rows per chunk."""
+    rows = iter(rows)
+    blocks = iter(lambda: list(itertools.islice(rows, _ROWS_PER_WRITE)), [])
+    if fmt == "json":
+        # json.dumps separates list items by ", ", so the records can follow
+        # the text that opens their list one block at a time
+        yield json.dumps({**head, key: []})[:-2]
+        sep = ""
+        for block in blocks:
+            yield sep + ", ".join(json.dumps(dict(zip(columns, row))) for row in block)
+            sep = ", "
+        yield "]}\n"
         return
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    _write(args.out, "\n".join(lines) + "\n")
+    yield ",".join(columns) + "\n"
+    for block in blocks:
+        yield "".join(",".join(map(_fmt, row)) + "\n" for row in block)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -186,15 +209,15 @@ def cmd_wigner(args) -> int:
     if args.method in ("parity", "both"):
         parity = wigner.wigner_parity(rho, grid, args.n_max)
     if args.method == "direct":
-        _write(args.out, _serialize_field(direct, args.format))
+        _write(args.out, [_serialize_field(direct, args.format)])
     elif args.method == "parity":
-        _write(args.out, _serialize_field(parity, args.format))
+        _write(args.out, [_serialize_field(parity, args.format)])
     else:
         deviation = _route_deviation(direct, parity)
         path = Path(args.out)
         parity_path = path.with_name(path.stem + ".parity" + path.suffix)
-        _write(args.out, _serialize_field(direct, args.format))
-        _write(str(parity_path), _serialize_field(parity, args.format))
+        _write(args.out, [_serialize_field(direct, args.format)])
+        _write(str(parity_path), [_serialize_field(parity, args.format)])
         sys.stdout.write(f"max_abs_deviation={_fmt(deviation)}\n")
     return 0
 
@@ -242,7 +265,7 @@ def cmd_fresnel(args) -> int:
             "U_zone_sum_raw": _complex_dict(u_raw),
             "U_zone_sum_averaged": _complex_dict(u_avg),
         }
-        _write(args.out, json.dumps(summary) + "\n")
+        _write(args.out, [json.dumps(summary) + "\n"])
         if args.subaction == "zonesum":
             chosen = u_avg if args.mode == "averaged" else u_raw
             sys.stdout.write(f"abs_U={_fmt(abs(chosen))}\n")
@@ -259,7 +282,7 @@ def cmd_fresnel(args) -> int:
         "U_free": _complex_dict(u_free),
         "amplitude_ratio": ratio,
     }
-    _write(args.out, json.dumps(summary) + "\n")
+    _write(args.out, [json.dumps(summary) + "\n"])
     sys.stdout.write(f"amplitude_ratio={_fmt(ratio)}\n")
     return 0
 

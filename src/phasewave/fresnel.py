@@ -9,25 +9,28 @@ obliquity factor, and equals the alternating sum of the per-zone pieces.
 Two regularizations of the conditionally convergent construction are
 provided and must agree: a raised-cosine taper over the last tenth of the
 direct integral's cap, and two-partial-sum averaging of the zone series.
+
+Everything here is computed on the standard library (``math`` and
+``cmath``), so the ``fresnel`` subcommand loads no numpy.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-
-import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericsError, ValidationError
 
 #: Minimum quadrature nodes per zone; the phase advances by pi across a
 #: zone, so fewer nodes cannot resolve the integrand.
 MIN_NODES_PER_ZONE = 10
-#: Maximum quadrature nodes per zone; ``leggauss`` builds a dense
-#: nodes x nodes companion matrix.
+#: Maximum quadrature nodes per zone; building the rule takes a few Newton
+#: passes per node, each nodes recurrence steps long.
 MAX_NODES_PER_ZONE = 1024
-#: Maximum segments x nodes evaluated at once (a few hundred MB of arrays).
+#: Maximum segments x nodes evaluated in one call.
 MAX_QUADRATURE_POINTS = 4_000_000
 #: Largest r0 or b in wavelengths: below 2**51 consecutive zone boundaries
 #: b + n * wavelength/2 are still distinct doubles.
@@ -39,6 +42,9 @@ MAX_SCALE = 1e100
 #: rounds 1 - cos(theta) by about eps times this over the first zone's
 #: extent, so at the limit a boundary angle still carries six digits.
 MAX_CANCELLATION = 1e10
+#: Newton steps allowed per Gauss-Legendre node; from the asymptotic first
+#: guess each node converges in two or three.
+NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -86,57 +92,44 @@ class FresnelGeometry:
         """Unobstructed propagation oracle A e^{ik(r0+b)}/(r0+b)."""
         return (
             self.amplitude
-            * np.exp(1j * self.k * (self.r0 + self.b))
+            * cmath.exp(1j * self.k * (self.r0 + self.b))
             / (self.r0 + self.b)
         )
 
 
-def _s_of_theta(geom: FresnelGeometry, theta) -> np.ndarray:
+def _s_of_theta(geom: FresnelGeometry, theta: float) -> float:
+    """Distance from P to the wavefront point at polar angle theta."""
     d = geom.r0 + geom.b
-    return np.sqrt(geom.r0**2 + d * d - 2.0 * geom.r0 * d * np.cos(theta))
+    return math.sqrt(geom.r0**2 + d * d - 2.0 * geom.r0 * d * math.cos(theta))
 
 
-def _obliquity(geom: FresnelGeometry, s):
-    """Kirchhoff obliquity K = (1 + cos chi)/2 at distance s from P, and cos chi."""
-    d = geom.r0 + geom.b
-    cos_chi = np.clip((d * d - geom.r0**2 - s * s) / (2.0 * geom.r0 * s), -1.0, 1.0)
-    return 0.5 * (1.0 + cos_chi), cos_chi
-
-
-def _libm(fn, x) -> np.ndarray:
-    """The math module's ``fn`` per element.
-
-    np.arccos is an ulp off math.acos on some angles, and the phase k*s
-    turns that into a 1e-12 relative change of a zone term.
-    """
-    return np.fromiter(map(fn, np.asarray(x, dtype=float).tolist()), float)
-
-
-def _boundary_angles(geom: FresnelGeometry, n) -> np.ndarray:
+def _boundary_angles(geom: FresnelGeometry, n: Sequence[int]) -> list[float]:
     """Polar angles at the source subtending the zone boundaries ``n``.
 
     Solves the law of cosines in the triangle O-Q-P exactly for the spheres
     of radius s_n = b + n*wavelength/2 around P; no small-angle step.
     """
-    n = np.asarray(n)
-    if np.any(n < 0):
+    if n and min(n) < 0:
         raise ValidationError("zone index must be nonnegative")
-    s = geom.b + 0.5 * n * geom.wavelength
     d = geom.r0 + geom.b
-    cos_theta = (geom.r0**2 + d * d - s * s) / (2.0 * geom.r0 * d)
-    cos_theta[n == 0] = 1.0  # the axis exactly, where the formula may round below 1
-    beyond = np.flatnonzero(cos_theta < -1.0)
-    if beyond.size:
-        raise ValidationError(
-            f"zone boundary {n.flat[beyond[0]]} lies beyond the wavefront (only "
-            f"{geom.max_zones} zones fit)"
-        )
-    return _libm(math.acos, np.minimum(cos_theta, 1.0))
+    numerator, denominator = geom.r0**2 + d * d, 2.0 * geom.r0 * d
+    angles = []
+    for k in n:
+        s = geom.b + 0.5 * k * geom.wavelength
+        cos_theta = (numerator - s * s) / denominator
+        if cos_theta < -1.0:
+            raise ValidationError(
+                f"zone boundary {k} lies beyond the wavefront (only "
+                f"{geom.max_zones} zones fit)"
+            )
+        # the axis exactly for boundary 0, where the formula may round below 1
+        angles.append(0.0 if k == 0 else math.acos(min(cos_theta, 1.0)))
+    return angles
 
 
 def zone_boundary_angle(geom: FresnelGeometry, n: int) -> float:
     """Polar angle at the source subtending the n-th zone boundary."""
-    return float(_boundary_angles(geom, [n])[0])
+    return _boundary_angles(geom, [n])[0]
 
 
 def _check_resolved(geom: FresnelGeometry) -> None:
@@ -153,7 +146,7 @@ def _check_resolved(geom: FresnelGeometry) -> None:
 
 
 def _check_grid(n_segments: int, nodes: int | None) -> None:
-    """Reject a Gauss rule too coarse for a zone, or a grid too large to allocate.
+    """Reject a Gauss rule too coarse for a zone, or a grid too large to evaluate.
 
     ``nodes=None`` sizes one point per segment, with no Gauss rule.
     """
@@ -173,37 +166,91 @@ def _check_grid(n_segments: int, nodes: int | None) -> None:
         )
 
 
-def _segment_integral(geom, th_lo, th_hi, nodes, ramp=None) -> np.ndarray:
+@functools.lru_cache(maxsize=None)  # at most MAX_NODES_PER_ZONE rules
+def _gauss_legendre(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_nodes, evaluated by the three-term recurrence,
+    finds each root in the upper half from Tricomi's asymptotic guess; the
+    lower half is its mirror image, and an odd rule's middle node is 0.
+    The weight 2/((1 - x^2) P'(x)^2) takes 1 - x^2 as (1 - x)(1 + x),
+    which keeps its digits next to the ends.
+    """
+    upper = []
+    for i in range(nodes // 2):
+        angle = math.pi * (4 * i + 3) / (4 * nodes + 2)
+        x = (1.0 - (nodes - 1) / (8.0 * nodes**3)) * math.cos(angle)
+        for _ in range(NEWTON_STEPS):
+            p, dp = _legendre(nodes, x)
+            step = p / dp
+            x -= step
+            if abs(step) <= 2.0**-53:
+                break
+        else:
+            raise NumericsError(
+                f"Gauss-Legendre node {i} of {nodes} did not converge in "
+                f"{NEWTON_STEPS} Newton steps"
+            )
+        _, dp = _legendre(nodes, x)
+        upper.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
+    middle = []
+    if nodes % 2:
+        _, dp = _legendre(nodes, 0.0)
+        middle.append((0.0, 2.0 / (dp * dp)))
+    rule = [(-x, w) for x, w in upper] + middle + upper[::-1]
+    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
+
+
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x), by the three-term recurrence, for |x| < 1."""
+    p, p_prev = x, 1.0
+    for j in range(2, n + 1):
+        p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
+def _segment_integral(geom, th_lo, th_hi, nodes, ramp=None) -> list[complex]:
     """Wavelet integrals over the theta segments [th_lo[i], th_hi[i]].
 
-    One Gauss rule serves every segment; the (segments x nodes) grid is
-    evaluated at once.  ``ramp = (s0, s1)`` rolls the integrand off by a
-    raised cosine in the distance s from P between s0 and s1.
+    One Gauss rule serves every segment, each summed in one pass over its
+    nodes.  ``ramp = (s0, s1)`` rolls the integrand off by a raised cosine
+    in the distance s from P between s0 and s1.  The pass runs once per
+    quadrature point, so it computes ``_s_of_theta``'s distance and the
+    Kirchhoff obliquity K = (1 + cos chi)/2 inline.
     """
-    _check_grid(th_lo.size, nodes)
+    _check_grid(len(th_lo), nodes)
     _check_resolved(geom)
-    x, w = leggauss(nodes)
-    half = (0.5 * (th_hi - th_lo))[:, None]
-    th = half * x + (0.5 * (th_hi + th_lo))[:, None]
-    s = _s_of_theta(geom, th)
-    kirchhoff, _ = _obliquity(geom, s)
-    f = np.exp(1j * geom.k * s) / s * kirchhoff * np.sin(th)
-    if ramp is not None:
-        s0, s1 = ramp
-        on = s > s0
-        f[on] *= 0.5 * (1.0 + np.cos(math.pi * (s[on] - s0) / (s1 - s0)))
-    wth = half * w
-    # vecdot is a 1-D dot per row: the same summation as one segment at a time
-    surface = np.vecdot(f.real, wth) + 1j * np.vecdot(f.imag, wth)
-    surface *= 2.0 * math.pi * geom.r0**2
+    rule = list(zip(*_gauss_legendre(nodes)))
+    r0, k = geom.r0, geom.k
+    d = r0 + geom.b
+    # s^2 = r0^2 + d^2 - 2 r0 d cos(theta) and cos chi = (d^2 - r0^2 - s^2)/(2 r0 s)
+    s_sq, s_cos = r0**2 + d * d, 2.0 * r0 * d
+    chi_num, chi_den = d * d - r0**2, 2.0 * r0
+    s0, s1 = ramp if ramp is not None else (math.inf, math.inf)
     prefactor = (-1j / geom.wavelength) * geom.amplitude
-    return prefactor * np.exp(1j * geom.k * geom.r0) / geom.r0 * surface
+    scale = prefactor * cmath.exp(1j * k * r0) / r0 * (2.0 * math.pi * r0**2)
+    terms = []
+    for lo, hi in zip(th_lo, th_hi):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        surface = 0j
+        for x, w in rule:
+            th = half * x + mid
+            s = math.sqrt(s_sq - s_cos * math.cos(th))
+            cos_chi = (chi_num - s * s) / (chi_den * s)
+            # cos chi clipped to [-1, 1], where rounding can carry it past
+            kirchhoff = 1.0 if cos_chi > 1.0 else 0.0 if cos_chi < -1.0 else 0.5 * (1.0 + cos_chi)
+            weight = kirchhoff * math.sin(th) / s * (half * w)
+            if s > s0:
+                weight *= 0.5 * (1.0 + math.cos(math.pi * (s - s0) / (s1 - s0)))
+            surface += cmath.rect(weight, k * s)
+        terms.append(scale * surface)
+    return terms
 
 
 def _zone_terms(geom: FresnelGeometry, n: int, nodes: int):
     """Boundary angles theta_0 .. theta_n and zone integrals U_0 .. U_(n-1)."""
-    _check_grid(n, nodes)  # before the angles are allocated
-    theta = _boundary_angles(geom, np.arange(n + 1))
+    _check_grid(n, nodes)  # before the angles are computed
+    theta = _boundary_angles(geom, range(n + 1))
     return theta, _segment_integral(geom, theta[:-1], theta[1:], nodes)
 
 
@@ -230,16 +277,16 @@ def huygens_integral(
     """
     if not 0.0 < theta_max <= math.pi:
         raise ValidationError("theta_max must lie in (0, pi]")
-    s_end = float(_s_of_theta(geom, theta_max))
+    s_end = _s_of_theta(geom, theta_max)
     ramp = (geom.b + 0.9 * (s_end - geom.b), s_end) if taper else None
     n_full = int(math.floor((s_end - geom.b) / (0.5 * geom.wavelength) + 1e-12))
     n_full = min(n_full, geom.max_zones)
-    _check_grid(n_full + 1, nodes_per_zone)  # before the angles are allocated
-    edges = _boundary_angles(geom, np.arange(n_full + 1))
+    _check_grid(n_full + 1, nodes_per_zone)  # before the angles are computed
+    edges = _boundary_angles(geom, range(n_full + 1))
     if theta_max > edges[-1] + 1e-15:
-        edges = np.append(edges, theta_max)
+        edges.append(theta_max)
     terms = _segment_integral(geom, edges[:-1], edges[1:], nodes_per_zone, ramp)
-    return sum(terms.tolist(), 0j)
+    return sum(terms, 0j)
 
 
 def zone_sum(
@@ -263,7 +310,7 @@ def zone_sum(
 
 
 def _partial_sums(geom, n_zones, nodes_per_zone, averaged=True):
-    """Raw and averaged partial sums of the zone series from one term array.
+    """Raw and averaged partial sums of the zone series from one term list.
 
     The averaged sum is None when not ``averaged``; asking for it needs at
     least two zones.
@@ -273,7 +320,7 @@ def _partial_sums(geom, n_zones, nodes_per_zone, averaged=True):
     if averaged and n_zones < 2:
         raise ValidationError("averaged mode needs at least two zones")
     _, terms = _zone_terms(geom, n_zones, nodes_per_zone)
-    total = sum(terms.tolist(), 0j)
+    total = sum(terms, 0j)
     return total, (total - 0.5 * terms[-1] if averaged else None)
 
 
@@ -290,28 +337,57 @@ def zone_plate(
     if open_sorted[0] < 0 or open_sorted[-1] >= n_zones:
         raise ValidationError("open zone indices must lie in [0, n_zones)")
     _, terms = _zone_terms(geom, open_sorted[-1] + 1, nodes_per_zone)
-    return sum(terms[open_sorted].tolist(), 0j)
+    return sum((terms[z] for z in open_sorted), 0j)
 
 
 def zone_table(geom: FresnelGeometry, n_zones: int, nodes_per_zone: int = 16):
     """Rows (n, rho, Re U_n, Im U_n, |U_n|, arg U_n) for the first zones."""
     theta, terms = _zone_terms(geom, n_zones, nodes_per_zone)
-    rho = geom.r0 * _libm(math.sin, theta[1:])
     return [
-        (n, r, u.real, u.imag, abs(u), math.atan2(u.imag, u.real))
-        for n, (r, u) in enumerate(zip(rho.tolist(), terms.tolist()))
+        (n, geom.r0 * math.sin(th), u.real, u.imag, abs(u), math.atan2(u.imag, u.real))
+        for n, (th, u) in enumerate(zip(theta[1:], terms))
     ]
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum in numpy's order for a contiguous float64 array: blocks of at most
+    128 values, each summed with 8 interleaved accumulators, halved
+    recursively at multiples of 8."""
+
+    def block(lo: int, n: int) -> float:
+        if n < 8:
+            total = 0.0
+            for i in range(lo, lo + n):
+                total += values[i]
+            return total
+        if n <= 128:
+            acc = values[lo:lo + 8]
+            end = lo + n - n % 8
+            for i in range(lo + 8, end, 8):
+                for j in range(8):
+                    acc[j] += values[i + j]
+            total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+            for i in range(end, lo + n):
+                total += values[i]
+            return total
+        half = n // 2
+        half -= half % 8
+        return block(lo, half) + block(lo + half, n - half)
+
+    return block(0, len(values))
 
 
 def fit_zone_scaling(geom: FresnelGeometry, n_max: int = 100) -> float:
     """Least-squares slope of log rho_n against log n for n = 1..n_max."""
     if n_max < 2:
         raise ValidationError("need at least two boundaries for a fit")
-    _check_grid(n_max, None)  # before the angles are allocated
+    _check_grid(n_max, None)  # before the angles are computed
     _check_resolved(geom)
-    n = np.arange(1, n_max + 1)
-    rho = geom.r0 * _libm(math.sin, _boundary_angles(geom, n))
-    x = np.log(n)
-    y = np.log(rho)
-    x = x - x.mean()
-    return float(np.dot(x, y - y.mean()) / np.dot(x, x))
+    angles = _boundary_angles(geom, range(1, n_max + 1))
+    x = [math.log(n) for n in range(1, n_max + 1)]
+    y = [math.log(geom.r0 * math.sin(th)) for th in angles]
+    x_mean = _pairwise_sum(x) / n_max
+    x = [v - x_mean for v in x]
+    y_mean = _pairwise_sum(y) / n_max
+    covariance = _pairwise_sum([a * (b - y_mean) for a, b in zip(x, y)])
+    return covariance / _pairwise_sum([a * a for a in x])

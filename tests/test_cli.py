@@ -595,6 +595,40 @@ def test_unconverged_chord_quadrature_stops_at_the_sample_budget():
     assert peak_kb < 160 * 1024
 
 
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.fork and os.wait4")
+def test_large_table_is_written_in_blocks(tmp_path):
+    # 200,003 band rows, a 14 MB file: measured peak 61 MB; it was 112-116 MB when
+    # the rows, their CSV lines, the joined text and its copy were held at once
+    src = str(Path(phasewave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "bands.csv"
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_LAUNCHER, "-m", "phasewave.cli", "--out", str(out),
+         "spin", "--j", "100000.5", "project"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    code, peak_kb = map(int, result.stdout.split())
+    assert code == 0
+    assert out.stat().st_size > 14 * 10**6
+    assert peak_kb < 85 * 1024
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("spin", "--j", "7", "project"),
+    ("spin", "--j", "3", "belts"),
+    ("overlap", "--beta", "0.5"),
+    ("fresnel", "--r0", "100", "--b", "100", "--lambda", "1", "zones", "--n", "5"),
+], ids=["bands", "belts", "overlap", "zones"])
+def test_table_blocks_join_to_the_whole_table(capsys, monkeypatch, fmt, argv):
+    # these tables fit one block; blocks of two rows split each unevenly
+    assert main(["--format", fmt, *argv]) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr("phasewave.cli._ROWS_PER_WRITE", 2)
+    assert main(["--format", fmt, *argv]) == 0
+    assert capsys.readouterr().out == whole
+
+
 def test_cli_import_needs_no_scipy():
     # numpy is the only runtime dependency; scipy must not come back
     src = str(Path(phasewave.__file__).resolve().parents[1])
@@ -667,10 +701,16 @@ def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
 
-    codes, loaded = _fresh_cli(["--out", str(tmp_path / "z.csv"), "fresnel", "--r0", "100",
-                                "--b", "100", "--lambda", "1", "zones", "--n", "3"])
-    assert codes == [0]
-    assert loaded == {"numpy", "phasewave.fresnel"}
+    # every fresnel subaction computes on the standard library
+    geom = ["fresnel", "--r0", "100", "--b", "100", "--lambda", "1"]
+    codes, loaded = _fresh_cli(
+        ["--out", str(tmp_path / "z.csv"), *geom, "zones", "--n", "3"],
+        ["--out", str(tmp_path / "f.json"), *geom, "zonesum", "--n", "4"],
+        ["--out", str(tmp_path / "i.json"), *geom, "integral", "--zones", "3"],
+        [*geom, "plate", "--open", "odd", "--n", "2"],
+    )
+    assert codes == [0, 0, 0, 0]
+    assert loaded == {"phasewave.fresnel"}
 
     # the band and belt tables are computed on the standard library
     codes, loaded = _fresh_cli(
@@ -722,7 +762,9 @@ def _number(data, accepted, one_in=4):
 
 
 def _exits_cleanly(tmp_path_factory, data, argv):
-    """Run ``argv`` through main; exit 0, 2 or 3, no traceback, finite output."""
+    """Run ``argv`` through main; exit 0, 2 or 3, no traceback, finite output.
+
+    Returns the exit code, stderr and the files written."""
     workdir = tmp_path_factory.mktemp("fuzz")
     fmt = data.draw(st.sampled_from(("csv", "json")))
     out, err = io.StringIO(), io.StringIO()
@@ -737,6 +779,7 @@ def _exits_cleanly(tmp_path_factory, data, argv):
         # argparse prefixes its own refusals with the usage text
         assert re.search(r"^(?:phasewave.*: )?error: |^numerical failure: ", err.getvalue(),
                          re.MULTILINE), argv
+    return code, err.getvalue(), sorted(workdir.iterdir())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -762,6 +805,30 @@ def test_number_tokens_exit_cleanly(tmp_path_factory, data):
                 "--grid", "-6:6:3", "--method",
                 data.draw(st.sampled_from(("direct", "parity", "both")))]
     _exits_cleanly(tmp_path_factory, data, argv)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_fresnel_geometries_exit_cleanly(tmp_path_factory, data):
+    # r0 and b span 10 to 1e15 wavelengths, the wavelength and the amplitude
+    # 1e-100 to 1e100: the geometry's limits and the resolution limit are all
+    # crossed, and no math call may raise past them
+    lam = data.draw(_log_uniform(1e-100, 1e100))
+    r0, b = (lam * data.draw(_log_uniform(10.0, 1e15)) for _ in range(2))
+    argv = ["fresnel", "--r0", repr(r0), "--b", repr(b), "--lambda", repr(lam),
+            "--amplitude", repr(data.draw(_log_uniform(1e-100, 1e100))),
+            *data.draw(st.sampled_from(_FRESNEL_ACTIONS))]
+    code, err, written = _exits_cleanly(tmp_path_factory, data, argv)
+    if code:
+        assert len(err.splitlines()) == 1, (argv, err)
+        return
+    with contextlib.redirect_stdout(io.StringIO()):
+        for path in written:
+            assert main(["validate", "--kind", "zones", str(path)]) == 0, (argv, path)
 
 
 #: Malformed state specs the state grammar fuzz mixes in.

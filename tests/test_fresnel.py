@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from phasewave import (
     FresnelGeometry,
@@ -19,7 +20,10 @@ from phasewave import (
     zone_sum,
     zone_table,
 )
-from phasewave.fresnel import _obliquity, _s_of_theta
+from phasewave import fresnel
+from phasewave.fresnel import _s_of_theta
+
+EPS = 2.0**-52
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +48,7 @@ class TestZoneGeometry:
 
     def test_boundary_distances_step_half_wavelength(self, geom):
         for n in (0, 5, 50):
-            s_lo, s_hi = _s_of_theta(geom, [zone_boundary_angle(geom, k) for k in (n, n + 1)])
+            s_lo, s_hi = (_s_of_theta(geom, zone_boundary_angle(geom, k)) for k in (n, n + 1))
             assert s_hi - s_lo == pytest.approx(0.5 * geom.wavelength, abs=1e-12)
             # law-of-cosines solve reproduces the defining distances exactly
             s_def = geom.b + 0.5 * (n + 1) * geom.wavelength
@@ -71,9 +75,17 @@ class TestZoneGeometry:
         assert fit_zone_scaling(g, 100) == pytest.approx(0.5, abs=0.01)
 
 
+def _reference_obliquity(geom, s):
+    """Kirchhoff obliquity K = (1 + cos chi)/2 at distance s from P, and cos chi,
+    as the numpy quadrature below evaluates them."""
+    d = geom.r0 + geom.b
+    cos_chi = np.clip((d * d - geom.r0**2 - s * s) / (2.0 * geom.r0 * s), -1.0, 1.0)
+    return 0.5 * (1.0 + cos_chi), cos_chi
+
+
 def inclination(geom, theta):
     """Kirchhoff obliquity K and the diffraction angle chi at polar angle theta."""
-    kirchhoff, cos_chi = _obliquity(geom, _s_of_theta(geom, theta))
+    kirchhoff, cos_chi = _reference_obliquity(geom, _s_of_theta(geom, theta))
     return float(kirchhoff), math.acos(cos_chi)
 
 
@@ -149,6 +161,67 @@ class TestHuygensIntegral:
     def test_rejects_bad_cap(self, geom):
         with pytest.raises(ValidationError):
             huygens_integral(geom, 0.0)
+
+
+def _numpy_segment_integral(geom, th_lo, th_hi, nodes, ramp=None):
+    """The zone quadrature as numpy evaluates it: leggauss's rule on one
+    (segments x nodes) grid, each segment summed by np.vecdot.  The package's
+    standard-library loop must agree with it (TestQuadrature)."""
+    x, w = leggauss(nodes)
+    th_lo, th_hi = np.asarray(th_lo), np.asarray(th_hi)
+    half = (0.5 * (th_hi - th_lo))[:, None]
+    th = half * x + (0.5 * (th_hi + th_lo))[:, None]
+    d = geom.r0 + geom.b
+    s = np.sqrt(geom.r0**2 + d * d - 2.0 * geom.r0 * d * np.cos(th))
+    kirchhoff, _ = _reference_obliquity(geom, s)
+    f = np.exp(1j * geom.k * s) / s * kirchhoff * np.sin(th)
+    if ramp is not None:
+        s0, s1 = ramp
+        on = s > s0
+        f[on] *= 0.5 * (1.0 + np.cos(math.pi * (s[on] - s0) / (s1 - s0)))
+    wth = half * w
+    surface = np.vecdot(f.real, wth) + 1j * np.vecdot(f.imag, wth)
+    surface *= 2.0 * math.pi * geom.r0**2
+    prefactor = (-1j / geom.wavelength) * geom.amplitude
+    return (prefactor * np.exp(1j * geom.k * geom.r0) / geom.r0 * surface).tolist()
+
+
+class TestQuadrature:
+    def test_gauss_legendre_matches_leggauss(self):
+        for nodes in [*range(10, 65), 100, 257, fresnel.MAX_NODES_PER_ZONE]:
+            x, w = fresnel._gauss_legendre(nodes)
+            x_ref, w_ref = leggauss(nodes)
+            assert x == tuple(sorted(x)) and x == tuple(-v for v in reversed(x)), nodes
+            assert max(abs(a - b) for a, b in zip(x, x_ref.tolist())) <= EPS, nodes
+            # leggauss's end weights lose digits as the rule grows (8e-9 relative
+            # at 1000 nodes against an mpmath solve), so they are compared on
+            # the scale of the weights' sum
+            assert max(abs(a - b) for a, b in zip(w, w_ref.tolist())) <= nodes * EPS, nodes
+            assert abs(math.fsum(w) - 2.0) <= 4 * EPS, nodes
+
+    def test_newton_stops_at_its_step_bound(self, monkeypatch):
+        monkeypatch.setattr(fresnel, "NEWTON_STEPS", 1)
+        with pytest.raises(NumericsError, match="did not converge in 1 Newton steps"):
+            fresnel._gauss_legendre.__wrapped__(16)  # past the cache
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(r0=st.floats(10.0, 1e5), b=st.floats(10.0, 1e5), n=st.integers(1, 200),
+           nodes=st.integers(10, 40))
+    @example(r0=1e5, b=1e5, n=200, nodes=16)
+    def test_matches_the_numpy_quadrature(self, r0, b, n, nodes):
+        g = FresnelGeometry(r0, b, 1.0)
+        n = min(n, g.max_zones - 1)
+        theta = fresnel._boundary_angles(g, range(n + 1))
+        got = fresnel._segment_integral(g, theta[:-1], theta[1:], nodes)
+        want = _numpy_segment_integral(g, theta[:-1], theta[1:], nodes)
+        assert max(abs(u - v) / abs(v) for u, v in zip(got, want)) <= 1e-13
+        # tapered as huygens_integral does it; the last segments roll off to 0
+        s_end = _s_of_theta(g, theta[-1])
+        ramp = (g.b + 0.9 * (s_end - g.b), s_end)
+        got = fresnel._segment_integral(g, theta[:-1], theta[1:], nodes, ramp)
+        want = _numpy_segment_integral(g, theta[:-1], theta[1:], nodes, ramp)
+        scale = max(map(abs, want))
+        assert max(abs(u - v) for u, v in zip(got, want)) <= 1e-13 * scale
 
 
 class TestZoneSeries:
