@@ -15,7 +15,8 @@ nothing: it imports only the field module (``phasewave.field``, standard
 library only) to check a Wigner field, and nothing beyond the standard
 library for the other tables.  ``wigner --method both`` fails (exit 3,
 no file written) when its two routes differ by more than ROUTE_TOL.
-Warnings reach stderr as one ``warning: ...`` line each.
+Warnings reach stderr as one ``warning: ...`` line each.  ``fresnel
+zonesum`` writes the field at P by both routes and by free propagation.
 """
 
 from __future__ import annotations
@@ -249,26 +250,21 @@ def cmd_fresnel(args) -> int:
         sys.stdout.write(f"slope_loglog={_fmt(slope)}\n")
         return 0
 
-    if args.subaction in ("integral", "zonesum"):
-        n_zones = args.n if args.subaction == "zonesum" else args.zones
+    if args.subaction == "zonesum":
         # the zone sums check the budgets, then that the boundaries are resolved,
         # as zones and plate do, before the boundary angle is taken
-        u_raw, u_avg = fresnel._partial_sums(geom, n_zones, args.nodes)
-        theta_max = fresnel.zone_boundary_angle(geom, n_zones)
-        u_int = fresnel.huygens_integral(
-            geom, theta_max, args.nodes, taper=not args.no_taper
-        )
+        u_raw, u_avg = fresnel._partial_sums(geom, args.n, args.nodes)
+        theta_max = fresnel.zone_boundary_angle(geom, args.n)
+        u_int = fresnel.huygens_integral(geom, theta_max, args.nodes)
         summary = {
-            "geometry": {**asdict(geom), "n_zones": n_zones},
+            "geometry": {**asdict(geom), "n_zones": args.n},
             "U_free": _complex_dict(geom.free_field()),
             "U_integral": _complex_dict(u_int),
             "U_zone_sum_raw": _complex_dict(u_raw),
             "U_zone_sum_averaged": _complex_dict(u_avg),
         }
         _write(args.out, [json.dumps(summary) + "\n"])
-        if args.subaction == "zonesum":
-            chosen = u_avg if args.mode == "averaged" else u_raw
-            sys.stdout.write(f"abs_U={_fmt(abs(chosen))}\n")
+        sys.stdout.write(f"abs_U={_fmt(abs(u_avg))}\n")
         return 0
 
     open_zones, n_zones = _parse_mask(args.open, args.n)  # plate, the one subaction left
@@ -409,19 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     pz = fsub.add_parser("zones", parents=[common])
     pz.add_argument("--n", type=int, required=True)
     pz.add_argument("--nodes", type=int, default=16)
-    pi = fsub.add_parser("integral", parents=[common])
-    pi.add_argument("--zones", type=int, required=True)
-    pi.add_argument("--nodes", type=int, default=16)
-    pi.add_argument("--no-taper", action="store_true")
     ps = fsub.add_parser("zonesum", parents=[common])
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--mode", choices=("raw", "averaged"), default="averaged")
     ps.add_argument("--nodes", type=int, default=16)
     pp = fsub.add_parser("plate", parents=[common])
     pp.add_argument("--open", required=True, help="odd | even | all | comma list")
     pp.add_argument("--n", type=int, required=True, help="number of open zones")
     pp.add_argument("--nodes", type=int, default=16)
-    p.set_defaults(func=cmd_fresnel, no_taper=False)
+    p.set_defaults(func=cmd_fresnel)
 
     p = sub.add_parser("spin", help="sphere belts and their plane images", parents=[common])
     p.add_argument("--j", type=float, required=True)

@@ -25,8 +25,9 @@ from .errors import TruncationError, ValidationError
 #: Probability mass a truncated representation may lose before it is an error.
 EPS_TAIL = 1e-10
 
-#: Largest truncation a state, a cutoff or a route accepts: the eigenfunction
-#: recurrence of the direct route is validated up to this Fock index.
+#: Largest truncation a state, a cutoff or a route accepts; it bounds sizes, not
+#: accuracy.  The direct route's Hermite start exp(-x*x/2) is 0.0 beyond |x| ~
+#: 38.6, so psi_n keeps unit norm only to n ~ 690; W(0) of fock:700 fails there.
 MAX_CUTOFF = 10_000
 
 #: Largest norm deficit a certified column of a truncated D(alpha) may show.

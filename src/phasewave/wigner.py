@@ -50,6 +50,8 @@ UV_TO_ALPHA = 1.0 / math.sqrt(2.0)
 #: whose first two levels exceed it is refused before anything is sampled; a
 #: later level that would exceed it ends the refinement unconverged.
 MAX_CHORD_SAMPLES = 1_000_000
+REL_TOL = 1e-10  #: chord levels agree once they differ by under REL_TOL / pi
+MAX_REFINEMENTS = 8  #: chord levels the direct route evaluates before failing
 
 
 class ContainmentWarning(UserWarning):
@@ -84,16 +86,12 @@ def _chord_integrand(rho: fock.DensityMatrix, u: np.ndarray, y: np.ndarray) -> n
     return out
 
 
-def _wigner_eval(
-    rho, u_vec, v_vec, paired, min_points=None, rel_tol=1e-10, max_refinements=8
-):
+def _wigner_eval(rho, u_vec, v_vec, paired, min_points=None):
     """Trapezoid-with-halving evaluation of the chord integral.
 
     paired=False: full outer grid, result (len(u), len(v)).
     paired=True: pointwise, result (len(u),) with u_vec/v_vec zipped.
     """
-    if max_refinements < 2:
-        raise ValidationError("convergence needs at least two refinement levels")
     n_max = rho.n_max
     u_vec = np.asarray(u_vec, dtype=float)
     v_vec = np.asarray(v_vec, dtype=float)
@@ -113,9 +111,9 @@ def _wigner_eval(
             f"{rows} rows x {max(need, 2 * npts - 1):.6g} chord nodes exceed the limit "
             f"of {MAX_CHORD_SAMPLES} chord samples"
         )
-    tol = rel_tol / math.pi
+    tol = REL_TOL / math.pi
     prev = None
-    for _ in range(max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         if rows * npts > MAX_CHORD_SAMPLES:
             break  # refused below, with the last level's Richardson estimate
         y = np.linspace(-half_window, half_window, npts)

@@ -231,7 +231,7 @@ class TestFresnelCommand:
         out = tmp_path / "s.json"
         code, stdout, _ = run(
             capsys, "--out", str(out), *self.GEOM,
-            "zonesum", "--n", "200", "--mode", "averaged",
+            "zonesum", "--n", "200",
         )
         assert code == 0
         obj = json.loads(out.read_text())
@@ -242,7 +242,7 @@ class TestFresnelCommand:
     def test_integral_summary_fields(self, capsys, tmp_path):
         out = tmp_path / "i.json"
         code, _, _ = run(
-            capsys, "--out", str(out), *self.GEOM, "integral", "--zones", "120"
+            capsys, "--out", str(out), *self.GEOM, "zonesum", "--n", "120"
         )
         assert code == 0
         obj = json.loads(out.read_text())
@@ -275,9 +275,12 @@ class TestFresnelCommand:
         assert code == 3
         assert "not resolved in double precision" in err
 
-    @pytest.mark.parametrize("action", [("integral", "--zones", "50"), ("zonesum", "--n", "50")])
+    @pytest.mark.parametrize("action", [
+        ("zonesum", "--n", "50"),
+        ("plate", "--open", "odd", "--n", "25"),
+    ])
     def test_unresolved_summaries_fail_numerically(self, capsys, tmp_path, action):
-        # the boundary angles round to 0 here; the summaries fail as zones and plate do
+        # the boundary angles round to 0 here; both summaries fail as zones does
         out = tmp_path / "f.json"
         code, _, err = run(capsys, "--out", str(out), "fresnel", "--r0", "1e12", "--b", "10",
                            "--lambda", "1", *action)
@@ -289,13 +292,9 @@ class TestFresnelCommand:
         code, _, _ = run(capsys, *self.GEOM, "zones", "--n", "5", "--nodes", "4")
         assert code == 2
 
-    @pytest.mark.parametrize("action", [
-        ("integral", "--zones", "1"),
-        ("zonesum", "--n", "1", "--mode", "raw"),
-    ])
-    def test_single_zone_summary_rejected(self, capsys, action):
+    def test_single_zone_summary_rejected(self, capsys):
         # the summary always carries the averaged sum, which needs two zones
-        code, _, err = run(capsys, *self.GEOM, *action)
+        code, _, err = run(capsys, *self.GEOM, "zonesum", "--n", "1")
         assert code == 2
         assert "two zones" in err
 
@@ -320,6 +319,19 @@ class TestFresnelCommand:
                            "--lambda", "1", *action)
         assert code == 2
         assert "exceed the limit" in err
+
+    @pytest.mark.parametrize("action", [
+        ("integral", "--zones", "3"),
+        ("zonesum", "--n", "3", "--mode", "raw"),
+        ("integral", "--zones", "3", "--no-taper"),
+    ])
+    def test_removed_options_rejected(self, capsys, tmp_path, action):
+        # zonesum writes the integral and both zone sums in one summary, so no
+        # subaction or switch re-selects one of them
+        out = tmp_path / "f.json"
+        code, _, _ = run(capsys, "--out", str(out), *self.GEOM, *action)
+        assert code == 2
+        assert not out.exists()
 
 
 class TestSpinCommand:
@@ -706,10 +718,9 @@ def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
     codes, loaded = _fresh_cli(
         ["--out", str(tmp_path / "z.csv"), *geom, "zones", "--n", "3"],
         ["--out", str(tmp_path / "f.json"), *geom, "zonesum", "--n", "4"],
-        ["--out", str(tmp_path / "i.json"), *geom, "integral", "--zones", "3"],
         [*geom, "plate", "--open", "odd", "--n", "2"],
     )
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0]
     assert loaded == {"phasewave.fresnel"}
 
     # the band and belt tables are computed on the standard library
@@ -749,7 +760,6 @@ _NONFINITE = re.compile(r"\b(?:nan|NaN|inf|Infinity)\b")
 _FRESNEL_ACTIONS = (
     ("zones", "--n", "3"),
     ("zonesum", "--n", "4"),
-    ("integral", "--zones", "3"),
     ("plate", "--open", "odd", "--n", "2"),
 )
 

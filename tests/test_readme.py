@@ -13,7 +13,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 #: subaction) writes; None marks a JSON summary, which has no table kind
 KINDS = {
     "wigner": "wigner", "overlap": "overlap", "zones": "zones", "project": "spin-bands",
-    "belts": "spin-belts", "zonesum": None, "integral": None, "plate": None,
+    "belts": "spin-belts", "zonesum": None, "plate": None,
 }
 
 

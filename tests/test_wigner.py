@@ -31,7 +31,7 @@ from phasewave import (
     wigner_parity,
     wigner_values,
 )
-from phasewave import fock
+from phasewave import fock, wigner
 from phasewave.fock import _displacement_batch, eigenfunction_stack
 from phasewave.wigner import _chord_integrand, _royer_sums, _wigner_eval
 
@@ -177,19 +177,24 @@ class TestDirectRoute:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_nonconvergence_reports_worst_node(self):
+    def test_nonconvergence_reports_worst_node(self, monkeypatch):
+        monkeypatch.setattr(wigner, "REL_TOL", 1e-16)
+        monkeypatch.setattr(wigner, "MAX_REFINEMENTS", 2)
         rho = FockState.vacuum().density()
         with pytest.raises(QuadratureError) as err:
-            _wigner_eval(
-                rho, [0.3], [0.1], True, rel_tol=1e-16, max_refinements=2
-            )
+            _wigner_eval(rho, [0.3], [0.1], True)
         assert err.value.worst_node is not None
 
-    def test_single_refinement_level_rejected(self):
-        # convergence compares two levels, so one level can never converge
-        rho = FockState.vacuum().density()
-        with pytest.raises(ValidationError, match="two refinement levels"):
-            _wigner_eval(rho, [0.3], [0.1], True, max_refinements=1)
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the Hermite start exp(-x*x/2) underflows to 0.0 beyond |x| ~ 38.6, "
+        "so every chord sample of coherent:30 at its centre reads 0 and the "
+        "quadrature converges to 0; ROADMAP item 3 scales the recurrence",
+    )
+    def test_far_coherent_centre(self):
+        rho = coherent_amplitudes(30.0).density()
+        got = wigner_values(rho, [30.0 * math.sqrt(2.0)], [0.0])
+        assert abs(got[0] - 1.0 / math.pi) < 1e-9
 
     def test_empty_point_set_rejected(self):
         with pytest.raises(ValidationError, match="at least one point"):
