@@ -292,9 +292,14 @@ class TestFresnelCommand:
         code, _, _ = run(capsys, *self.GEOM, "zones", "--n", "5", "--nodes", "4")
         assert code == 2
 
-    def test_single_zone_summary_rejected(self, capsys):
-        # the summary always carries the averaged sum, which needs two zones
-        code, _, err = run(capsys, *self.GEOM, "zonesum", "--n", "1")
+    @pytest.mark.parametrize("action", [
+        ("zonesum", "--n", "1"),
+        ("zonesum", "--n", "1", "--nodes", "32"),
+    ])
+    def test_single_zone_summary_rejected(self, capsys, action):
+        # the summary always carries the averaged sum, which needs two zones,
+        # whatever the quadrature order
+        code, _, err = run(capsys, *self.GEOM, *action)
         assert code == 2
         assert "two zones" in err
 
