@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 rejected input, 3 numerical failure.  Output
 files are deterministic: fixed summation order, no timestamps, CSV floats
 printed with 17 significant digits and JSON floats as Python's shortest
-round-trip repr (both lossless for doubles).
+round-trip repr (both lossless for doubles).  Every file, and each
+``key=value`` line echoed to stdout after it, goes through ``_write``.
 
 Each subcommand imports the one numerics module it computes with when it
 runs, so start-up loads the standard library only.  ``fresnel`` and
@@ -11,10 +12,11 @@ runs, so start-up loads the standard library only.  ``fresnel`` and
 ``overlap`` load numpy with their module.  ``wigner`` parses its state
 and grid specs first, so a refused spec loads no numpy either.  Tables
 are formatted and written a block of rows at a time.  ``validate`` computes
-nothing: it imports only the field module (``phasewave.field``, standard
-library only) to check a Wigner field, and nothing beyond the standard
-library for the other tables.  ``wigner --method both`` fails (exit 3,
-no file written) when its two routes differ by more than ROUTE_TOL.
+nothing: it reads the file as written, with no line-end translation, and
+imports only the field module (``phasewave.field``, standard library only)
+to check a Wigner field and nothing beyond the standard library for the
+other tables.  ``wigner --method both`` fails (exit 3, no file written)
+when its two routes differ by more than ROUTE_TOL.
 Warnings reach stderr as one ``warning: ...`` line each.  ``fresnel
 zonesum`` writes the field at P by both routes and by free propagation.
 """
@@ -50,13 +52,15 @@ def _complex_dict(z: complex) -> dict:
     }
 
 
-def _write(out: str | None, chunks) -> None:
-    """Write the text chunks of ``chunks`` in turn to the file ``out``, or to stdout."""
+def _write(out: str | None, chunks, **echo) -> None:
+    """Write the text chunks of ``chunks`` in turn to the file ``out``, or to
+    stdout, then each ``echo`` item to stdout as one ``key=value`` line."""
     if out is None:
         sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="") as fh:
             fh.writelines(chunks)
+    sys.stdout.writelines(f"{key}={_fmt(value)}\n" for key, value in echo.items())
 
 
 def parse_state(spec: str) -> list:
@@ -131,35 +135,24 @@ def parse_grid(spec: str, spec_v: str | None) -> field.PhaseGrid:
             raise ValidationError(f"grid spec {text!r}: {exc}") from exc
 
     u_lo, u_hi, n_u = axis(spec)
-    v_lo, v_hi, n_v = axis(spec_v) if spec_v else (u_lo, u_hi, n_u)
+    v_lo, v_hi, n_v = axis(spec_v) if spec_v is not None else (u_lo, u_hi, n_u)
     return field.PhaseGrid(u_lo, u_hi, v_lo, v_hi, n_u, n_v)
 
 
-def _serialize_field(wf: field.WignerField, fmt: str) -> str:
-    return wf.to_json() + "\n" if fmt == "json" else wf.to_csv()
-
-
-#: Column names of every table the CLI writes, by ``validate --kind``.
-_COLUMNS = {
-    "zones": ("n", "rho", "re_Un", "im_Un", "abs_Un", "phase_Un"),
-    "overlap": ("n", "p_overlap", "p_poisson"),
-    "spin-belts": ("m", "z_lo", "z_hi", "area"),
-    "spin-bands": ("n", "m", "rho_lo", "rho_hi", "area"),
+#: Every table the CLI writes, by ``validate --kind``: its JSON key and columns.
+_TABLES = {
+    "zones": ("zones", ("n", "rho", "re_Un", "im_Un", "abs_Un", "phase_Un")),
+    "overlap": ("table", ("n", "p_overlap", "p_poisson")),
+    "spin-belts": ("belts", ("m", "z_lo", "z_hi", "area")),
+    "spin-bands": ("bands", ("n", "m", "rho_lo", "rho_hi", "area")),
 }
 
 
-def _emit_table(args, key: str, columns, rows, **head) -> None:
-    """Write ``rows`` as CSV, or as JSON records under ``key`` after ``head``.
-
-    The text is formatted and written _ROWS_PER_WRITE rows at a time, so a
-    large table is never held as one string; the bytes are those of
-    formatting it whole.
-    """
-    _write(args.out, _table_chunks(args.format, key, columns, rows, head))
-
-
-def _table_chunks(fmt: str, key: str, columns, rows, head: dict):
-    """The text of ``_emit_table``'s table, one block of rows per chunk."""
+def _table(fmt: str, kind: str, rows, **head):
+    """The text of the ``kind`` table of ``rows``: CSV, or JSON records under its
+    key after ``head``, one block of _ROWS_PER_WRITE rows per chunk, so a large
+    table is never held as one string."""
+    key, columns = _TABLES[kind]
     rows = iter(rows)
     blocks = iter(lambda: list(itertools.islice(rows, _ROWS_PER_WRITE)), [])
     if fmt == "json":
@@ -205,21 +198,19 @@ def cmd_wigner(args) -> int:
     rho = build_state(pairs)
     from . import wigner
 
-    if args.method in ("direct", "both"):
-        direct = wigner.wigner_direct(rho, grid)
-    if args.method in ("parity", "both"):
-        parity = wigner.wigner_parity(rho, grid, args.n_max)
-    if args.method == "direct":
-        _write(args.out, [_serialize_field(direct, args.format)])
-    elif args.method == "parity":
-        _write(args.out, [_serialize_field(parity, args.format)])
-    else:
-        deviation = _route_deviation(direct, parity)
+    fields = []
+    if args.method != "parity":
+        fields.append(wigner.wigner_direct(rho, grid))
+    if args.method != "direct":
+        fields.append(wigner.wigner_parity(rho, grid, args.n_max))
+    outs, echo = [args.out], {}
+    if args.method == "both":
+        echo["max_abs_deviation"] = _route_deviation(*fields)
         path = Path(args.out)
-        parity_path = path.with_name(path.stem + ".parity" + path.suffix)
-        _write(args.out, [_serialize_field(direct, args.format)])
-        _write(str(parity_path), [_serialize_field(parity, args.format)])
-        sys.stdout.write(f"max_abs_deviation={_fmt(deviation)}\n")
+        outs.append(str(path.with_name(path.stem + ".parity" + path.suffix)))
+    for out, wf in zip(outs, fields):
+        _write(out, [wf.to_json() + "\n" if args.format == "json" else wf.to_csv()],
+               **(echo if wf is fields[-1] else {}))
     return 0
 
 
@@ -231,7 +222,7 @@ def cmd_overlap(args) -> int:
     head = asdict(semiclassics.compare_poisson(args.beta, args.n_bands))
     p_overlap, p_poisson = head.pop("p_overlap"), head.pop("p_poisson")
     rows = zip(range(p_overlap.size), p_overlap.tolist(), p_poisson.tolist())
-    _emit_table(args, "table", _COLUMNS["overlap"], rows, **head)
+    _write(args.out, _table(args.format, "overlap", rows, **head))
     return 0
 
 
@@ -246,8 +237,8 @@ def cmd_fresnel(args) -> int:
     if args.subaction == "zones":
         rows = fresnel.zone_table(geom, args.n, args.nodes)
         slope = fresnel.fit_zone_scaling(geom, args.n)
-        _emit_table(args, "zones", _COLUMNS["zones"], rows, slope_loglog=slope)
-        sys.stdout.write(f"slope_loglog={_fmt(slope)}\n")
+        _write(args.out, _table(args.format, "zones", rows, slope_loglog=slope),
+               slope_loglog=slope)
         return 0
 
     if args.subaction == "zonesum":
@@ -263,8 +254,7 @@ def cmd_fresnel(args) -> int:
             "U_zone_sum_raw": _complex_dict(u_raw),
             "U_zone_sum_averaged": _complex_dict(u_avg),
         }
-        _write(args.out, [json.dumps(summary) + "\n"])
-        sys.stdout.write(f"abs_U={_fmt(abs(u_avg))}\n")
+        _write(args.out, [json.dumps(summary) + "\n"], abs_U=abs(u_avg))
         return 0
 
     open_zones, n_zones = _parse_mask(args.open, args.n)  # plate, the one subaction left
@@ -278,8 +268,7 @@ def cmd_fresnel(args) -> int:
         "U_free": _complex_dict(u_free),
         "amplitude_ratio": ratio,
     }
-    _write(args.out, [json.dumps(summary) + "\n"])
-    sys.stdout.write(f"amplitude_ratio={_fmt(ratio)}\n")
+    _write(args.out, [json.dumps(summary) + "\n"], amplitude_ratio=ratio)
     return 0
 
 
@@ -313,11 +302,11 @@ def cmd_spin(args) -> int:
             (b.m, b.z_lo, b.z_hi, 2.0 * math.pi * sphere.radius * b.width)
             for b in spinmap.belts(args.j)
         ]
-        _emit_table(args, "belts", _COLUMNS["spin-belts"], rows, j=args.j)
+        _write(args.out, _table(args.format, "spin-belts", rows, j=args.j))
         return 0
 
     rows = spinmap.band_table(args.j)  # project, the one subaction left
-    _emit_table(args, "bands", _COLUMNS["spin-bands"], rows, j=args.j)
+    _write(args.out, _table(args.format, "spin-bands", rows, j=args.j))
     return 0
 
 
@@ -326,7 +315,8 @@ def _refuse_constant(token: str):
 
 
 def cmd_validate(args) -> int:
-    text = Path(args.path).read_text()
+    with open(args.path, newline="") as fh:  # no line-end translation
+        text = fh.read()
     is_json = text.lstrip().startswith("{")
     if args.kind == "wigner":
         from .field import WignerField
@@ -338,29 +328,29 @@ def cmd_validate(args) -> int:
         # text == body + end, without building that copy of a large field
         if len(text) != len(body) + len(end) or not text.startswith(body) or text[len(body):] != end:
             raise ValidationError("round-trip re-serialization differs from the file")
-        sys.stdout.write("ok\n")
-        return 0
-    if is_json:
+    elif is_json:
         obj = json.loads(text, parse_constant=_refuse_constant)
         if json.dumps(obj) + "\n" != text:
             raise ValidationError("JSON round-trip differs from the file")
-        sys.stdout.write("ok\n")
-        return 0
-    lines = text.splitlines()
-    expected = ",".join(_COLUMNS[args.kind])
-    if not lines or lines[0] != expected:
-        raise ValidationError(f"header mismatch: expected {expected!r}")
-    for line in lines[1:]:
-        for tok in line.split(","):
-            value = float(tok)
-            if not math.isfinite(value):
-                raise ValidationError(f"non-finite value {tok!r}")
-            if tok.lstrip("-").isdigit():
-                continue  # integer column
-            if _fmt(value) != tok:
-                raise ValidationError(
-                    f"token {tok!r} does not round-trip at 17 significant digits"
-                )
+    else:
+        columns = _TABLES[args.kind][1]
+        lines = text.split("\n")
+        expected = ",".join(columns)
+        if lines[0] != expected:
+            raise ValidationError(f"header mismatch: expected {expected!r}")
+        if lines.pop() != "":
+            raise ValidationError("the last line does not end in a newline")
+        for line in lines[1:]:
+            tokens = line.split(",")
+            if len(tokens) != len(columns):
+                raise ValidationError(f"row {line!r} does not hold {len(columns)} columns")
+            for tok in tokens:
+                value = float(tok)
+                if not math.isfinite(value):
+                    raise ValidationError(f"non-finite value {tok!r}")
+                if _fmt(value) != tok:
+                    raise ValidationError(f"token {tok!r} does not round-trip at "
+                                          "17 significant digits")
     sys.stdout.write("ok\n")
     return 0
 
@@ -421,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="re-read a file this tool wrote", parents=[common])
     p.add_argument("--kind", required=True,
-                   choices=("wigner", *_COLUMNS))
+                   choices=("wigner", *_TABLES))
     p.add_argument("path")
     p.set_defaults(func=cmd_validate)
     return parser

@@ -90,6 +90,12 @@ class TestWignerCommand:
             assert code == 2
             assert "not min:max:count" in err
 
+    def test_empty_v_grid_rejected(self, capsys):
+        # an empty --grid-v is a malformed spec, not an absent one
+        code, out, err = run(capsys, "wigner", "--state", "vacuum", "--grid", "-1:1:3",
+                             "--grid-v", "", "--method", "parity")
+        assert (code, out, err) == (2, "", "error: grid spec '' is not min:max:count\n")
+
     def test_route_disagreement_fails_numerically(self, capsys, tmp_path, monkeypatch):
         # one parity node moved by 1e-5: exit 3 naming the deviation and that node,
         # and neither file written
@@ -226,6 +232,19 @@ class TestFresnelCommand:
         assert len(lines) == 101
         slope = float(stdout.strip().split("=")[1])
         assert slope == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("argv, key", [
+        (("zones", "--n", "5"), "slope_loglog"),
+        (("--format", "json", "zones", "--n", "5"), "slope_loglog"),
+        (("zonesum", "--n", "4"), "abs_U"),
+    ], ids=["zones-csv", "zones-json", "zonesum"])
+    def test_echo_follows_the_file_text_on_stdout(self, capsys, tmp_path, argv, key):
+        # without --out, stdout holds what --out would, then the one key=value line
+        out = tmp_path / "f.txt"
+        code, echo, _ = run(capsys, "--out", str(out), *self.GEOM, *argv)
+        assert code == 0
+        assert re.fullmatch(rf"{key}=[^\n]+\n", echo)
+        assert run(capsys, *self.GEOM, *argv) == (0, out.read_text() + echo, "")
 
     def test_zonesum_averaged_oracle(self, capsys, tmp_path):
         out = tmp_path / "s.json"
@@ -533,6 +552,39 @@ class TestValidateAndDeterminism:
             code, stdout, _ = run(capsys, "validate", "--kind", kind, str(path))
             assert code == 0, kind
             assert stdout.strip() == "ok"
+
+    @pytest.mark.parametrize("kind, argv, ends", [
+        ("wigner", ("wigner", "--state", "vacuum", "--grid", "-1:1:3"), b"\r\n"),
+        ("wigner", ("wigner", "--state", "vacuum", "--grid", "-1:1:3"), b"\r"),
+        ("zones", ("--format", "json", "fresnel", "--r0", "100", "--b", "100",
+                   "--lambda", "1", "zones", "--n", "5"), b"\r\n"),
+        ("overlap", ("overlap", "--beta", "1"), b"\r\n"),
+    ], ids=["wigner-crlf", "wigner-cr", "zones-json-crlf", "overlap-crlf"])
+    def test_validate_refuses_rewritten_line_ends(self, capsys, tmp_path, kind, argv, ends):
+        # validate reads the bytes as written, with no line-end translation
+        path = tmp_path / "f.out"
+        assert run(capsys, "--out", str(path), *argv)[0] == 0
+        path.write_bytes(path.read_bytes().replace(b"\n", ends))
+        code, stdout, err = run(capsys, "validate", "--kind", kind, str(path))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("zones", "n,rho,re_Un,im_Un,abs_Un,phase_Un\n1,2\n",
+         "row '1,2' does not hold 6 columns"),
+        ("spin-bands", "n,m,rho_lo,rho_hi,area\n1,2,3,4,5,6,7\n",
+         "row '1,2,3,4,5,6,7' does not hold 5 columns"),
+        ("overlap", "n,p_overlap,p_poisson\n0,0.5,0.5",
+         "the last line does not end in a newline"),
+        ("spin-belts", "m,z_lo,z_hi,area\n007,0,1,2\n",
+         "token '007' does not round-trip at 17 significant digits"),
+    ], ids=["short-row", "long-row", "no-final-newline", "zero-padded-integer"])
+    def test_validate_refuses_tables_the_writer_never_writes(self, capsys, tmp_path,
+                                                             kind, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        code, stdout, err = run(capsys, "validate", "--kind", kind, str(path))
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
 
     def test_validate_rejects_wrong_header(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
