@@ -332,6 +332,14 @@ def cmd_validate(args) -> int:
         obj = json.loads(text, parse_constant=_refuse_constant)
         if json.dumps(obj) + "\n" != text:
             raise ValidationError("JSON round-trip differs from the file")
+        key, columns = _TABLES[args.kind]
+        if not (args.kind == "zones" and "geometry" in obj):  # a zonesum or plate summary
+            records = obj.get(key)
+            if not isinstance(records, list) or any(
+                not isinstance(row, dict) or tuple(row) != columns for row in records
+            ):
+                raise ValidationError(f"JSON holds no {key!r} list of records with columns "
+                                      f"{','.join(columns)}")
     else:
         columns = _TABLES[args.kind][1]
         lines = text.split("\n")

@@ -9,7 +9,7 @@ differences (:func:`log_factorials`), never from raw factorials, so indices
 in the thousands are safe.
 
 A mixed state is kept as its normalized pure components and their weights
-(:class:`DensityMatrix`), so no dense density matrix is ever factored.
+(:class:`DensityMatrix`), and every route reads them as stored: nothing is factored.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ class DensityMatrix:
             raise ValidationError("mixture weights sum past the largest double")
         _require_unit_norm(amp)
         self._amp, self._w = amp, w / total
-        self._amp.setflags(write=False)
+        for arr in (self._amp, self._w):  # shared by every route, so read-only
+            arr.setflags(write=False)
 
     def leading_block(self, size: int) -> np.ndarray:
         """rho[:size, :size] = sum_i w_i outer(a_i[:size], conj(a_i[:size])), summed
@@ -153,19 +154,12 @@ class DensityMatrix:
 
     @functools.cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs (weights, vectors) above 1e-13 of rho[:s, :s], s - 1 the last
-        nonzero occupation; every stored level counts, since amplitudes near
-        sqrt(eps) still shift displaced probabilities at the 1e-8 level.  They are
-        the squared singular values and left singular vectors of the first s rows
-        of A diag(sqrt(w)), weights ascending; parallel components collapse."""
-        s = self.top_occupied(0.0) + 1
-        scaled = self._amp[:s] * np.sqrt(self._w)
-        vectors, sing, _ = np.linalg.svd(scaled, full_matrices=False)
-        keep = sing * sing > 1e-13
-        pair = (sing[keep] ** 2)[::-1], vectors[:, keep][:, ::-1]
-        for arr in pair:  # shared by every route, so read-only
-            arr.setflags(write=False)
-        return pair
+        """The stored (weights, components) over levels 0..s-1, s - 1 the last
+        nonzero occupation: the weights w and the first s rows of A, both
+        read-only, so rho[:s, :s] = A[:s] diag(w) A[:s]^dag.  Every stored level
+        counts, since amplitudes near sqrt(eps) still shift displaced
+        probabilities at the 1e-8 level."""
+        return self._w, self._amp[: self.top_occupied(0.0) + 1]
 
     def embedded(self, n_max: int) -> "DensityMatrix":
         """Same operator in a Fock space truncated at ``n_max`` >= current."""
@@ -268,11 +262,11 @@ def _laguerre_degrees(mag: np.ndarray, n_max: int, last: int):
         prev, cur = cur, nxt
 
 
-def _displacement_batch(alphas: np.ndarray, n_max: int, columns: np.ndarray) -> np.ndarray:
-    """Selected columns of the displacement operator for a batch of amplitudes.
+def _displacement_batch(alphas: np.ndarray, n_max: int, columns) -> np.ndarray:
+    """Columns 0..s-1 of the displacement operator for a batch of amplitudes, s =
+    len(``columns``) (callers pass range(s)), as shape (len(alphas), n_max+1, s).
 
-    Returns shape (len(alphas), n_max+1, len(columns)).  Entries are the
-    closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969),
+    Entries are the closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969),
         <m|D(a)|n> = sqrt(n!/m!) a^(m-n) e^(-|a|^2/2) L_n^(m-n)(|a|^2)
     for m >= n, and conj(<n|D(-a)|m>) below the diagonal.  Degree n of
     :func:`_laguerre_degrees` fills column n from the diagonal down and row n
@@ -280,18 +274,17 @@ def _displacement_batch(alphas: np.ndarray, n_max: int, columns: np.ndarray) -> 
     place, so the working set beyond the result is a few (alpha, order) arrays.
     """
     al = np.asarray(alphas, dtype=complex).reshape(-1, 1)
-    columns = np.asarray(columns, dtype=int)
+    s = len(columns)
     order = np.arange(n_max + 1)
-    out = np.empty((al.shape[0], n_max + 1, columns.size), dtype=complex)
-    for n, cur in enumerate(_laguerre_degrees(np.abs(al), n_max, columns.max(initial=-1))):
-        out[:, n:, columns == n] = cur[:, :, None]
-        right = columns > n
-        out[:, n, right] = cur[:, columns[right] - n]
+    out = np.empty((al.shape[0], n_max + 1, s), dtype=complex)
+    for n, cur in enumerate(_laguerre_degrees(np.abs(al), n_max, s - 1)):
+        out[:, n:, n] = cur
+        out[:, n, n + 1 :] = cur[:, 1 : s - n]
     theta = np.angle(al)
     out *= np.exp(1j * order * theta)[:, :, None]
-    out *= np.exp(-1j * columns * theta)[:, None, :]
+    out *= np.exp(-1j * order[:s] * theta)[:, None, :]
     # <m|D(a)|n> = conj(<n|D(-a)|m>) carries (-1)^(n-m) below the diagonal
-    diff = order[:, None] - columns
+    diff = order[:, None] - order[:s]
     np.negative(out, out=out, where=(diff < 0) & (diff % 2 == 1))
     return out
 
@@ -329,7 +322,7 @@ def _worst_leak(block, certified: int) -> None:
 def _displaced_occupations(rho: DensityMatrix, alphas, n_max=None) -> np.ndarray:
     """Occupations P_n of D(alpha) rho D(alpha)^dag, one row per alpha.
 
-    P_n = sum_e w_e |<n|D(alpha)|v_e>|^2 over ``rho.support``, so only the
+    P_n = sum_i w_i |<n|D(alpha)|a_i>|^2 over ``rho.support``, so only the
     support columns of D(alpha) are built, a block of points at a time; the
     default cutoff follows the largest |alpha|.  TruncationError unless the
     support lies in the certified span at that |alpha|, each certified
@@ -352,14 +345,14 @@ def _displaced_occupations(rho: DensityMatrix, alphas, n_max=None) -> np.ndarray
             detail=reach,
         )
     weights, vectors = rho.support
-    cols = np.arange(vectors.shape[0])
-    certified = min(span + 1, cols.size)
+    s = vectors.shape[0]
+    certified = min(span + 1, s)
     out = np.empty((alphas.size, n_max + 1))
-    step = max(1, int(_CHUNK_ELEMS // ((n_max + 1) * cols.size)))
+    step = max(1, int(_CHUNK_ELEMS // ((n_max + 1) * s)))
     for lo in range(0, alphas.size, step):
-        block = _displacement_batch(alphas[lo : lo + step], n_max, cols)
+        block = _displacement_batch(alphas[lo : lo + step], n_max, range(s))
         _worst_leak(block, certified)
-        moved = block @ vectors  # (chunk, n_max+1, n_eig)
+        moved = block @ vectors  # (chunk, n_max+1, components)
         del block  # each block is freed before the next is built
         out[lo : lo + step] = np.einsum("e,ame->am", weights, np.abs(moved) ** 2)
         del moved

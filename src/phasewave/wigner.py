@@ -4,10 +4,9 @@ Two independent evaluation routes are provided and cross-checked:
 
 * :func:`wigner_direct` integrates the position-representation Fourier
   kernel over the chord coordinate y at every node; the kernel is the
-  sum over the pairs (w_e, phi_e) of ``rho.support`` (a thin SVD of the
-  state's weighted pure components) of
-  w_e phi_e(u + y/2) conj(phi_e(u - y/2)), so a pure state costs one
-  wavefunction product,
+  sum over the state's stored pure components phi_i and weights w_i
+  (``rho.support``) of w_i phi_i(u + y/2) conj(phi_i(u - y/2)), so a pure
+  state costs one wavefunction product,
 * :func:`parity_sum` forms twice the alternating sum of the occupation
   probabilities of the state displaced to the opposite phase point
   (``fock._displaced_occupations``); :func:`wigner_parity` evaluates the
@@ -69,10 +68,10 @@ def alpha_from_uv(u, v) -> np.ndarray:
 def _chord_integrand(rho: fock.DensityMatrix, u: np.ndarray, y: np.ndarray) -> np.ndarray:
     """F(u, y) = <u + y/2| rho |u - y/2> from the state's support.
 
-    With rho.support = (w, V), the eigenpairs of rho's occupied block from a
-    thin SVD of its weighted pure components,
-    F = sum_e w_e phi_e(u + y/2) conj(phi_e(u - y/2)), phi_e = sum_n V_ne psi_n,
-    each phi_e summed inside the Hermite recurrence; a pure state has one term.
+    With rho.support = (w, A), the stored weights and pure components over the
+    occupied levels, F = sum_i w_i phi_i(u + y/2) conj(phi_i(u - y/2)),
+    phi_i = sum_n A_ni psi_n, each phi_i summed inside the Hermite recurrence;
+    a pure state has one term.
     F is complex for states with complex coherences; only the Fourier sum over
     y is real, so the real part is taken after it.
     """
@@ -221,7 +220,7 @@ def _royer_sums(rho: fock.DensityMatrix, alphas: np.ndarray) -> np.ndarray:
     """S(alpha) = 2 * sum_n (-1)^n P_n(-alpha) per point, as a trace.
 
     Royer, Phys. Rev. A 15, 449 (1977): D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi
-    for the parity Pi, so S = 2 Tr[rho D(2 alpha) Pi] over the s support states.
+    for the parity Pi, so S = 2 Tr[rho D(2 alpha) Pi] over the s occupied levels.
     With 2 alpha = r e^(i theta) and <n+k|D(2 alpha)|n> = T_n^(k)(r) e^(ik theta)
     (the entries above the diagonal add the conjugate terms), S is the series
         S = 2 Re[c_0(r) + 2 sum_(k>=1) e^(ik theta) c_k(r)],

@@ -599,6 +599,33 @@ class TestValidateAndDeterminism:
         code, _, _ = run(capsys, "validate", "--kind", "zones", str(out))
         assert code == 0
 
+    _FRESNEL = ("fresnel", "--r0", "100", "--b", "100", "--lambda", "1")
+
+    @pytest.mark.parametrize("kind, argv, reverse", [
+        *((kind, None, False) for kind in ("zones", "overlap", "spin-belts", "spin-bands")),
+        ("overlap", ("--format", "json", "spin", "--j", "2", "belts"), False),
+        ("zones", ("--format", "json", *_FRESNEL, "zones", "--n", "5"), True),
+        ("overlap", (*_FRESNEL, "zonesum", "--n", "5"), False),
+    ], ids=["object-as-zones", "object-as-overlap", "object-as-spin-belts",
+            "object-as-spin-bands", "belts-as-overlap", "reversed-zone-columns",
+            "zonesum-as-overlap"])
+    def test_validate_json_holds_the_kinds_records(self, capsys, tmp_path, kind, argv,
+                                                   reverse):
+        # each file re-serializes to its own bytes, but holds no list of the
+        # kind's records with exactly its columns in order
+        path = tmp_path / "t.json"
+        if argv is None:
+            path.write_text('{"a": 1}\n')
+        else:
+            assert run(capsys, "--out", str(path), *argv)[0] == 0
+        if reverse:
+            obj = json.loads(path.read_text())
+            obj["zones"] = [dict(reversed(row.items())) for row in obj["zones"]]
+            path.write_text(json.dumps(obj) + "\n")
+        code, stdout, err = run(capsys, "validate", "--kind", kind, str(path))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: JSON holds no ")
+
 
 def test_direct_route_bytes_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS reads its thread count when numpy loads, so each count needs a process

@@ -1,13 +1,16 @@
 """The README's CLI block, run as documented: in order, in one directory,
-every command exits 0 and everything it writes reads back."""
+every command exits 0 and everything it writes reads back; and its install
+block names every test dependency."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
 from phasewave.cli import _join_negative_values, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 #: ``validate --kind`` of what each subcommand (or fresnel and spin
 #: subaction) writes; None marks a JSON summary, which has no table kind
@@ -17,12 +20,15 @@ KINDS = {
 }
 
 
+def _sh_block(heading):
+    """The lines of the first ``sh`` block under the README's ``heading``."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
 def _cli_block():
     """The argv of each ``phasewave`` line of the README's CLI block, in order."""
-    section = README.read_text().split("\n## CLI\n", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:] for line in block.splitlines()
-            if line.startswith("phasewave ")]
+    return [shlex.split(line)[1:] for line in _sh_block("CLI") if line.startswith("phasewave ")]
 
 
 def test_readme_cli_block_runs_and_validates(tmp_path, monkeypatch, capsys):
@@ -51,3 +57,13 @@ def test_readme_cli_block_runs_and_validates(tmp_path, monkeypatch, capsys):
             else:
                 assert main(["validate", "--kind", kind, path]) == 0, (argv, path)
                 assert capsys.readouterr().out == "ok\n"
+
+
+def test_readme_installs_the_test_extra():
+    # read with re, not tomllib: the project supports Python 3.10
+    extra = re.search(r"^test = \[(.*?)\]", PYPROJECT.read_text(), re.M | re.S).group(1)
+    wanted = [re.match(r"[\w.-]+", spec).group() for spec in re.findall(r'"([^"]+)"', extra)]
+    assert wanted
+    installed = {word for line in _sh_block("Install") if line.startswith("pip install ")
+                 for word in line.split("#", 1)[0].split()}
+    assert set(wanted) <= installed, sorted(set(wanted) - installed)

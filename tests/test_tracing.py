@@ -47,8 +47,8 @@ def test_traced_wigner_routes_fire_their_counters(tracing):
         tracing.uninstall(undo)
     assert fock._displacement_batch is raw
     counts = tracer.counts
-    assert counts["fock.displacement.calls"] > 0
-    assert counts["fock.displacement.entries"] > 0
+    assert counts["fock.displacement.calls"] == 1  # the parity grid's corner check
+    assert counts["fock.displacement.entries"] == 4 * 65 * 2  # corners x levels x support
     assert counts["wigner.parity.calls"] == 1
     assert counts["wigner.parity.points"] == 9
     assert counts["wigner.direct.chord_evals"] > 0

@@ -167,7 +167,7 @@ class TestDirectRoute:
         # coherent:2 has a 65-level support: a stack of psi_0..psi_64 on these
         # nodes takes 22 MB, while its one summed column takes 0.7 MB
         rho = coherent_amplitudes(2.0).density()
-        rho.support  # the cached factorization is not part of the integrand
+        rho.support  # the cached support is not part of the integrand
         u, y = np.linspace(-6.0, 6.0, 41), np.linspace(-40.0, 40.0, 1025)
         tracemalloc.start()
         try:
@@ -420,7 +420,8 @@ class TestParityRoute:
         assert np.max(np.abs(direct.values - par.values)) < 1e-10
 
     def test_mixed_state_routes_agree(self):
-        # exercises the eigendecomposition path of the batched parity route
+        # a three-component mixture: the chord integrand sums one term per
+        # stored component, the parity grid reads the occupied block
         rho = DensityMatrix.mixture(
             [
                 (FockState.vacuum(4), 0.3),
@@ -434,6 +435,19 @@ class TestParityRoute:
             direct = wigner_direct(rho, grid)
         par = wigner_parity(rho, grid)
         assert np.max(np.abs(direct.values - par.values)) < 1e-10
+
+    def test_repeated_component_gives_the_pure_fields(self):
+        # mixture:coherent:1@1;coherent:1@1 is coherent:1 stored as two
+        # identical components of weight 1/2 each
+        grid = PhaseGrid(-3.0, 3.0, -3.0, 3.0, 15, 15)
+        coh = coherent_amplitudes(1.0)
+        pure, twice = coh.density(), DensityMatrix.mixture([(coh, 1.0), (coh, 1.0)])
+        assert twice.support[1].shape[1] == 2
+        for route in (wigner_direct, wigner_parity):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ContainmentWarning)
+                fields = [route(rho, grid).values for rho in (pure, twice)]
+            assert np.max(np.abs(fields[0] - fields[1])) <= 1e-15, route.__name__
 
 
 class TestConvention:
