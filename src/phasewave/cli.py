@@ -7,16 +7,18 @@ round-trip repr (both lossless for doubles).  Every file, and each
 ``key=value`` line echoed to stdout after it, goes through ``_write``.
 
 Each subcommand imports the one numerics module it computes with when it
-runs, so start-up loads the standard library only.  ``fresnel`` and
-``spin`` compute on the standard library alone; ``wigner`` and
-``overlap`` load numpy with their module.  ``wigner`` parses its state
-and grid specs first, so a refused spec loads no numpy either.  Tables
-are formatted and written a block of rows at a time.  ``validate`` computes
-nothing: it reads the file as written, with no line-end translation, and
-imports only the field module (``phasewave.field``, standard library only)
-to check a Wigner field and nothing beyond the standard library for the
-other tables.  ``wigner --method both`` fails (exit 3, no file written)
-when its two routes differ by more than ROUTE_TOL.
+runs, so start-up loads the standard library only.  ``fresnel``, ``spin``
+and ``overlap`` compute on the standard library alone; only ``wigner``
+loads numpy with its module.  ``wigner`` parses its state and grid specs
+first, so a refused spec loads no numpy either.  Tables are formatted and
+written a block of rows at a time.  ``validate`` computes nothing: it
+reads the file as written, with no line-end translation, and imports only
+the field module (``phasewave.field``, standard library only) to check a
+Wigner field and nothing beyond the standard library for the other
+tables.  A JSON table record holds an int in column ``n`` and a float in
+every other column, and a ``fresnel`` summary holds its keys and numbers
+only, as written.  ``wigner --method both`` fails (exit 3, no file
+written) when its two routes differ by more than ROUTE_TOL.
 Warnings reach stderr as one ``warning: ...`` line each.  ``fresnel
 zonesum`` writes the field at P by both routes and by free propagation.
 """
@@ -140,11 +142,17 @@ def parse_grid(spec: str, spec_v: str | None) -> field.PhaseGrid:
 
 
 #: Every table the CLI writes, by ``validate --kind``: its JSON key and columns.
+#: Column ``n`` holds the row's integer index, every other column a float.
 _TABLES = {
     "zones": ("zones", ("n", "rho", "re_Un", "im_Un", "abs_Un", "phase_Un")),
     "overlap": ("table", ("n", "p_overlap", "p_poisson")),
     "spin-belts": ("belts", ("m", "z_lo", "z_hi", "area")),
     "spin-bands": ("bands", ("n", "m", "rho_lo", "rho_hi", "area")),
+}
+#: The keys of each ``fresnel`` summary, in the order written.
+_SUMMARIES = {
+    "zonesum": ("geometry", "U_free", "U_integral", "U_zone_sum_raw", "U_zone_sum_averaged"),
+    "plate": ("geometry", "open_zones", "U_plate", "U_free", "amplitude_ratio"),
 }
 
 
@@ -215,13 +223,11 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    from dataclasses import asdict
-
     from . import semiclassics
 
-    head = asdict(semiclassics.compare_poisson(args.beta, args.n_bands))
+    head = dict(vars(semiclassics.compare_poisson(args.beta, args.n_bands)))
     p_overlap, p_poisson = head.pop("p_overlap"), head.pop("p_poisson")
-    rows = zip(range(p_overlap.size), p_overlap.tolist(), p_poisson.tolist())
+    rows = zip(range(len(p_overlap)), p_overlap, p_poisson)
     _write(args.out, _table(args.format, "overlap", rows, **head))
     return 0
 
@@ -247,13 +253,10 @@ def cmd_fresnel(args) -> int:
         u_raw, u_avg = fresnel._partial_sums(geom, args.n, args.nodes)
         theta_max = fresnel.zone_boundary_angle(geom, args.n)
         u_int = fresnel.huygens_integral(geom, theta_max, args.nodes)
-        summary = {
-            "geometry": {**asdict(geom), "n_zones": args.n},
-            "U_free": _complex_dict(geom.free_field()),
-            "U_integral": _complex_dict(u_int),
-            "U_zone_sum_raw": _complex_dict(u_raw),
-            "U_zone_sum_averaged": _complex_dict(u_avg),
-        }
+        summary = dict(zip(_SUMMARIES["zonesum"], (
+            {**asdict(geom), "n_zones": args.n},
+            *map(_complex_dict, (geom.free_field(), u_int, u_raw, u_avg)),
+        )))
         _write(args.out, [json.dumps(summary) + "\n"], abs_U=abs(u_avg))
         return 0
 
@@ -261,13 +264,9 @@ def cmd_fresnel(args) -> int:
     u_plate = fresnel.zone_plate(geom, open_zones, n_zones, args.nodes)
     u_free = geom.free_field()
     ratio = abs(u_plate) / abs(u_free)
-    summary = {
-        "geometry": asdict(geom),
-        "open_zones": open_zones,
-        "U_plate": _complex_dict(u_plate),
-        "U_free": _complex_dict(u_free),
-        "amplitude_ratio": ratio,
-    }
+    summary = dict(zip(_SUMMARIES["plate"], (
+        asdict(geom), open_zones, _complex_dict(u_plate), _complex_dict(u_free), ratio,
+    )))
     _write(args.out, [json.dumps(summary) + "\n"], amplitude_ratio=ratio)
     return 0
 
@@ -314,6 +313,16 @@ def _refuse_constant(token: str):
     raise ValidationError(f"non-finite value {token!r}")
 
 
+def _numbers(value) -> bool:
+    """Whether ``value`` is an int or a float (a bool is neither), or a dict or
+    list holding such numbers only."""
+    if isinstance(value, dict):
+        return all(map(_numbers, value.values()))
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return type(value) in (int, float)
+
+
 def cmd_validate(args) -> int:
     with open(args.path, newline="") as fh:  # no line-end translation
         text = fh.read()
@@ -332,14 +341,26 @@ def cmd_validate(args) -> int:
         obj = json.loads(text, parse_constant=_refuse_constant)
         if json.dumps(obj) + "\n" != text:
             raise ValidationError("JSON round-trip differs from the file")
+        # a float that round-trips is finite: json writes inf and nan as
+        # Infinity and NaN, which are refused above
         key, columns = _TABLES[args.kind]
-        if not (args.kind == "zones" and "geometry" in obj):  # a zonesum or plate summary
+        if args.kind == "zones" and "geometry" in obj:  # a zonesum or plate summary
+            if tuple(obj) not in _SUMMARIES.values() or not _numbers(obj):
+                raise ValidationError("JSON summary holds neither a zonesum's nor a plate's "
+                                      "keys with finite numbers")
+        else:
             records = obj.get(key)
             if not isinstance(records, list) or any(
                 not isinstance(row, dict) or tuple(row) != columns for row in records
             ):
                 raise ValidationError(f"JSON holds no {key!r} list of records with columns "
                                       f"{','.join(columns)}")
+            for row in records:
+                for column, value in row.items():
+                    if type(value) is not (int if column == "n" else float):
+                        kind = "integer" if column == "n" else "float"
+                        raise ValidationError(f"record value {column}={value!r} is not a "
+                                              f"finite {kind}")
     else:
         columns = _TABLES[args.kind][1]
         lines = text.split("\n")

@@ -6,6 +6,12 @@ edges grow like sqrt(n).  The occupation statistics of a displaced ground
 state are then approximated purely geometrically: the state is drawn as a
 disc of radius sqrt(2) centered a distance sqrt(2)*beta from the origin,
 and P_n is the fraction of the disc overlapping band n.
+
+Everything is computed on the standard library: each moment (the mean, the
+variance and both sums of the total-variation distance) is the ``math.fsum``
+of its float terms, correctly rounded whatever their order.  Only
+``overlap_distribution`` and ``poisson_pmf``, which return ndarrays, import
+numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
-from .fock import log_factorials
 
 #: Largest overlap table: every band costs one Python lens evaluation.
 MAX_BANDS = 1_000_000
@@ -78,32 +81,43 @@ def _auto_bands(beta_mag: float, n_bands: int | None) -> int:
     return needed if n_bands is None else max(n_bands, needed)
 
 
-def overlap_distribution(beta_mag: float, n_bands: int | None = None) -> np.ndarray:
-    """Occupation probabilities as disc/band overlap-area fractions.
+def _band_fractions(beta_mag: float, n_bands: int | None) -> list[float]:
+    if not (math.isfinite(beta_mag) and beta_mag >= 0):
+        raise ValidationError("beta magnitude must be finite and nonnegative")
+    n_bands = _auto_bands(beta_mag, n_bands)
+    d, radius = math.sqrt(2.0) * beta_mag, math.sqrt(2.0)
+    inner_areas = [circle_circle_lens(radius, band(n).r_outer, d) for n in range(n_bands)]
+    disc = math.pi * radius**2
+    return [(a - b) / disc for a, b in zip(inner_areas, [0.0, *inner_areas])]
+
+
+def _poisson_terms(mean: float, n_terms: int) -> list[float]:
+    if mean < 0:
+        raise ValidationError("mean must be nonnegative")
+    if mean == 0.0:
+        return [float(n == 0) for n in range(n_terms)]
+    log_mean = math.log(mean)
+    return [math.exp(-mean + n * log_mean - math.lgamma(n + 1)) for n in range(n_terms)]
+
+
+def overlap_distribution(beta_mag: float, n_bands: int | None = None):
+    """Occupation probabilities as disc/band overlap-area fractions, an ndarray.
 
     The disc of radius sqrt(2) centered sqrt(2)*beta from the origin is
     partitioned by the bands, so the entries sum to one up to roundoff;
     ``n_bands`` is grown automatically until the disc lies inside the
     outermost band.
     """
-    if not (math.isfinite(beta_mag) and beta_mag >= 0):
-        raise ValidationError("beta magnitude must be finite and nonnegative")
-    n_bands = _auto_bands(beta_mag, n_bands)
-    d, radius = math.sqrt(2.0) * beta_mag, math.sqrt(2.0)
-    inner_areas = [circle_circle_lens(radius, band(n).r_outer, d) for n in range(n_bands)]
-    return np.diff(inner_areas, prepend=0.0) / (math.pi * radius**2)
+    import numpy as np
+
+    return np.array(_band_fractions(beta_mag, n_bands))
 
 
-def poisson_pmf(mean: float, n_terms: int) -> np.ndarray:
-    """Poisson probabilities for n = 0..n_terms-1, via log-factorials."""
-    if mean < 0:
-        raise ValidationError("mean must be nonnegative")
-    n = np.arange(n_terms)
-    if mean == 0.0:
-        p = np.zeros(n_terms)
-        p[0] = 1.0
-        return p
-    return np.exp(-mean + n * math.log(mean) - log_factorials(n_terms - 1))
+def poisson_pmf(mean: float, n_terms: int):
+    """Poisson probabilities for n = 0..n_terms-1, via log-factorials, an ndarray."""
+    import numpy as np
+
+    return np.array(_poisson_terms(mean, n_terms))
 
 
 @dataclass(frozen=True)
@@ -116,8 +130,8 @@ class OverlapComparison:
     overlap_variance: float
     poisson_variance: float
     tv_distance: float
-    p_overlap: np.ndarray
-    p_poisson: np.ndarray
+    p_overlap: tuple[float, ...]
+    p_poisson: tuple[float, ...]
 
 
 def compare_poisson(beta_mag: float, n_bands: int | None = None) -> OverlapComparison:
@@ -126,21 +140,19 @@ def compare_poisson(beta_mag: float, n_bands: int | None = None) -> OverlapCompa
     The total-variation distance accounts for the Poisson mass beyond the
     tabulated range (where the overlap distribution is exactly zero).
     """
-    p = overlap_distribution(beta_mag, n_bands)
-    q = poisson_pmf(beta_mag**2, p.size)
-    n = np.arange(p.size)
-    p_mean = float(np.dot(n, p))
-    q_mean = beta_mag**2
-    p_var = float(np.dot((n - p_mean) ** 2, p))
-    q_var = beta_mag**2
-    tv = 0.5 * (float(np.abs(p - q).sum()) + max(0.0, 1.0 - float(q.sum())))
+    p = _band_fractions(beta_mag, n_bands)
+    q = _poisson_terms(beta_mag**2, len(p))
+    p_mean = math.fsum(n * pn for n, pn in enumerate(p))
+    p_var = math.fsum((n - p_mean) * (n - p_mean) * pn for n, pn in enumerate(p))
+    tv = 0.5 * (math.fsum(abs(pn - qn) for pn, qn in zip(p, q))
+                + max(0.0, 1.0 - math.fsum(q)))
     return OverlapComparison(
         beta=float(beta_mag),
         overlap_mean=p_mean,
-        poisson_mean=q_mean,
+        poisson_mean=beta_mag**2,
         overlap_variance=p_var,
-        poisson_variance=q_var,
+        poisson_variance=beta_mag**2,
         tv_distance=tv,
-        p_overlap=p,
-        p_poisson=q,
+        p_overlap=tuple(p),
+        p_poisson=tuple(q),
     )

@@ -215,7 +215,7 @@ class TestOverlapCommand:
         run(capsys, "--out", str(out), "overlap", "--beta", "1")
         lines = out.read_text().splitlines()
         assert lines[0] == "n,p_overlap,p_poisson"
-        assert len(lines) == compare_poisson(1.0).p_overlap.size + 1
+        assert len(lines) == len(compare_poisson(1.0).p_overlap) + 1
 
 
 class TestFresnelCommand:
@@ -627,6 +627,49 @@ class TestValidateAndDeterminism:
         assert err.startswith("error: JSON holds no ")
 
 
+    @pytest.mark.parametrize("kind, argv", [
+        ("zones", (*_FRESNEL, "zones", "--n", "12")),
+        ("zones", (*_FRESNEL, "zonesum", "--n", "12")),
+        ("zones", (*_FRESNEL, "plate", "--open", "odd", "--n", "3")),
+        ("overlap", ("overlap", "--beta", "0")),
+        ("overlap", ("overlap", "--beta", "5")),
+        ("spin-belts", ("spin", "--j", "2", "belts")),
+        ("spin-bands", ("spin", "--j", "1.5", "project")),
+    ], ids=["zones", "zonesum", "plate", "overlap-vacuum", "overlap", "belts", "bands"])
+    def test_validate_all_json_kinds(self, capsys, tmp_path, kind, argv):
+        path = tmp_path / "t.json"
+        assert run(capsys, "--format", "json", "--out", str(path), *argv)[0] == 0
+        assert run(capsys, "validate", "--kind", kind, str(path)) == (0, "ok\n", "")
+
+    _SUMMARY_REFUSED = ("JSON summary holds neither a zonesum's nor a plate's keys with "
+                        "finite numbers")
+
+    @pytest.mark.parametrize("kind, obj, message", [
+        ("overlap", {"table": [{"n": "x", "p_overlap": None, "p_poisson": []}]},
+         "record value n='x' is not a finite integer"),
+        ("overlap", {"table": [{"n": 0, "p_overlap": 1, "p_poisson": 0.5}]},
+         "record value p_overlap=1 is not a finite float"),
+        ("spin-bands", {"bands": [{"n": 1.0, "m": 0.0, "rho_lo": 0.0, "rho_hi": 1.0,
+                                   "area": 1.0}]},
+         "record value n=1.0 is not a finite integer"),
+        ("spin-belts", {"belts": [{"m": True, "z_lo": 0.0, "z_hi": 1.0, "area": 1.0}]},
+         "record value m=True is not a finite float"),
+        ("zones", {"geometry": 1}, _SUMMARY_REFUSED),
+        ("zones", {"geometry": {}, "open_zones": [1], "U_plate": {}, "U_free": {},
+                   "amplitude_ratio": "1"}, _SUMMARY_REFUSED),
+        ("zones", {"geometry": {}, "open_zones": [None], "U_plate": {}, "U_free": {},
+                   "amplitude_ratio": 1.0}, _SUMMARY_REFUSED),
+    ], ids=["text-and-null", "integer-probability", "float-index", "bool", "bare-geometry",
+            "text-ratio", "null-zone"])
+    def test_validate_refuses_json_values_the_writer_never_writes(self, capsys, tmp_path,
+                                                                  kind, obj, message):
+        # each file re-serializes to its own bytes and holds the kind's keys
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(obj) + "\n")
+        code, stdout, err = run(capsys, "validate", "--kind", kind, str(path))
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
 def test_direct_route_bytes_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS reads its thread count when numpy loads, so each count needs a process
     src = str(Path(phasewave.__file__).resolve().parents[1])
@@ -824,15 +867,19 @@ def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
     assert codes == [2] * len(refused)
     assert loaded == set()
 
-    # the Fock-space commands never touch the zone or belt modules, nor scipy
+    # the overlap table and its moments are computed on the standard library
     codes, loaded = _fresh_cli(
         ["--out", str(tmp_path / "o.csv"), "overlap", "--beta", "1"],
-        ["--out", str(tmp_path / "w.csv"), "wigner", "--state", "fock:1", "--grid",
-         "-4:4:5", "--method", "both"],
+        ["--format", "json", "--out", str(tmp_path / "o.json"), "overlap", "--beta", "5"],
     )
     assert codes == [0, 0]
-    assert loaded == {"numpy", "phasewave.fock", "phasewave.semiclassics",
-                      "phasewave.wigner"}
+    assert loaded == {"phasewave.semiclassics"}
+
+    # the Wigner command never touches the zone, belt or overlap modules, nor scipy
+    codes, loaded = _fresh_cli(["--out", str(tmp_path / "w.csv"), "wigner", "--state",
+                                "fock:1", "--grid", "-4:4:5", "--method", "both"])
+    assert codes == [0]
+    assert loaded == {"numpy", "phasewave.fock", "phasewave.wigner"}
 
 
 #: Special number tokens every fuzzed number slot may receive.

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,3 +163,54 @@ class TestComparePoisson:
     def test_poisson_pmf_normalized(self):
         p = poisson_pmf(4.0, 60)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _rounded_sum(terms) -> float:
+    """The exact sum of the float terms, rounded once to the nearest double."""
+    with mpmath.workprec(2200):  # spans every double, 2**-1074 to 2**1024, with room
+        exact = mpmath.fsum(terms)
+    return float(mpmath.mpf(exact))  # rounded to 53 bits, to nearest
+
+
+class TestStandardLibraryKernel:
+    @pytest.mark.parametrize("mean", [0.25, 1.0, 25.0, 900.0])
+    def test_poisson_terms_match_mpmath(self, mean):
+        # each term is exp(-mean + n log(mean) - log n!); rounding that float
+        # exponent is an absolute error of a few eps times its largest part, so
+        # the relative bound grows past 1e-13 with it (3e-12 at mean 900)
+        n_terms = int(4 * mean) + 21
+        q = poisson_pmf(mean, n_terms)
+        assert q.shape == (n_terms,)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            mu = mpmath.mpf(mean)
+            for n, got in enumerate(q):
+                exact = mpmath.exp(-mu + n * mpmath.log(mu) - mpmath.loggamma(n + 1))
+                scale = mean + n * abs(math.log(mean)) + math.lgamma(n + 1)
+                tol = 1e-13 + 4 * eps * scale
+                assert abs(got - exact) <= tol * exact + 2.0**-1074, (mean, n)
+
+    def test_poisson_terms_of_zero_mean(self):
+        assert poisson_pmf(0.0, 4).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("beta", [0.0, 5.0, *np.random.default_rng(21).uniform(0, 30, 10)])
+    def test_moments_are_correctly_rounded_sums(self, beta):
+        rep = compare_poisson(float(beta))
+        p, q = rep.p_overlap, rep.p_poisson
+        assert isinstance(p, tuple) and isinstance(q, tuple) and len(p) == len(q)
+        mean = _rounded_sum(k * pk for k, pk in enumerate(p))
+        assert rep.overlap_mean == mean
+        assert rep.overlap_variance == _rounded_sum(
+            (k - mean) * (k - mean) * pk for k, pk in enumerate(p)
+        )
+        tail = max(0.0, 1.0 - _rounded_sum(q))
+        assert rep.tv_distance == 0.5 * (_rounded_sum(abs(a - b) for a, b in zip(p, q)) + tail)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 5.0, 5.1, 17.25])
+    def test_arrays_wrap_the_kernel_bit_for_bit(self, beta):
+        rep = compare_poisson(beta)
+        p = overlap_distribution(beta)
+        assert p.dtype == np.float64
+        assert p.tobytes() == np.array(rep.p_overlap).tobytes()
+        q = poisson_pmf(beta**2, len(rep.p_poisson))
+        assert q.tobytes() == np.array(rep.p_poisson).tobytes()
