@@ -248,8 +248,7 @@ def cmd_fresnel(args) -> int:
         return 0
 
     if args.subaction == "zonesum":
-        # the zone sums check the budgets, then that the boundaries are resolved,
-        # as zones and plate do, before the boundary angle is taken
+        # the zone sums check the budgets before the boundary angle is taken
         u_raw, u_avg = fresnel._partial_sums(geom, args.n, args.nodes)
         theta_max = fresnel.zone_boundary_angle(geom, args.n)
         u_int = fresnel.huygens_integral(geom, theta_max, args.nodes)

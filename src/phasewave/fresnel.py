@@ -10,6 +10,13 @@ Two regularizations of the conditionally convergent construction are
 provided and must agree: a raised-cosine taper over the last tenth of the
 direct integral's cap, and two-partial-sum averaging of the zone series.
 
+Every distance comes from the half-angle identity
+s^2 = b^2 + 4 r0 (r0 + b) sin^2(theta/2) for the distance s from P to the
+wavefront point at polar angle theta (Born & Wolf, Principles of Optics,
+section 8.2), and every phase from the path difference t = s - b taken as
+4 r0 (r0 + b) sin^2(theta/2)/(b + s), so no difference of nearly equal
+numbers is formed at any geometry the limits accept.
+
 Everything here is computed on the standard library (``math`` and
 ``cmath``), so the ``fresnel`` subcommand loads no numpy.
 """
@@ -38,10 +45,6 @@ MAX_WAVELENGTHS = 1e15
 #: Lengths and the amplitude lie within [1/MAX_SCALE, MAX_SCALE], so squared
 #: lengths and the wavelet prefactor stay inside the normal double range.
 MAX_SCALE = 1e100
-#: Largest (r0**2 + (r0 + b)**2) / (b * wavelength).  The law of cosines
-#: rounds 1 - cos(theta) by about eps times this over the first zone's
-#: extent, so at the limit a boundary angle still carries six digits.
-MAX_CANCELLATION = 1e10
 #: Newton steps allowed per Gauss-Legendre node; from the asymptotic first
 #: guess each node converges in two or three.
 NEWTON_STEPS = 100
@@ -97,52 +100,40 @@ class FresnelGeometry:
         )
 
 
-def _s_of_theta(geom: FresnelGeometry, theta: float) -> float:
-    """Distance from P to the wavefront point at polar angle theta."""
-    d = geom.r0 + geom.b
-    return math.sqrt(geom.r0**2 + d * d - 2.0 * geom.r0 * d * math.cos(theta))
+def _path_difference(geom: FresnelGeometry, theta: float) -> float:
+    """t = s - b: how much farther the wavefront point at polar angle theta
+    lies from P than the pole does."""
+    sh = math.sin(0.5 * theta)
+    qh = 4.0 * geom.r0 * (geom.r0 + geom.b) * sh * sh
+    return qh / (geom.b + math.sqrt(geom.b * geom.b + qh))
 
 
 def _boundary_angles(geom: FresnelGeometry, n: Sequence[int]) -> list[float]:
     """Polar angles at the source subtending the zone boundaries ``n``.
 
-    Solves the law of cosines in the triangle O-Q-P exactly for the spheres
-    of radius s_n = b + n*wavelength/2 around P; no small-angle step.
+    The sphere of radius b + t around P, t = n*wavelength/2, cuts the
+    wavefront where sin^2(theta/2) = t (2b + t)/(4 r0 (r0 + b)); exact, with
+    no small-angle step, and boundary 0 is the axis.
     """
     if n and min(n) < 0:
         raise ValidationError("zone index must be nonnegative")
-    d = geom.r0 + geom.b
-    numerator, denominator = geom.r0**2 + d * d, 2.0 * geom.r0 * d
+    b, q = geom.b, 4.0 * geom.r0 * (geom.r0 + geom.b)
     angles = []
     for k in n:
-        s = geom.b + 0.5 * k * geom.wavelength
-        cos_theta = (numerator - s * s) / denominator
-        if cos_theta < -1.0:
+        t = 0.5 * k * geom.wavelength
+        h = t * (2.0 * b + t) / q
+        if h > 1.0:
             raise ValidationError(
                 f"zone boundary {k} lies beyond the wavefront (only "
                 f"{geom.max_zones} zones fit)"
             )
-        # the axis exactly for boundary 0, where the formula may round below 1
-        angles.append(0.0 if k == 0 else math.acos(min(cos_theta, 1.0)))
+        angles.append(2.0 * math.asin(math.sqrt(h)))
     return angles
 
 
 def zone_boundary_angle(geom: FresnelGeometry, n: int) -> float:
     """Polar angle at the source subtending the n-th zone boundary."""
     return _boundary_angles(geom, [n])[0]
-
-
-def _check_resolved(geom: FresnelGeometry) -> None:
-    """NumericsError unless the law of cosines resolves the first zone (see
-    MAX_CANCELLATION); run after the size budgets, before any quadrature."""
-    d = geom.r0 + geom.b
-    cancellation = (geom.r0**2 + d * d) / (geom.b * geom.wavelength)
-    if cancellation > MAX_CANCELLATION:
-        raise NumericsError(
-            f"zone boundaries are not resolved in double precision: "
-            f"(r0^2 + (r0 + b)^2)/(b * wavelength) = {cancellation:.3g} exceeds "
-            f"{MAX_CANCELLATION:.0e}"
-        )
 
 
 def _check_grid(n_segments: int, nodes: int | None) -> None:
@@ -213,36 +204,38 @@ def _segment_integral(geom, th_lo, th_hi, nodes, ramp=None) -> list[complex]:
     """Wavelet integrals over the theta segments [th_lo[i], th_hi[i]].
 
     One Gauss rule serves every segment, each summed in one pass over its
-    nodes.  ``ramp = (s0, s1)`` rolls the integrand off by a raised cosine
-    in the distance s from P between s0 and s1.  The pass runs once per
-    quadrature point, so it computes ``_s_of_theta``'s distance and the
-    Kirchhoff obliquity K = (1 + cos chi)/2 inline.
+    nodes.  ``ramp = (t0, t1)`` rolls the integrand off by a raised cosine
+    in the path difference t = s - b between t0 and t1.  The pass runs once
+    per quadrature point, so it computes ``_path_difference``'s t inline,
+    from qh = q sin^2(theta/2) with q = 4 r0 (r0 + b), s = sqrt(b^2 + qh)
+    and t = qh/(b + s).  The Kirchhoff obliquity K = (1 + cos chi)/2, with
+    cos chi = (b - 2 (r0 + b) sin^2(theta/2))/s, enters as
+    2 K s = s + b - qh/(2 r0), whose factor 1/2 ``scale`` carries.  Each
+    node's phase is k t; the global phase e^{ik(r0+b)} is the one
+    ``free_field`` takes.
     """
     _check_grid(len(th_lo), nodes)
-    _check_resolved(geom)
     rule = list(zip(*_gauss_legendre(nodes)))
-    r0, k = geom.r0, geom.k
-    d = r0 + geom.b
-    # s^2 = r0^2 + d^2 - 2 r0 d cos(theta) and cos chi = (d^2 - r0^2 - s^2)/(2 r0 s)
-    s_sq, s_cos = r0**2 + d * d, 2.0 * r0 * d
-    chi_num, chi_den = d * d - r0**2, 2.0 * r0
-    s0, s1 = ramp if ramp is not None else (math.inf, math.inf)
+    r0, b, k = geom.r0, geom.b, geom.k
+    q, b_sq, over = 4.0 * r0 * (r0 + b), b * b, 0.5 / r0
+    t0, t1 = ramp if ramp is not None else (math.inf, math.inf)
     prefactor = (-1j / geom.wavelength) * geom.amplitude
-    scale = prefactor * cmath.exp(1j * k * r0) / r0 * (2.0 * math.pi * r0**2)
+    scale = prefactor * cmath.exp(1j * k * (r0 + b)) / r0 * (math.pi * r0**2)
     terms = []
     for lo, hi in zip(th_lo, th_hi):
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         surface = 0j
         for x, w in rule:
             th = half * x + mid
-            s = math.sqrt(s_sq - s_cos * math.cos(th))
-            cos_chi = (chi_num - s * s) / (chi_den * s)
-            # cos chi clipped to [-1, 1], where rounding can carry it past
-            kirchhoff = 1.0 if cos_chi > 1.0 else 0.0 if cos_chi < -1.0 else 0.5 * (1.0 + cos_chi)
-            weight = kirchhoff * math.sin(th) / s * (half * w)
-            if s > s0:
-                weight *= 0.5 * (1.0 + math.cos(math.pi * (s - s0) / (s1 - s0)))
-            surface += cmath.rect(weight, k * s)
+            sh = math.sin(0.5 * th)
+            qh = q * sh * sh
+            s_sq = b_sq + qh
+            s = math.sqrt(s_sq)
+            t = qh / (b + s)
+            weight = (s + b - over * qh) * math.sin(th) / s_sq * (half * w)
+            if t > t0:
+                weight *= 0.5 * (1.0 + math.cos(math.pi * (t - t0) / (t1 - t0)))
+            surface += cmath.rect(weight, k * t)
         terms.append(scale * surface)
     return terms
 
@@ -271,15 +264,15 @@ def huygens_integral(
 
     Integration always splits at zone boundaries so the per-zone rule sees
     a phase advance of exactly pi.  With ``taper`` a raised cosine rolls the
-    integrand off over the last tenth of the cap, which removes the
-    artificial hard edge; without it the integral equals the sum of its
+    integrand off over the last tenth of the cap's path difference t = s - b,
+    which removes the artificial hard edge; without it the integral equals the sum of its
     zone contributions identically.
     """
     if not 0.0 < theta_max <= math.pi:
         raise ValidationError("theta_max must lie in (0, pi]")
-    s_end = _s_of_theta(geom, theta_max)
-    ramp = (geom.b + 0.9 * (s_end - geom.b), s_end) if taper else None
-    n_full = int(math.floor((s_end - geom.b) / (0.5 * geom.wavelength) + 1e-12))
+    t_end = _path_difference(geom, theta_max)
+    ramp = (0.9 * t_end, t_end) if taper else None
+    n_full = int(math.floor(t_end / (0.5 * geom.wavelength) + 1e-12))
     n_full = min(n_full, geom.max_zones)
     _check_grid(n_full + 1, nodes_per_zone)  # before the angles are computed
     edges = _boundary_angles(geom, range(n_full + 1))
@@ -349,45 +342,15 @@ def zone_table(geom: FresnelGeometry, n_zones: int, nodes_per_zone: int = 16):
     ]
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """Sum in numpy's order for a contiguous float64 array: blocks of at most
-    128 values, each summed with 8 interleaved accumulators, halved
-    recursively at multiples of 8."""
-
-    def block(lo: int, n: int) -> float:
-        if n < 8:
-            total = 0.0
-            for i in range(lo, lo + n):
-                total += values[i]
-            return total
-        if n <= 128:
-            acc = values[lo:lo + 8]
-            end = lo + n - n % 8
-            for i in range(lo + 8, end, 8):
-                for j in range(8):
-                    acc[j] += values[i + j]
-            total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-            for i in range(end, lo + n):
-                total += values[i]
-            return total
-        half = n // 2
-        half -= half % 8
-        return block(lo, half) + block(lo + half, n - half)
-
-    return block(0, len(values))
-
-
 def fit_zone_scaling(geom: FresnelGeometry, n_max: int = 100) -> float:
     """Least-squares slope of log rho_n against log n for n = 1..n_max."""
     if n_max < 2:
         raise ValidationError("need at least two boundaries for a fit")
     _check_grid(n_max, None)  # before the angles are computed
-    _check_resolved(geom)
     angles = _boundary_angles(geom, range(1, n_max + 1))
     x = [math.log(n) for n in range(1, n_max + 1)]
     y = [math.log(geom.r0 * math.sin(th)) for th in angles]
-    x_mean = _pairwise_sum(x) / n_max
+    x_mean = math.fsum(x) / n_max
     x = [v - x_mean for v in x]
-    y_mean = _pairwise_sum(y) / n_max
-    covariance = _pairwise_sum([a * (b - y_mean) for a, b in zip(x, y)])
-    return covariance / _pairwise_sum([a * a for a in x])
+    y_mean = math.fsum(y) / n_max
+    return math.fsum(a * (b - y_mean) for a, b in zip(x, y)) / math.fsum(a * a for a in x)

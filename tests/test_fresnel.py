@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +22,7 @@ from phasewave import (
     zone_table,
 )
 from phasewave import fresnel
-from phasewave.fresnel import _s_of_theta
+from phasewave.fresnel import _path_difference
 
 EPS = 2.0**-52
 
@@ -48,11 +49,10 @@ class TestZoneGeometry:
 
     def test_boundary_distances_step_half_wavelength(self, geom):
         for n in (0, 5, 50):
-            s_lo, s_hi = (_s_of_theta(geom, zone_boundary_angle(geom, k)) for k in (n, n + 1))
-            assert s_hi - s_lo == pytest.approx(0.5 * geom.wavelength, abs=1e-12)
-            # law-of-cosines solve reproduces the defining distances exactly
-            s_def = geom.b + 0.5 * (n + 1) * geom.wavelength
-            assert s_hi == pytest.approx(s_def, rel=1e-12)
+            t_lo, t_hi = (_path_difference(geom, zone_boundary_angle(geom, k)) for k in (n, n + 1))
+            assert t_hi - t_lo == pytest.approx(0.5 * geom.wavelength, abs=1e-12)
+            # the half-angle solve reproduces the defining path differences
+            assert t_hi == pytest.approx(0.5 * (n + 1) * geom.wavelength, rel=1e-12)
 
     def test_infeasible_zone_rejected(self, geom):
         with pytest.raises(ValidationError):
@@ -75,18 +75,20 @@ class TestZoneGeometry:
         assert fit_zone_scaling(g, 100) == pytest.approx(0.5, abs=0.01)
 
 
-def _reference_obliquity(geom, s):
-    """Kirchhoff obliquity K = (1 + cos chi)/2 at distance s from P, and cos chi,
-    as the numpy quadrature below evaluates them."""
-    d = geom.r0 + geom.b
-    cos_chi = np.clip((d * d - geom.r0**2 - s * s) / (2.0 * geom.r0 * s), -1.0, 1.0)
-    return 0.5 * (1.0 + cos_chi), cos_chi
+def _reference_geometry(geom, theta):
+    """Path difference t = s - b, distance s from P and cos chi at polar angle
+    theta, in the half-angle form, as the numpy quadrature below evaluates them."""
+    h = np.sin(0.5 * theta) ** 2
+    q = 4.0 * geom.r0 * (geom.r0 + geom.b)
+    s = np.sqrt(geom.b**2 + q * h)
+    cos_chi = np.clip((geom.b - 2.0 * (geom.r0 + geom.b) * h) / s, -1.0, 1.0)
+    return q * h / (geom.b + s), s, cos_chi
 
 
 def inclination(geom, theta):
     """Kirchhoff obliquity K and the diffraction angle chi at polar angle theta."""
-    kirchhoff, cos_chi = _reference_obliquity(geom, _s_of_theta(geom, theta))
-    return float(kirchhoff), math.acos(cos_chi)
+    _, _, cos_chi = _reference_geometry(geom, theta)
+    return float(0.5 * (1.0 + cos_chi)), math.acos(cos_chi)
 
 
 class TestInclination:
@@ -144,7 +146,7 @@ class TestHuygensIntegral:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(r0=st.floats(10.0, 1e5), b=st.floats(10.0, 1e5), n=st.integers(1, 200))
     @example(r0=100.0, b=100.0, n=200)
-    @example(r0=456.7, b=66.6, n=2)  # the law of cosines put boundary 0 at 1.49e-8 here
+    @example(r0=456.7, b=66.6, n=2)  # a law-of-cosines solve puts boundary 0 at 1.49e-8 here
     def test_zone_additivity_identity(self, r0, b, n):
         # the untapered integral and the zone series share one boundary array,
         # zone 0 starting on the axis, so they agree bit for bit
@@ -171,19 +173,18 @@ def _numpy_segment_integral(geom, th_lo, th_hi, nodes, ramp=None):
     th_lo, th_hi = np.asarray(th_lo), np.asarray(th_hi)
     half = (0.5 * (th_hi - th_lo))[:, None]
     th = half * x + (0.5 * (th_hi + th_lo))[:, None]
-    d = geom.r0 + geom.b
-    s = np.sqrt(geom.r0**2 + d * d - 2.0 * geom.r0 * d * np.cos(th))
-    kirchhoff, _ = _reference_obliquity(geom, s)
-    f = np.exp(1j * geom.k * s) / s * kirchhoff * np.sin(th)
+    t, s, cos_chi = _reference_geometry(geom, th)
+    f = np.exp(1j * geom.k * t) / s * 0.5 * (1.0 + cos_chi) * np.sin(th)
     if ramp is not None:
-        s0, s1 = ramp
-        on = s > s0
-        f[on] *= 0.5 * (1.0 + np.cos(math.pi * (s[on] - s0) / (s1 - s0)))
+        t0, t1 = ramp
+        on = t > t0
+        f[on] *= 0.5 * (1.0 + np.cos(math.pi * (t[on] - t0) / (t1 - t0)))
     wth = half * w
     surface = np.vecdot(f.real, wth) + 1j * np.vecdot(f.imag, wth)
     surface *= 2.0 * math.pi * geom.r0**2
     prefactor = (-1j / geom.wavelength) * geom.amplitude
-    return (prefactor * np.exp(1j * geom.k * geom.r0) / geom.r0 * surface).tolist()
+    phase = np.exp(1j * geom.k * (geom.r0 + geom.b))
+    return (prefactor * phase / geom.r0 * surface).tolist()
 
 
 class TestQuadrature:
@@ -216,12 +217,84 @@ class TestQuadrature:
         want = _numpy_segment_integral(g, theta[:-1], theta[1:], nodes)
         assert max(abs(u - v) / abs(v) for u, v in zip(got, want)) <= 1e-13
         # tapered as huygens_integral does it; the last segments roll off to 0
-        s_end = _s_of_theta(g, theta[-1])
-        ramp = (g.b + 0.9 * (s_end - g.b), s_end)
+        t_end = _path_difference(g, theta[-1])
+        ramp = (0.9 * t_end, t_end)
         got = fresnel._segment_integral(g, theta[:-1], theta[1:], nodes, ramp)
         want = _numpy_segment_integral(g, theta[:-1], theta[1:], nodes, ramp)
         scale = max(map(abs, want))
         assert max(abs(u - v) for u, v in zip(got, want)) <= 1e-13 * scale
+
+
+#: ROADMAP item 7's geometries (r0, b, wavelength); at the last two the law of
+#: cosines cancels every digit of 1 - cos(theta) in double precision.
+ORACLE_GEOMETRIES = [(100.0, 100.0, 1.0), (456.7, 66.6, 1.0), (1e6, 1e6, 1.0),
+                     (1e4, 30.0, 0.5), (1e12, 1e12, 1.0), (1e12, 10.0, 1.0)]
+
+
+def _mp_distance(g, theta):
+    """s and cos chi at polar angle theta by the law of cosines, independent of the
+    package's half-angle form; 70 digits absorb its cancellation (up to 1e24 here)."""
+    r0, b = mpmath.mpf(g.r0), mpmath.mpf(g.b)
+    d = r0 + b
+    s = mpmath.sqrt(r0**2 + d**2 - 2 * r0 * d * mpmath.cos(theta))
+    return s, (d**2 - r0**2 - s**2) / (2 * r0 * s)
+
+
+def _mp_boundary(g, n):
+    r0, b = mpmath.mpf(g.r0), mpmath.mpf(g.b)
+    d, s = r0 + b, b + mpmath.mpf(n) * g.wavelength / 2
+    return mpmath.acos((r0**2 + d**2 - s**2) / (2 * r0 * d))
+
+
+def _mp_zone_term(g, th_lo, th_hi, nodes=16):
+    """The package's rule on [th_lo, th_hi]: its float nodes, weights, wavenumber
+    and global phase e^{ik(r0+b)}, everything else at 70 digits."""
+    half, mid = (mpmath.mpf(th_hi) - th_lo) / 2, (mpmath.mpf(th_hi) + th_lo) / 2
+    surface = mpmath.mpc(0)
+    for x, w in zip(*fresnel._gauss_legendre(nodes)):
+        th = half * x + mid
+        s, cos_chi = _mp_distance(g, th)
+        surface += (1 + cos_chi) / 2 * mpmath.sin(th) / s * half * w * mpmath.expj(g.k * (s - g.b))
+    r0 = mpmath.mpf(g.r0)
+    scale = -1j / mpmath.mpf(g.wavelength) * g.amplitude / r0 * 2 * mpmath.pi * r0**2
+    return complex(scale * surface * cmath.exp(1j * g.k * (g.r0 + g.b)))
+
+
+class TestMpmathOracle:
+    # the half-angle form cancels nothing, so the boundaries and the slope carry
+    # every digit, and the zone terms lose only the rounding of each node's
+    # phase k t, about n pi rad at zone n
+    ZONES = (0, 1, 150)
+
+    @pytest.fixture(autouse=True)
+    def _digits(self):
+        with mpmath.workdps(70):
+            yield
+
+    @pytest.mark.parametrize("args", ORACLE_GEOMETRIES, ids=str)
+    def test_boundary_angles(self, args):
+        g = FresnelGeometry(*args)
+        for n in (1, 2, 150, g.max_zones // 2):
+            want = _mp_boundary(g, n)
+            assert abs(zone_boundary_angle(g, n) - want) <= 1e-15 * want, n
+
+    @pytest.mark.parametrize("args", ORACLE_GEOMETRIES, ids=str)
+    def test_zone_terms(self, args):
+        g = FresnelGeometry(*args)
+        for n in self.ZONES:
+            th_lo, th_hi = fresnel._boundary_angles(g, [n, n + 1])
+            want = _mp_zone_term(g, th_lo, th_hi)
+            assert abs(zone_contribution(g, n) - want) <= 3e-13 * abs(want), n
+
+    @pytest.mark.parametrize("args", ORACLE_GEOMETRIES, ids=str)
+    def test_scaling_slope(self, args):
+        g = FresnelGeometry(*args)
+        x = [mpmath.log(n) for n in range(1, 101)]
+        y = [mpmath.log(g.r0 * mpmath.sin(_mp_boundary(g, n))) for n in range(1, 101)]
+        x_mean, y_mean = mpmath.fsum(x) / 100, mpmath.fsum(y) / 100
+        want = (mpmath.fsum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+                / mpmath.fsum((a - x_mean) ** 2 for a in x))
+        assert abs(fit_zone_scaling(g, 100) - want) <= 1e-15
 
 
 class TestZoneSeries:
@@ -315,16 +388,6 @@ class TestGeometryValidation:
         with pytest.raises(ValidationError, match=f"{field} = .* lies outside the limits "
                                                   "\\[1e-100, 1e\\+100\\]"):
             FresnelGeometry(*args)
-
-    def test_unresolved_boundaries_fail_numerically(self):
-        # the law of cosines cancels every digit of 1 - cos(theta) at b << r0
-        g = FresnelGeometry(1e15, 10.0, 1.0)
-        with pytest.raises(NumericsError, match="not resolved in double precision"):
-            zone_table(g, 3)
-        with pytest.raises(NumericsError, match="not resolved in double precision"):
-            fit_zone_scaling(g, 3)
-        with pytest.raises(NumericsError, match="not resolved in double precision"):
-            zone_contribution(g, 0)
 
     def test_wavenumber_consistency(self):
         g = FresnelGeometry(100.0, 100.0, 0.5)

@@ -3,8 +3,12 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1028,3 +1032,19 @@ class TestReadersAgainstNumpyReaders:
             back = WignerField.from_csv(text)
             assert back.grid == field.grid
             assert back.values.tobytes() == field.values.tobytes()
+
+
+def test_trace_bound_properties_pass_alone():
+    # Hypothesis also draws from the literals of every loaded local module, so
+    # these properties' derandomized examples depend on which modules ran
+    # before them; they must hold with nothing else collected
+    from phasewave import wigner
+
+    src = str(Path(wigner.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "royer_grid_matches_node_sums or routes_agree_on_random_mixtures"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout[-2000:]
+    assert result.stdout.splitlines()[-1].startswith("2 passed"), result.stdout[-2000:]
