@@ -12,12 +12,11 @@ and ``overlap`` compute on the standard library alone; only ``wigner``
 loads numpy with its module.  ``wigner`` parses its state and grid specs
 first, so a refused spec loads no numpy either.  Tables are formatted and
 written a block of rows at a time.  ``validate`` computes nothing: it
-reads the file as written, with no line-end translation, and imports only
-the field module (``phasewave.field``, standard library only) to check a
-Wigner field and nothing beyond the standard library for the other
-tables.  A JSON table record holds an int in column ``n`` and a float in
-every other column, and a ``fresnel`` summary holds its keys and numbers
-only, as written.  ``wigner --method both`` fails (exit 3, no file
+reads the file as written, with no line-end translation, and accepts it
+only in the form its writer writes.  A Wigner field goes to a reader of
+``phasewave.field`` (standard library only), which accepts exactly the
+bytes the field's writer writes; the other tables need nothing beyond the
+standard library.  ``wigner --method both`` fails (exit 3, no file
 written) when its two routes differ by more than ROUTE_TOL.
 Warnings reach stderr as one ``warning: ...`` line each.  ``fresnel
 zonesum`` writes the field at P by both routes and by free propagation.
@@ -149,10 +148,18 @@ _TABLES = {
     "spin-belts": ("belts", ("m", "z_lo", "z_hi", "area")),
     "spin-bands": ("bands", ("n", "m", "rho_lo", "rho_hi", "area")),
 }
-#: The keys of each ``fresnel`` summary, in the order written.
+#: The keys of a ``FresnelGeometry`` (``asdict``'s), spelled here so that
+#: ``validate`` loads no numerics module.
+_GEOMETRY = ("r0", "b", "wavelength", "amplitude")
+_COMPLEX = tuple(_complex_dict(0j))
+#: The entries of each ``fresnel`` summary, in the order written: the keys of
+#: the dict of numbers each holds, or None for a number or a list of numbers.
 _SUMMARIES = {
-    "zonesum": ("geometry", "U_free", "U_integral", "U_zone_sum_raw", "U_zone_sum_averaged"),
-    "plate": ("geometry", "open_zones", "U_plate", "U_free", "amplitude_ratio"),
+    "zonesum": {"geometry": (*_GEOMETRY, "n_zones"), "U_free": _COMPLEX,
+                "U_integral": _COMPLEX, "U_zone_sum_raw": _COMPLEX,
+                "U_zone_sum_averaged": _COMPLEX},
+    "plate": {"geometry": _GEOMETRY, "open_zones": None, "U_plate": _COMPLEX,
+              "U_free": _COMPLEX, "amplitude_ratio": None},
 }
 
 
@@ -217,7 +224,7 @@ def cmd_wigner(args) -> int:
         path = Path(args.out)
         outs.append(str(path.with_name(path.stem + ".parity" + path.suffix)))
     for out, wf in zip(outs, fields):
-        _write(out, [wf.to_json() + "\n" if args.format == "json" else wf.to_csv()],
+        _write(out, [wf.to_json() if args.format == "json" else wf.to_csv()],
                **(echo if wf is fields[-1] else {}))
     return 0
 
@@ -312,14 +319,13 @@ def _refuse_constant(token: str):
     raise ValidationError(f"non-finite value {token!r}")
 
 
-def _numbers(value) -> bool:
-    """Whether ``value`` is an int or a float (a bool is neither), or a dict or
-    list holding such numbers only."""
-    if isinstance(value, dict):
-        return all(map(_numbers, value.values()))
-    if isinstance(value, list):
-        return all(map(_numbers, value))
-    return type(value) in (int, float)
+def _holds(value, keys) -> bool:
+    """Whether a summary entry holds what ``cmd_fresnel`` writes there: a dict of
+    numbers with exactly ``keys``, in order, or (``keys`` None) a number or a list of
+    numbers.  A number is an int or a float, not a bool."""
+    if keys is not None:
+        return type(value) is dict and tuple(value) == keys and _holds([*value.values()], None)
+    return all(type(x) in (int, float) for x in (value if type(value) is list else [value]))
 
 
 def cmd_validate(args) -> int:
@@ -329,22 +335,20 @@ def cmd_validate(args) -> int:
     if args.kind == "wigner":
         from .field import WignerField
 
-        if is_json:
-            body, end = WignerField.from_json(text).to_json(), "\n"
-        else:
-            body, end = WignerField.from_csv(text).to_csv(), ""
-        # text == body + end, without building that copy of a large field
-        if len(text) != len(body) + len(end) or not text.startswith(body) or text[len(body):] != end:
-            raise ValidationError("round-trip re-serialization differs from the file")
+        (WignerField.from_json if is_json else WignerField.from_csv)(text)
     elif is_json:
-        obj = json.loads(text, parse_constant=_refuse_constant)
+        try:
+            obj = json.loads(text, parse_constant=_refuse_constant)
+        except RecursionError as exc:
+            raise ValidationError(f"malformed JSON: {exc}") from exc
         if json.dumps(obj) + "\n" != text:
             raise ValidationError("JSON round-trip differs from the file")
         # a float that round-trips is finite: json writes inf and nan as
         # Infinity and NaN, which are refused above
         key, columns = _TABLES[args.kind]
         if args.kind == "zones" and "geometry" in obj:  # a zonesum or plate summary
-            if tuple(obj) not in _SUMMARIES.values() or not _numbers(obj):
+            entries = next((s for s in _SUMMARIES.values() if tuple(s) == tuple(obj)), {})
+            if not entries or not all(_holds(obj[k], keys) for k, keys in entries.items()):
                 raise ValidationError("JSON summary holds neither a zonesum's nor a plate's "
                                       "keys with finite numbers")
         else:
@@ -354,6 +358,8 @@ def cmd_validate(args) -> int:
             ):
                 raise ValidationError(f"JSON holds no {key!r} list of records with columns "
                                       f"{','.join(columns)}")
+            if tuple(obj)[-1] != key or any(type(obj[k]) is not float for k in tuple(obj)[:-1]):
+                raise ValidationError(f"JSON holds more than floats before its {key!r} list")
             for row in records:
                 for column, value in row.items():
                     if type(value) is not (int if column == "n" else float):

@@ -1,7 +1,8 @@
 """Wigner values on a rectangular phase grid, and their CSV and JSON codecs.
 
 Standard library only, so ``validate --kind wigner`` reads, checks and
-re-writes a field without importing numpy.  The grid axes are lists of
+re-writes a field without importing numpy.  A reader accepts a file
+exactly when its writer writes those bytes.  The grid axes are lists of
 floats equal bit for bit to ``np.linspace``; the numerics wrap them with
 ``np.asarray``.  A field's ``values`` ndarray is built, and numpy
 imported, on its first use.
@@ -27,7 +28,8 @@ MAX_GRID_NODES = 4_000_000
 #: Characters of CSV body parsed per block; a block ends at a newline.
 _BLOCK_CHARS = 1 << 20
 
-_JSON_NUMBERS = {float, int}
+_CSV_HEADER = "u,v,w\n"
+_NOT_WRITTEN = "round-trip re-serialization differs from the file"
 
 
 def _axis(lo, hi, n: int) -> list:
@@ -98,37 +100,6 @@ class PhaseGrid:
         return max(abs(self.u_min), abs(self.u_max), abs(self.v_min), abs(self.v_max))
 
 
-def _csv_columns(chunk: str):
-    """The u, v and w tokens of consecutive CSV rows (no trailing newline).
-
-    Rows are joined as ``u,v,w,<newline>,u,v,w,...``, so every row has
-    three columns exactly when the newlines are every fourth token and
-    nowhere else.  Empty rows are skipped; a carriage return may only end a
-    row.
-    """
-    if "\r" in chunk:
-        if chunk.count("\r") != chunk.count("\r\n") + chunk.endswith("\r"):
-            raise ValidationError("malformed field CSV: carriage return inside a row")
-        chunk = chunk.replace("\r\n", "\n").removesuffix("\r")
-    if "_" in chunk:  # float() reads 1_0 as 10, but no field file holds one
-        raise ValidationError("malformed field CSV: underscore in a number")
-    if not chunk.isascii() and not all(c.isspace() for c in set(chunk) if not c.isascii()):
-        raise ValidationError("malformed field CSV: non-ASCII character in a number")
-    breaks = chunk.count("\n")
-    toks = chunk.replace("\n", ",\n,").split(",")
-    if len(toks) != 4 * breaks + 3 or toks[3::4].count("\n") != breaks:
-        rows = [row for row in chunk.split("\n") if row]
-        for row in rows:
-            if row.count(",") != 2:
-                raise ValidationError(
-                    f"expected 3 columns u,v,w, found {row.count(',') + 1}"
-                )
-        if not rows:
-            return [], [], []
-        toks = "\n".join(rows).replace("\n", ",\n,").split(",")
-    return toks[0::4], toks[1::4], toks[2::4]
-
-
 class WignerField:
     """Wigner values sampled on a PhaseGrid, shape (n_u, n_v).
 
@@ -144,11 +115,12 @@ class WignerField:
       "values": [[...n_v...], ...n_u rows...]}``, written by ``json.dumps``,
       so each float is Python's shortest round-trip repr (``-1.0``, not ``-1``).
 
-    The readers accept exactly these layouts and raise ValidationError on
-    anything else, including CSV nodes in any other order or not evenly
-    spaced between the axis bounds; non-finite values are rejected too.
-    The CSV body is parsed in newline-aligned blocks: each distinct u or v
-    token is converted once, each w token once.
+    Each reader takes the grid and the values from a file, builds the field
+    and writes it again; it accepts the file only if that text is the file,
+    and raises ValidationError on anything else.  So the node order, the
+    spacing, every token and every line end are checked by the writer
+    itself.  Non-finite values and values beyond the Wigner bound are
+    refused before the re-write.
     """
 
     def __init__(self, grid: PhaseGrid, values):
@@ -195,52 +167,45 @@ class WignerField:
         """CSV with header u,v,w, u-major nodes (v fastest), 17 significant digits."""
         us = ["%.17g," % x for x in self.grid.u_axis]
         vs = ["%.17g," % x for x in self.grid.v_axis]
-        # one %-template holds every node's "u,v," text; the axes contain no "%"
+        # one %-template holds the header and every node's "u,v," text, so the
+        # text is built once; neither the header nor the axes contain a "%"
         w = "%.17g\n"
-        template = "".join([u + (w + u).join(vs) + w for u in us])
-        return "u,v,w\n" + template % tuple(self._flat)
+        template = "".join([_CSV_HEADER] + [u + (w + u).join(vs) + w for u in us])
+        return template % tuple(self._flat)
 
     @classmethod
     def from_csv(cls, text: str) -> "WignerField":
-        """Read the layout :meth:`to_csv` writes; nodes must be in its order."""
-        header, _, body = text.partition("\n")
-        if header.rstrip("\r") != "u,v,w":
+        """Read the text :meth:`to_csv` writes, and nothing else.
+
+        The grid comes from the first and the last row, the count of
+        distinct u tokens and the count of rows; the body is read in
+        newline-aligned blocks.
+        """
+        if not text.startswith(_CSV_HEADER):
             raise ValidationError("expected header u,v,w")
-        if not body or body.isspace():
-            raise ValidationError("no data rows")
-        number = {}  # each distinct u or v token, converted once
-        us, vs, ws = [], [], []
-        pos = 0
-        while pos < len(body):
-            end = body.find("\n", pos + _BLOCK_CHARS)
-            if end < 0:  # the last block; a final newline ends no row
-                end = len(body) - body.endswith("\n")
-            u_toks, v_toks, w_toks = _csv_columns(body[pos:end])
-            new = set(u_toks).union(v_toks).difference(number)
-            try:
-                number.update(zip(new, map(float, new)))
-                ws += map(float, w_toks)
-            except ValueError as exc:
-                raise ValidationError(f"malformed field CSV: {exc}") from exc
-            us += map(number.__getitem__, u_toks)
-            vs += map(number.__getitem__, v_toks)
-            pos = end + 1
-        bounds = []
-        for name, column in (("u", us), ("v", vs)):
-            nodes = set(column)
-            if not all(map(math.isfinite, nodes)):
-                raise ValidationError(f"{name} bounds must be finite doubles")
-            bounds += [min(nodes), max(nodes), len(nodes)]
-        u_lo, u_hi, n_u, v_lo, v_hi, n_v = bounds
-        grid = PhaseGrid(u_lo, u_hi, v_lo, v_hi, n_u, n_v)
-        # against the grid's own axes, so uneven nodes are refused, not relabelled
-        if us != [u for u in grid.u_axis for _ in range(n_v)] or vs != grid.v_axis * n_u:
-            raise ValidationError(
-                "nodes do not form a complete, evenly spaced rectangular grid "
-                "in u-major, v-fastest order"
-            )
+        pos = len(_CSV_HEADER)
+        first = text[pos:text.find("\n", pos)].split(",")
+        last = text[text.rfind("\n", 0, -1) + 1:-1].split(",")
+        u_tokens, ws = set(), []
+        try:
+            (u_lo, v_lo, _), (u_hi, v_hi, _) = first, last
+            bounds = float(u_lo), float(u_hi), float(v_lo), float(v_hi)
+            while pos < len(text):
+                end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
+                tokens = text[pos:end - 1].replace("\n", ",").split(",")
+                u_tokens.update(tokens[0::3])
+                ws += map(float, tokens[2::3])
+                pos = end
+        except ValueError as exc:
+            raise ValidationError(f"malformed field CSV: {exc}") from exc
+        n_u = len(u_tokens)
+        grid = PhaseGrid(*bounds, n_u, len(ws) // n_u)
+        if grid.n_u * grid.n_v != len(ws):
+            raise ValidationError(_NOT_WRITTEN)
         field = cls.__new__(cls)
         field._adopt(grid, ws)
+        if field.to_csv() != text:
+            raise ValidationError(_NOT_WRITTEN)
         return field
 
     def to_json_dict(self) -> dict:
@@ -256,7 +221,7 @@ class WignerField:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict())``, encoded one row at a time.
+        """``json.dumps(self.to_json_dict())`` and a newline, encoded one row at a time.
 
         One join of the rows' texts: json.dumps would hold every number's
         text as a separate string before its join.
@@ -265,25 +230,20 @@ class WignerField:
         parts = ['{"grid": ', json.dumps(obj["grid"]), ', "values": [']
         for row in obj["values"]:
             parts += (json.dumps(row), ", ")
-        parts[-1] = "]}"
+        parts[-1] = "]}\n"
         return "".join(parts)
 
     @classmethod
     def from_json(cls, text: str) -> "WignerField":
-        """Read the layout :meth:`to_json` writes; every value is a JSON number."""
+        """Read the text :meth:`to_json` writes, and nothing else."""
         try:
             obj = json.loads(text)
-            g = obj["grid"]
-            grid = PhaseGrid(
-                g["u_min"], g["u_max"], g["v_min"], g["v_max"], g["n_u"], g["n_v"]
-            )
-            rows = obj["values"]
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+            g, rows = obj["grid"], obj["values"]
+            bounds = g["u_min"], g["u_max"], g["v_min"], g["v_max"], g["n_u"], g["n_v"]
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValidationError(f"malformed field JSON: {exc}") from exc
-        if type(rows) is not list or not all(type(row) is list for row in rows):
-            raise ValidationError("malformed field JSON: values must be a list of rows")
-        if not set(map(type, chain.from_iterable(rows))) <= _JSON_NUMBERS:
-            raise ValidationError("malformed field JSON: values must be numbers")
-        return cls(grid, rows)
+        field = cls(PhaseGrid(*bounds), rows)
+        del obj, g, rows  # the parsed rows, freed before the re-write
+        if field.to_json() != text:
+            raise ValidationError(_NOT_WRITTEN)
+        return field

@@ -640,6 +640,11 @@ class TestValidateAndDeterminism:
         assert run(capsys, "--format", "json", "--out", str(path), *argv)[0] == 0
         assert run(capsys, "validate", "--kind", kind, str(path)) == (0, "ok\n", "")
 
+    #: A plate summary as ``cmd_fresnel`` writes it, which validate accepts.
+    _PLATE = {"geometry": {"r0": 100.0, "b": 100.0, "wavelength": 1.0, "amplitude": 1.0},
+              "open_zones": [1, 3], "U_plate": {"re": 1.0, "im": 0.0, "abs": 1.0, "phase": 0.0},
+              "U_free": {"re": 0.5, "im": 0.0, "abs": 0.5, "phase": 0.0},
+              "amplitude_ratio": 2.0}
     _SUMMARY_REFUSED = ("JSON summary holds neither a zonesum's nor a plate's keys with "
                         "finite numbers")
 
@@ -654,12 +659,22 @@ class TestValidateAndDeterminism:
         ("spin-belts", {"belts": [{"m": True, "z_lo": 0.0, "z_hi": 1.0, "area": 1.0}]},
          "record value m=True is not a finite float"),
         ("zones", {"geometry": 1}, _SUMMARY_REFUSED),
-        ("zones", {"geometry": {}, "open_zones": [1], "U_plate": {}, "U_free": {},
-                   "amplitude_ratio": "1"}, _SUMMARY_REFUSED),
-        ("zones", {"geometry": {}, "open_zones": [None], "U_plate": {}, "U_free": {},
-                   "amplitude_ratio": 1.0}, _SUMMARY_REFUSED),
+        ("zones", {**_PLATE, "amplitude_ratio": "1"}, _SUMMARY_REFUSED),
+        ("zones", {**_PLATE, "open_zones": [None]}, _SUMMARY_REFUSED),
+        ("zones", {"geometry": {}, "U_free": {}, "U_integral": {}, "U_zone_sum_raw": {},
+                   "U_zone_sum_averaged": {}}, _SUMMARY_REFUSED),
+        ("zones", {**_PLATE, "geometry": {**_PLATE["geometry"], "n_zones": 3}},
+         _SUMMARY_REFUSED),
+        ("zones", {**_PLATE, "U_free": {"re": 1.0, "im": 0.0, "abs": 1.0}}, _SUMMARY_REFUSED),
+        ("zones", {"slope_loglog": "x", "zones": []},
+         "JSON holds more than floats before its 'zones' list"),
+        ("zones", {"zones": [], "slope_loglog": 1.0},
+         "JSON holds more than floats before its 'zones' list"),
+        ("spin-bands", {"j": 2.0, "bands": [], "extra": 1.0},
+         "JSON holds more than floats before its 'bands' list"),
     ], ids=["text-and-null", "integer-probability", "float-index", "bool", "bare-geometry",
-            "text-ratio", "null-zone"])
+            "text-ratio", "null-zone", "empty-inner-objects", "plate-with-zone-count",
+            "complex-without-phase", "text-head", "key-before-head", "head-after-key"])
     def test_validate_refuses_json_values_the_writer_never_writes(self, capsys, tmp_path,
                                                                   kind, obj, message):
         # each file re-serializes to its own bytes and holds the kind's keys
@@ -667,6 +682,22 @@ class TestValidateAndDeterminism:
         path.write_text(json.dumps(obj) + "\n")
         code, stdout, err = run(capsys, "validate", "--kind", kind, str(path))
         assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+    def test_validate_accepts_the_plate_summary_the_refusals_edit(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(self._PLATE) + "\n")
+        assert run(capsys, "validate", "--kind", "zones", str(path)) == (0, "ok\n", "")
+
+    @pytest.mark.parametrize("kind, text", [
+        ("zones", '{"zones": ' + "[" * 100000 + "]" * 100000 + "}\n"),
+        ("wigner", '{"grid": ' + "[" * 100000 + "]" * 100000 + "}\n"),
+    ], ids=["zones", "wigner-grid"])
+    def test_validate_refuses_deeply_nested_json(self, capsys, tmp_path, kind, text):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        code, stdout, err = run(capsys, "validate", "--kind", kind, str(path))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_direct_route_bytes_do_not_depend_on_blas_threads(tmp_path):

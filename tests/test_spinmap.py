@@ -151,6 +151,21 @@ class TestProjection:
         assert worst[0] > worst[1] > worst[2] > worst[3]
         assert worst[-1] < 0.01
 
+    @pytest.mark.parametrize("j", [50.0, 200.0, 1000.0, 5000.0])
+    def test_inner_band_edges_follow_the_annuli_law(self, j):
+        # rho^2 R = 2n(j + 1/2) - n^2 - 1/4 exactly, so rho/sqrt(2n) - 1 is
+        # -(n^2 + 1/4)/(4n(j + 1/2)) up to a j^-2 residual: the correspondence
+        # with the oscillator's annuli converges as n/j
+        radius = SpinSphere(j).radius
+        residuals = []
+        for n in range(1, 11):
+            rho = projected_band(j, n)[0]
+            exact = 2 * n * (j + 0.5) - n * n - 0.25
+            assert rho * rho * radius == pytest.approx(exact, rel=1e-12, abs=0.0), n
+            leading = -(n * n + 0.25) / (4 * n * (j + 0.5))
+            residuals.append(rho / math.sqrt(2 * n) - 1.0 - leading)
+        assert 3.0 <= j * j * max(map(abs, residuals)) <= 3.3
+
     def test_mirrored_picture_on_northern_hemisphere(self):
         j = 25.0
         two_j = int(2 * j)

@@ -666,7 +666,7 @@ class TestFieldSerialization:
     ], ids=["v_major", "duplicated_node", "uneven_u"])
     def test_csv_rejects_out_of_order_nodes(self, rows):
         text = "u,v,w\n" + "".join(f"{u},{v},{w}\n" for u, v, w in rows)
-        with pytest.raises(ValidationError, match="v-fastest order"):
+        with pytest.raises(ValidationError, match="re-serialization differs from the file"):
             WignerField.from_csv(text)
 
     def test_codecs_match_per_node_reference(self):
@@ -684,7 +684,7 @@ class TestFieldSerialization:
         values[: len(special)] = special
         field = WignerField(grid, values.reshape(grid.n_u, grid.n_v))
         assert field.to_csv() == _reference_csv(field)
-        assert field.to_json() == json.dumps(_reference_json_dict(field))
+        assert field.to_json() == json.dumps(_reference_json_dict(field)) + "\n"
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(st.data())
@@ -784,7 +784,7 @@ class TestGridAxes:
     def test_field_with_integer_bounds_beyond_int64_rewrites(self):
         text = ('{"grid": {"u_min": -100000000000000000000, "u_max": 100000000000000000000, '
                 '"v_min": -1, "v_max": 1, "n_u": 3, "n_v": 3}, '
-                '"values": [[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1]]}')
+                '"values": [[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1]]}\n')
         field = WignerField.from_json(text)
         assert field.to_json() == text
         assert field.to_csv().splitlines()[1:4] == [
@@ -891,7 +891,8 @@ _CSV_PERTURBATIONS = {
     "tab_only_line": _insert_rows("\t"),
     "spaces_around_tokens": _edit_row(lambda row, rng: " , ".join(row.split(",")) + " "),
     "tab_and_nbsp_padding": _edit_row(lambda row, rng: "\t" + row + "\xa0"),
-    "leading_plus": _edit_token(2, lambda tok: tok if tok.startswith("-") else "+" + tok),
+    # a "+" in place of the token's minus, if it has one, so the text always changes
+    "leading_plus": _edit_token(2, lambda tok: "+" + tok.removeprefix("-")),
     "respelled_u": _edit_token(0, _respell),
     "respelled_v": _edit_token(1, _respell),
     "no_final_newline": lambda text, rng: text[:-1],
@@ -925,7 +926,7 @@ def _json_edit(fn):
     def perturb(text, rng):
         obj = json.loads(text)
         fn(obj, rng)
-        return json.dumps(obj)
+        return json.dumps(obj) + "\n"
     return perturb
 
 
@@ -939,7 +940,7 @@ def _set_value(new):
 #: name -> perturbation of a well-formed JSON text
 _JSON_PERTURBATIONS = {
     "as_written": lambda text, rng: text,
-    "reindented": lambda text, rng: json.dumps(json.loads(text), indent=2),
+    "reindented": lambda text, rng: json.dumps(json.loads(text), indent=2) + "\n",
     "integer_value": _set_value(0),
     "string_value": _set_value("0.1"),
     "false_value": _set_value(False),
@@ -958,15 +959,20 @@ _JSON_PERTURBATIONS = {
         u_min=-(10**20), u_max=10**20)),
     "float_count": _json_edit(lambda obj, rng: obj["grid"].__setitem__("n_v", 3.0)),
     "missing_grid": _json_edit(lambda obj, rng: obj.pop("grid")),
-    "not_an_object": lambda text, rng: "[1, 2]",
-    "not_json": lambda text, rng: text[:-1],
+    "not_an_object": lambda text, rng: "[1, 2]\n",
+    "not_json": lambda text, rng: text[:-2] + "\n",
 }
 
 #: Verdicts that differ from the numpy readers on purpose, as (parent, now).
 _INTENDED = {
-    # a field file holds numbers only; np.array converted these silently
-    ("json", "string_value"): ("ok", "refused"),
-    ("json", "false_value"): ("ok", "refused"),
+    # a field file is read only as its writer writes it; np.loadtxt, np.array
+    # and json.loads also read these respellings
+    **{("csv", name): ("ok", "refused") for name in (
+        "crlf", "crlf_no_final_newline", "blank_line", "crlf_blank_line",
+        "trailing_blank_lines", "spaces_around_tokens", "tab_and_nbsp_padding",
+        "leading_plus", "respelled_u", "respelled_v", "no_final_newline")},
+    **{("json", name): ("ok", "refused") for name in (
+        "reindented", "integer_value", "string_value", "false_value")},
     # np.array raised a bare OverflowError, which the CLI let escape
     ("json", "huge_integer_value"): ("crash", "refused"),
 }
@@ -1021,12 +1027,35 @@ class TestReadersAgainstNumpyReaders:
         assert {name for name, _ in seen} == set(perturbations)
         assert {verdict for _, verdict in seen} >= {"ok", "refused"}
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_character_edit_is_refused_or_is_what_its_field_writes(self, fmt):
+        # a reader accepts a text exactly when its field writes that text again
+        read = WignerField.from_csv if fmt == "csv" else WignerField.from_json
+        rng = np.random.default_rng(11)
+        alphabet = "0123456789+-.,eE \t\r\n{}[]:\"nafiuv"
+        accepted = 0
+        for _ in range(40):
+            field = self._field(rng)
+            text = field.to_csv() if fmt == "csv" else field.to_json()
+            for _ in range(50):
+                k, op = int(rng.integers(len(text))), int(rng.integers(3))
+                char = alphabet[int(rng.integers(len(alphabet)))]
+                # op 0 inserts char before text[k], 1 deletes text[k], 2 replaces it
+                edited = text[:k] + ("" if op == 1 else char) + text[k + (op > 0):]
+                try:
+                    back = read(edited)
+                except ValidationError:
+                    continue
+                accepted += edited != text
+                assert (back.to_csv() if fmt == "csv" else back.to_json()) == edited
+        assert accepted > 0
+
     def test_csv_block_boundaries(self, monkeypatch):
         from phasewave import field as field_module
 
         rng = np.random.default_rng(3)
         field = self._field(rng)
-        text = _insert_rows("")(field.to_csv().replace("\n", "\r\n"), rng)
+        text = field.to_csv()
         for chars in (1, 7, 40, 1 << 20):
             monkeypatch.setattr(field_module, "_BLOCK_CHARS", chars)
             back = WignerField.from_csv(text)
