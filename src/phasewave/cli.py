@@ -163,7 +163,7 @@ _SUMMARIES = {
 }
 
 
-def _table(fmt: str, kind: str, rows, **head):
+def _table(fmt: str, kind: str, rows, /, **head):
     """The text of the ``kind`` table of ``rows``: CSV, or JSON records under its
     key after ``head``, one block of _ROWS_PER_WRITE rows per chunk, so a large
     table is never held as one string."""
@@ -172,11 +172,12 @@ def _table(fmt: str, kind: str, rows, **head):
     blocks = iter(lambda: list(itertools.islice(rows, _ROWS_PER_WRITE)), [])
     if fmt == "json":
         # json.dumps separates list items by ", ", so the records can follow
-        # the text that opens their list one block at a time
+        # the text that opens their list one block at a time, each block the
+        # inside of its own list
         yield json.dumps({**head, key: []})[:-2]
         sep = ""
         for block in blocks:
-            yield sep + ", ".join(json.dumps(dict(zip(columns, row))) for row in block)
+            yield sep + json.dumps([dict(zip(columns, row)) for row in block])[1:-1]
             sep = ", "
         yield "]}\n"
         return
@@ -328,6 +329,20 @@ def _holds(value, keys) -> bool:
     return all(type(x) in (int, float) for x in (value if type(value) is list else [value]))
 
 
+def _check_rewrite(text: str, chunks) -> None:
+    """Refuse ``text`` unless the writer's ``chunks`` join to it; each chunk is
+    compared in place as it comes, so the whole rewrite is never held."""
+    at = 0
+    for chunk in chunks:
+        if not text.startswith(chunk, at):
+            break
+        at += len(chunk)
+    else:
+        if at == len(text):
+            return
+    raise ValidationError("JSON round-trip differs from the file")
+
+
 def cmd_validate(args) -> int:
     with open(args.path, newline="") as fh:  # no line-end translation
         text = fh.read()
@@ -341,12 +356,11 @@ def cmd_validate(args) -> int:
             obj = json.loads(text, parse_constant=_refuse_constant)
         except RecursionError as exc:
             raise ValidationError(f"malformed JSON: {exc}") from exc
-        if json.dumps(obj) + "\n" != text:
-            raise ValidationError("JSON round-trip differs from the file")
         # a float that round-trips is finite: json writes inf and nan as
         # Infinity and NaN, which are refused above
         key, columns = _TABLES[args.kind]
         if args.kind == "zones" and "geometry" in obj:  # a zonesum or plate summary
+            _check_rewrite(text, [json.dumps(obj) + "\n"])
             entries = next((s for s in _SUMMARIES.values() if tuple(s) == tuple(obj)), {})
             if not entries or not all(_holds(obj[k], keys) for k, keys in entries.items()):
                 raise ValidationError("JSON summary holds neither a zonesum's nor a plate's "
@@ -360,6 +374,8 @@ def cmd_validate(args) -> int:
                                       f"{','.join(columns)}")
             if tuple(obj)[-1] != key or any(type(obj[k]) is not float for k in tuple(obj)[:-1]):
                 raise ValidationError(f"JSON holds more than floats before its {key!r} list")
+            head = dict(itertools.islice(obj.items(), len(obj) - 1))
+            _check_rewrite(text, _table("json", args.kind, map(dict.values, records), **head))
             for row in records:
                 for column, value in row.items():
                     if type(value) is not (int if column == "n" else float):
@@ -378,10 +394,12 @@ def cmd_validate(args) -> int:
             tokens = line.split(",")
             if len(tokens) != len(columns):
                 raise ValidationError(f"row {line!r} does not hold {len(columns)} columns")
-            for tok in tokens:
+            for column, tok in zip(columns, tokens):
                 value = float(tok)
                 if not math.isfinite(value):
                     raise ValidationError(f"non-finite value {tok!r}")
+                if column == "n" and not (value.is_integer() and _fmt(int(value)) == tok):
+                    raise ValidationError(f"record value n={tok} is not a finite integer")
                 if _fmt(value) != tok:
                     raise ValidationError(f"token {tok!r} does not round-trip at "
                                           "17 significant digits")

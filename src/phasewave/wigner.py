@@ -5,8 +5,10 @@ Two independent evaluation routes are provided and cross-checked:
 * :func:`wigner_direct` integrates the position-representation Fourier
   kernel over the chord coordinate y at every node; the kernel is the
   sum over the state's stored pure components phi_i and weights w_i
-  (``rho.support``) of w_i phi_i(u + y/2) conj(phi_i(u - y/2)), so a pure
-  state costs one wavefunction product,
+  (``rho.support``) of w_i phi_i(u + y/2) conj(phi_i(u - y/2)), each
+  phi_i evaluated once per point of one abscissa lattice that holds every
+  u +- y/2 of a refinement level, and only y >= 0 is summed, since the
+  kernel at -y is the conjugate of that at y,
 * :func:`parity_sum` forms twice the alternating sum of the occupation
   probabilities of the state displaced to the opposite phase point
   (``fock._displaced_occupations``); :func:`wigner_parity` evaluates the
@@ -45,7 +47,8 @@ from .field import PhaseGrid, WignerField  # noqa: F401  (re-exported, the same 
 UV_TO_ALPHA = 1.0 / math.sqrt(2.0)
 
 #: Largest grid rows x chord nodes of any level of the direct route's chord
-#: quadrature; a complex (rows, nodes) array then holds at most 16 MB.  A grid
+#: quadrature, the nodes counted over the whole window, -y as well as y; the
+#: complex (rows, nodes) integrand of y >= 0 then holds at most 16 MB.  A grid
 #: whose first two levels exceed it is refused before anything is sampled; a
 #: later level that would exceed it ends the refinement unconverged.
 MAX_CHORD_SAMPLES = 1_000_000
@@ -65,23 +68,49 @@ def alpha_from_uv(u, v) -> np.ndarray:
 # -- direct Fourier-integral route ----------------------------------------
 
 
-def _chord_integrand(rho: fock.DensityMatrix, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F(u, y) = <u + y/2| rho |u - y/2> from the state's support.
+def _chord_lattice(u: np.ndarray, h: float, half_window: float, shared: bool):
+    """One level's chord abscissae xs and their layout (pitch, stride, hy, nodes).
 
-    With rho.support = (w, A), the stored weights and pure components over the
-    occupied levels, F = sum_i w_i phi_i(u + y/2) conj(phi_i(u - y/2)),
-    phi_i = sum_n A_ni psi_n, each phi_i summed inside the Hermite recurrence;
-    a pure state has one term.
-    F is complex for states with complex coherences; only the Fourier sum over
-    y is real, so the real part is taken after it.
+    Row i's nodes y_j = j * hy <= half_window + hy (j < nodes, hy <= h) put
+    u_i +- y_j / 2 at xs[c_i +- j * stride], c_i = (nodes - 1) * stride +
+    i * pitch.  A grid's rows share the lattice u_0 + k * delta, hy = 2 q delta:
+    delta = du / m, q = 1 with m = ceil(du / (h/2)) when du >= h/2, else
+    delta = du, q = floor(h / (2 du)).  Scattered points, and a grid whose
+    lattice would outgrow its rows' own, take one lattice u_i + k * h/2 per row.
+    """
+    rows = u.size
+    if shared:
+        du = (u[-1] - u[0]) / (rows - 1)
+        m, q = (math.ceil(2.0 * du / h), 1) if 2.0 * du >= h else (1, int(h / (2.0 * du)))
+        hy = 2.0 * q * du / m
+        nodes = math.ceil(half_window / hy) + 1
+        span = (rows - 1) * m + 2 * (nodes - 1) * q + 1
+        if span <= rows * (2 * nodes - 1):
+            return u[0] + (du / m) * (np.arange(span) - (nodes - 1) * q), m, q, hy, nodes
+    nodes = math.ceil(half_window / h) + 1
+    xs = (u[:, None] + 0.5 * h * np.arange(1 - nodes, nodes)).ravel()
+    return xs, 2 * nodes - 1, 1, h, nodes
+
+
+def _chord_integrand(rho, xs, pitch, stride, nodes) -> np.ndarray:
+    """F[i, j] = <xs[c_i + j * stride]| rho |xs[c_i - j * stride]> on a
+    :func:`_chord_lattice` layout, for y_j >= 0 only: F(u, -y) = conj F(u, y).
+
+    With rho.support = (w, A), F = sum_e w_e phi_e(x+) conj(phi_e(x-)), each
+    phi_e = sum_n A_ne psi_n summed inside the Hermite recurrence, once per
+    lattice point a block of rows reads; both factors are strided views of it.
     """
     weights, vectors = rho.support
-    out = np.empty((u.size, y.size), dtype=complex)
-    step = max(1, int(fock._CHUNK_ELEMS // (vectors.shape[0] * y.size)))  # levels x nodes
-    for lo in range(0, u.size, step):
-        ub = u[lo : lo + step, None]
-        phi_p, phi_m = (fock.eigenfunction_stack(vectors, ub + h) for h in (0.5 * y, -0.5 * y))
-        out[lo : lo + step] = np.einsum("e,exy,exy->xy", weights, phi_p, phi_m.conj())
+    reach = (nodes - 1) * stride
+    rows = (xs.size - 2 * reach - 1) // pitch + 1
+    out = np.empty((rows, nodes), dtype=complex)
+    step = max(1, int(fock._CHUNK_ELEMS // (vectors.shape[0] * nodes)))  # levels x nodes
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        phi = fock.eigenfunction_stack(vectors, xs[lo * pitch : (hi - 1) * pitch + 2 * reach + 1])
+        win = np.lib.stride_tricks.sliding_window_view(phi, 2 * reach + 1, axis=-1)[:, ::pitch]
+        plus, minus = win[..., reach::stride], win[..., reach::-stride]
+        out[lo:hi] = np.einsum("e,exy,exy->xy", weights, plus, minus.conj())
     return out
 
 
@@ -90,6 +119,10 @@ def _wigner_eval(rho, u_vec, v_vec, paired, min_points=None):
 
     paired=False: full outer grid, result (len(u), len(v)).
     paired=True: pointwise, result (len(u),) with u_vec/v_vec zipped.
+    Level npts asks for the step h = 2 * half_window / (npts - 1), and takes
+    hy <= h over as wide a window.  As F(u, -y) = conj F(u, y), the trapezoid
+    rule over j = -J..J is hy F_0 + 2 sum_(j>=1) h_j (Re F_j cos(v y_j) +
+    Im F_j sin(v y_j)), h_j = hy but hy / 2 at j = J: two real sums.
     """
     n_max = rho.n_max
     u_vec = np.asarray(u_vec, dtype=float)
@@ -115,14 +148,15 @@ def _wigner_eval(rho, u_vec, v_vec, paired, min_points=None):
     for _ in range(MAX_REFINEMENTS):
         if rows * npts > MAX_CHORD_SAMPLES:
             break  # refused below, with the last level's Richardson estimate
-        y = np.linspace(-half_window, half_window, npts)
-        wy = np.full(npts, y[1] - y[0])
-        wy[0] *= 0.5
-        wy[-1] *= 0.5
-        fw = _chord_integrand(rho, u_vec, y) * wy
-        phases = np.exp(-1j * np.outer(v_vec, y))
-        summed = np.sum(fw * phases, axis=1) if paired else fw @ phases.T
-        vals = np.real(summed) / (2.0 * math.pi)
+        h = 2.0 * half_window / (npts - 1)
+        xs, pitch, stride, hy, nodes = _chord_lattice(u_vec, h, half_window, not paired)
+        fw = _chord_integrand(rho, xs, pitch, stride, nodes) * hy
+        fw[:, 1:-1] *= 2.0  # the folded trapezoid's weights
+        vy = v_vec[:, None] * (hy * np.arange(nodes))
+        c, s = np.cos(vy), np.sin(vy)
+        summed = (np.sum(fw.real * c + fw.imag * s, axis=1) if paired
+                  else fw.real @ c.T + fw.imag @ s.T)
+        vals = summed / (2.0 * math.pi)
         if prev is not None:
             delta = np.abs(vals - prev)
             if float(delta.max()) < tol:

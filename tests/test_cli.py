@@ -577,7 +577,14 @@ class TestValidateAndDeterminism:
          "the last line does not end in a newline"),
         ("spin-belts", "m,z_lo,z_hi,area\n007,0,1,2\n",
          "token '007' does not round-trip at 17 significant digits"),
-    ], ids=["short-row", "long-row", "no-final-newline", "zero-padded-integer"])
+        ("overlap", "n,p_overlap,p_poisson\n0.5,0.5,0.5\n",
+         "record value n=0.5 is not a finite integer"),
+        ("spin-bands", "n,m,rho_lo,rho_hi,area\n1.5,0,0,1,1\n",
+         "record value n=1.5 is not a finite integer"),
+        ("zones", "n,rho,re_Un,im_Un,abs_Un,phase_Un\n1.0,1,0,0,0,0\n",
+         "record value n=1.0 is not a finite integer"),
+    ], ids=["short-row", "long-row", "no-final-newline", "zero-padded-integer",
+            "half-index", "fractional-index", "float-written-index"])
     def test_validate_refuses_tables_the_writer_never_writes(self, capsys, tmp_path,
                                                              kind, text, message):
         path = tmp_path / "t.csv"
@@ -656,6 +663,11 @@ class TestValidateAndDeterminism:
         ("spin-bands", {"bands": [{"n": 1.0, "m": 0.0, "rho_lo": 0.0, "rho_hi": 1.0,
                                    "area": 1.0}]},
          "record value n=1.0 is not a finite integer"),
+        ("overlap", {"table": [{"n": 0.5, "p_overlap": 0.5, "p_poisson": 0.5}]},
+         "record value n=0.5 is not a finite integer"),
+        ("spin-bands", {"bands": [{"n": 1.5, "m": 0.0, "rho_lo": 0.0, "rho_hi": 1.0,
+                                   "area": 1.0}]},
+         "record value n=1.5 is not a finite integer"),
         ("spin-belts", {"belts": [{"m": True, "z_lo": 0.0, "z_hi": 1.0, "area": 1.0}]},
          "record value m=True is not a finite float"),
         ("zones", {"geometry": 1}, _SUMMARY_REFUSED),
@@ -672,7 +684,8 @@ class TestValidateAndDeterminism:
          "JSON holds more than floats before its 'zones' list"),
         ("spin-bands", {"j": 2.0, "bands": [], "extra": 1.0},
          "JSON holds more than floats before its 'bands' list"),
-    ], ids=["text-and-null", "integer-probability", "float-index", "bool", "bare-geometry",
+    ], ids=["text-and-null", "integer-probability", "float-index", "half-index",
+            "fractional-index", "bool", "bare-geometry",
             "text-ratio", "null-zone", "empty-inner-objects", "plate-with-zone-count",
             "complex-without-phase", "text-head", "key-before-head", "head-after-key"])
     def test_validate_refuses_json_values_the_writer_never_writes(self, capsys, tmp_path,
@@ -682,6 +695,12 @@ class TestValidateAndDeterminism:
         path.write_text(json.dumps(obj) + "\n")
         code, stdout, err = run(capsys, "validate", "--kind", kind, str(path))
         assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+    def test_validate_compares_any_float_head_with_the_writers_blocks(self, capsys, tmp_path):
+        # head keys that spell the table writer's own parameters are plain keys
+        path = tmp_path / "t.json"
+        path.write_text('{"rows": 1.0, "kind": 2.0, "table": []}\n')
+        assert run(capsys, "validate", "--kind", "overlap", str(path)) == (0, "ok\n", "")
 
     def test_validate_accepts_the_plate_summary_the_refusals_edit(self, capsys, tmp_path):
         path = tmp_path / "t.json"

@@ -131,6 +131,73 @@ class TestDirectRoute:
         oracle = _coherent_field(grid, 1.0 + 0.0j)
         assert np.max(np.abs(field.values - oracle.values)) < 1e-9
 
+    @pytest.mark.parametrize("state, grid, layout", [
+        # du = 1.4 is coarser than hy/2: rows m > 1 lattice steps apart
+        (FockState.fock(3), PhaseGrid(-7.0, 7.0, -7.0, 7.0, 11, 11), "coarse"),
+        ((1.5 + 0.8j), PhaseGrid(-7.0, 7.0, -7.0, 7.0, 11, 11), "coarse"),
+        # du = 1/30 is finer than hy/2: chord nodes q > 1 rows apart
+        (FockState.fock(1), PhaseGrid(-5.0, 5.0, -5.0, 5.0, 301, 301), "fine"),
+        ((-0.7 + 0.4j), PhaseGrid(-5.0, 5.0, -5.0, 5.0, 301, 31), "fine"),
+        # an offset u axis, so the lattice is not centred on u = 0
+        (FockState.fock(2), PhaseGrid(-3.7, 5.3, -5.0, 5.0, 37, 21), "coarse"),
+        ((1.2 - 0.3j), PhaseGrid(-2.3, 4.1, -4.0, 4.0, 257, 17), "fine"),
+        # rows 1e-6 apart: a shared lattice would span the window at that
+        # spacing, so each row takes its own
+        ((0.4 + 0.9j), PhaseGrid(-1e-6, 1e-6, -3.0, 3.0, 3, 13), "own"),
+    ], ids=["fock3-coarse", "coherent-coarse", "fock1-fine", "coherent-fine",
+            "fock2-offset", "coherent-offset", "coherent-narrow"])
+    def test_shared_lattice_matches_closed_forms(self, monkeypatch, state, grid, layout):
+        layouts = []
+
+        def recording(rho, xs, pitch, stride, nodes):
+            own = pitch == 2 * nodes - 1  # row i's lattice is xs[i * pitch:][:pitch]
+            layouts.append(
+                "own" if own else "coarse" if pitch > 1 else "fine" if stride > 1 else "unit"
+            )
+            return _chord_integrand(rho, xs, pitch, stride, nodes)
+
+        monkeypatch.setattr(wigner, "_chord_integrand", recording)
+        uu, vv = np.meshgrid(grid.u_axis, grid.v_axis, indexing="ij")
+        if isinstance(state, FockState):
+            # (-1)^n / pi e^(-r^2) L_n(2 r^2), L_n by its three-term recurrence
+            n, x = int(np.argmax(np.abs(state.amplitudes))), 2.0 * (uu**2 + vv**2)
+            prev, lag = np.zeros_like(x), np.ones_like(x)
+            for k in range(n):
+                prev, lag = lag, ((2 * k + 1 - x) * lag - k * prev) / (k + 1)
+            oracle = (-1) ** n * np.exp(-0.5 * x) * lag / math.pi
+            rho = state.density()
+        else:
+            oracle = _coherent_field(grid, state).values
+            rho = coherent_amplitudes(state).density()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ContainmentWarning)
+            field = wigner_direct(rho, grid)
+        assert np.max(np.abs(field.values - oracle)) < 1e-9
+        # rows m > 1 lattice steps apart, or chord nodes q > 1 rows apart
+        assert layouts[0] == layout
+        # the paired route, one lattice per point, agrees at the nodes
+        every = slice(None, None, uu.size // 97 + 1)
+        paired = wigner_values(rho, uu.ravel()[every], vv.ravel()[every])
+        assert layouts[-1] == "own"
+        assert np.max(np.abs(paired - field.values.ravel()[every])) < 1e-12
+
+    def test_readme_direct_field_holds_no_chord_sample_stack(self):
+        # README's coherent:2 on -6:6:81: the second level's shared lattice
+        # holds 2,743 abscissae, where 81 rows x 2049 chord nodes took
+        # 165,969 samples per sign of y; measured 6.4 MiB, and 13.9 MiB then
+        rho = coherent_amplitudes(2.0).density()
+        rho.support  # the cached support is not part of the route
+        grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 81, 81)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ContainmentWarning)
+                wigner_direct(rho, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize(
         "name, extent",
         [("vacuum", 5.0), ("fock1", 6.0), ("fock3", 6.0), ("coherent1", 6.0)],
@@ -169,33 +236,43 @@ class TestDirectRoute:
         a = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         norms = np.linalg.norm(a, axis=0)  # rho = A A^dag / tr as a mixture of A's columns
         rho = DensityMatrix(np.pad(a / norms, ((0, 2), (0, 0))), norms**2)
-        u, y = np.linspace(-3.0, 3.0, 13), np.linspace(-8.0, 8.0, 41)
-        # the dense contraction sum_mn psi_m(u + y/2) rho_mn psi_n(u - y/2)
-        psi_p = eigenfunction_stack(np.eye(rho.n_max + 1), u[:, None] + 0.5 * y)
-        psi_m = eigenfunction_stack(np.eye(rho.n_max + 1), u[:, None] - 0.5 * y)
-        dense = np.einsum(
-            "mxy,mn,nxy->xy", psi_p, rho.leading_block(rho.n_max + 1), psi_m, optimize=True
-        )
-        assert np.max(np.abs(dense.imag)) > 1e-2
-        got = _chord_integrand(rho, u, y)
-        assert np.max(np.abs(got - dense)) <= 1e-14
+        u, nodes = np.linspace(-3.6, 3.6, 13), 21
+        # rows u_i on one shared lattice (pitch 3, stride 2), and each on its own
+        shared = 0.2 * np.arange(-58, 59)
+        own = (u[:, None] + 0.2 * np.arange(1 - nodes, nodes)).ravel()
+        for xs, pitch, stride in ((shared, 3, 2), (own, 2 * nodes - 1, 1)):
+            reach = (nodes - 1) * stride
+            centre = reach + pitch * np.arange(u.size)[:, None]
+            assert np.allclose(xs[centre[:, 0]], u, rtol=0.0, atol=1e-14)
+            j = stride * np.arange(nodes)
+            # the dense contraction sum_mn psi_m(u + y/2) rho_mn psi_n(u - y/2)
+            psi_p = eigenfunction_stack(np.eye(rho.n_max + 1), xs[centre + j])
+            psi_m = eigenfunction_stack(np.eye(rho.n_max + 1), xs[centre - j])
+            dense = np.einsum(
+                "mxy,mn,nxy->xy", psi_p, rho.leading_block(rho.n_max + 1), psi_m, optimize=True
+            )
+            assert np.max(np.abs(dense.imag)) > 1e-2
+            got = _chord_integrand(rho, xs, pitch, stride, nodes)
+            assert np.max(np.abs(got - dense)) <= 1e-14
 
     def test_chord_integrand_builds_no_level_stack(self):
-        # coherent:2 has a 65-level support: a stack of psi_0..psi_64 on these
-        # nodes takes 22 MB, while its one summed column takes 0.7 MB
+        # coherent:2 has a 65-level support: on one lattice per row for 41
+        # rows x 1025 nodes a stack of psi_0..psi_64 takes 44 MB, while its
+        # one summed column takes 0.7 MB
         rho = coherent_amplitudes(2.0).density()
         rho.support  # the cached support is not part of the integrand
-        u, y = np.linspace(-6.0, 6.0, 41), np.linspace(-40.0, 40.0, 1025)
+        u = np.linspace(-6.0, 6.0, 41)
+        xs = (u[:, None] + (40.0 / 1024) * np.arange(-1024, 1025)).ravel()
         tracemalloc.start()
         try:
-            _chord_integrand(rho, u, y)
+            _chord_integrand(rho, xs, 2049, 1, 1025)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
     def test_nonconvergence_reports_worst_node(self, monkeypatch):
-        monkeypatch.setattr(wigner, "REL_TOL", 1e-16)
+        monkeypatch.setattr(wigner, "REL_TOL", 0.0)  # no two levels agree to under 0
         monkeypatch.setattr(wigner, "MAX_REFINEMENTS", 2)
         rho = FockState.vacuum().density()
         with pytest.raises(QuadratureError) as err:
