@@ -184,7 +184,8 @@ class TestDirectRoute:
     def test_readme_direct_field_holds_no_chord_sample_stack(self):
         # README's coherent:2 on -6:6:81: the second level's shared lattice
         # holds 2,743 abscissae, where 81 rows x 2049 chord nodes took
-        # 165,969 samples per sign of y; measured 6.4 MiB, and 13.9 MiB then
+        # 165,969 samples per sign of y.  Measured peak 6.4 MiB; it was 13.9 MiB
+        # when every row sampled its own chord nodes
         rho = coherent_amplitudes(2.0).density()
         rho.support  # the cached support is not part of the route
         grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 81, 81)
