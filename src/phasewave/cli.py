@@ -3,23 +3,18 @@
 Exit codes: 0 success, 2 rejected input, 3 numerical failure.  Output
 files are deterministic: fixed summation order, no timestamps, CSV floats
 printed with 17 significant digits and JSON floats as Python's shortest
-round-trip repr (both lossless for doubles).  Every file, and each
-``key=value`` line echoed to stdout after it, goes through ``_write``.
+round-trip repr (both lossless for doubles).  ``_table`` writes every table,
+a block of rows at a time, and ``_summary`` every ``fresnel`` summary; each
+file, and each ``key=value`` line echoed to stdout after it, goes through
+``_write``.  ``validate`` computes nothing: it reads a file's values into
+the types its writer takes and accepts the file only if the writer writes
+those values back byte for byte, a Wigner field through ``phasewave.field``.
 
 Each subcommand imports the one numerics module it computes with when it
-runs, so start-up loads the standard library only.  ``fresnel``, ``spin``
-and ``overlap`` compute on the standard library alone; only ``wigner``
-loads numpy with its module.  ``wigner`` parses its state and grid specs
-first, so a refused spec loads no numpy either.  Tables are formatted and
-written a block of rows at a time.  ``validate`` computes nothing: it
-reads the file as written, with no line-end translation, and accepts it
-only in the form its writer writes.  A Wigner field goes to a reader of
-``phasewave.field`` (standard library only), which accepts exactly the
-bytes the field's writer writes; the other tables need nothing beyond the
-standard library.  ``wigner --method both`` fails (exit 3, no file
-written) when its two routes differ by more than ROUTE_TOL.
-Warnings reach stderr as one ``warning: ...`` line each.  ``fresnel
-zonesum`` writes the field at P by both routes and by free propagation.
+runs, so start-up loads the standard library only; only ``wigner`` loads
+numpy, after its state and grid specs parse.  ``wigner --method both``
+fails (exit 3, no file written) when its routes differ by more than
+ROUTE_TOL.  Warnings reach stderr as one ``warning: ...`` line each.
 """
 
 from __future__ import annotations
@@ -32,16 +27,12 @@ import sys
 import warnings
 from pathlib import Path
 
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, check_rewrite
 
 #: Largest max |direct - parity| that ``wigner --method both`` accepts.
 ROUTE_TOL = 1e-6
 #: Table rows formatted and written at a time.
 _ROWS_PER_WRITE = 4096
-
-
-def _fmt(value: float) -> str:
-    return "%.17g" % value
 
 
 def _complex_dict(z: complex) -> dict:
@@ -61,7 +52,7 @@ def _write(out: str | None, chunks, **echo) -> None:
     else:
         with open(out, "w", newline="") as fh:
             fh.writelines(chunks)
-    sys.stdout.writelines(f"{key}={_fmt(value)}\n" for key, value in echo.items())
+    sys.stdout.writelines(f"{key}={value:.17g}\n" for key, value in echo.items())
 
 
 def parse_state(spec: str) -> list:
@@ -141,7 +132,6 @@ def parse_grid(spec: str, spec_v: str | None) -> field.PhaseGrid:
 
 
 #: Every table the CLI writes, by ``validate --kind``: its JSON key and columns.
-#: Column ``n`` holds the row's integer index, every other column a float.
 _TABLES = {
     "zones": ("zones", ("n", "rho", "re_Un", "im_Un", "abs_Un", "phase_Un")),
     "overlap": ("table", ("n", "p_overlap", "p_poisson")),
@@ -153,7 +143,7 @@ _TABLES = {
 _GEOMETRY = ("r0", "b", "wavelength", "amplitude")
 _COMPLEX = tuple(_complex_dict(0j))
 #: The entries of each ``fresnel`` summary, in the order written: the keys of
-#: the dict of numbers each holds, or None for a number or a list of numbers.
+#: the dict each holds, or None for a value of its own.
 _SUMMARIES = {
     "zonesum": {"geometry": (*_GEOMETRY, "n_zones"), "U_free": _COMPLEX,
                 "U_integral": _COMPLEX, "U_zone_sum_raw": _COMPLEX,
@@ -161,6 +151,8 @@ _SUMMARIES = {
     "plate": {"geometry": _GEOMETRY, "open_zones": None, "U_plate": _COMPLEX,
               "U_free": _COMPLEX, "amplitude_ratio": None},
 }
+#: How the writers type a column's or entry's values; every other value is a finite float.
+_TYPES = {"n": int, "n_zones": int, "open_zones": lambda zones: [_typed(z, "n") for z in zones]}
 
 
 def _table(fmt: str, kind: str, rows, /, **head):
@@ -181,9 +173,15 @@ def _table(fmt: str, kind: str, rows, /, **head):
             sep = ", "
         yield "]}\n"
         return
+    line = ",".join(["%.17g"] * len(columns)) + "\n"  # one %-template per block
     yield ",".join(columns) + "\n"
     for block in blocks:
-        yield "".join(",".join(map(_fmt, row)) + "\n" for row in block)
+        yield (line * len(block)) % tuple(itertools.chain.from_iterable(block))
+
+
+def _summary(name: str, values) -> list:
+    """The text of the ``name`` summary of ``values``, given in its entries' order."""
+    return [json.dumps(dict(zip(_SUMMARIES[name], values))) + "\n"]
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -260,34 +258,30 @@ def cmd_fresnel(args) -> int:
         u_raw, u_avg = fresnel._partial_sums(geom, args.n, args.nodes)
         theta_max = fresnel.zone_boundary_angle(geom, args.n)
         u_int = fresnel.huygens_integral(geom, theta_max, args.nodes)
-        summary = dict(zip(_SUMMARIES["zonesum"], (
+        _write(args.out, _summary("zonesum", (
             {**asdict(geom), "n_zones": args.n},
             *map(_complex_dict, (geom.free_field(), u_int, u_raw, u_avg)),
-        )))
-        _write(args.out, [json.dumps(summary) + "\n"], abs_U=abs(u_avg))
+        )), abs_U=abs(u_avg))
         return 0
 
     open_zones, n_zones = _parse_mask(args.open, args.n)  # plate, the one subaction left
     u_plate = fresnel.zone_plate(geom, open_zones, n_zones, args.nodes)
     u_free = geom.free_field()
     ratio = abs(u_plate) / abs(u_free)
-    summary = dict(zip(_SUMMARIES["plate"], (
-        asdict(geom), open_zones, _complex_dict(u_plate), _complex_dict(u_free), ratio,
-    )))
-    _write(args.out, [json.dumps(summary) + "\n"], amplitude_ratio=ratio)
+    _write(args.out, _summary("plate", (
+        asdict(geom), list(open_zones), _complex_dict(u_plate), _complex_dict(u_free), ratio,
+    )), amplitude_ratio=ratio)
     return 0
 
 
-def _parse_mask(spec: str, count: int) -> tuple[list[int], int]:
-    """Open-zone mask: odd/even take the first ``count`` of that parity."""
+def _parse_mask(spec: str, count: int) -> tuple[range | list[int], int]:
+    """Open-zone mask, ascending: odd/even take the first ``count`` of that parity, as
+    a range, so no list of ``count`` zones is built before the quadrature limit."""
     if count < 0:
         raise ValidationError("zone count must be nonnegative")
-    if spec == "odd":
-        zones = [2 * i + 1 for i in range(count)]
-    elif spec == "even":
-        zones = [2 * i for i in range(count)]
-    elif spec == "all":
-        zones = list(range(count))
+    masks = {"odd": range(1, 2 * count, 2), "even": range(0, 2 * count, 2), "all": range(count)}
+    if spec in masks:
+        zones = masks[spec]
     else:
         try:
             zones = sorted(set(int(tok) for tok in spec.split(",") if tok != ""))
@@ -295,7 +289,7 @@ def _parse_mask(spec: str, count: int) -> tuple[list[int], int]:
             raise ValidationError(f"bad zone mask {spec!r}: {exc}") from exc
         if zones and zones[0] < 0:
             raise ValidationError("zone indices must be nonnegative")
-    n_zones = (max(zones) + 1) if zones else max(count, 1)
+    n_zones = zones[-1] + 1 if zones else max(count, 1)
     return zones, n_zones
 
 
@@ -316,31 +310,33 @@ def cmd_spin(args) -> int:
     return 0
 
 
-def _refuse_constant(token: str):
-    raise ValidationError(f"non-finite value {token!r}")
+def _typed(value, name: str):
+    """``value`` as its writer types the values under ``name``, if that is finite."""
+    try:
+        typed = _TYPES.get(name, float)(value)
+        if type(typed) is list or math.isfinite(typed):  # OverflowError: an int past doubles
+            return typed
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name}={value!r:.60} is not a finite value of its writer's type")
 
 
-def _holds(value, keys) -> bool:
-    """Whether a summary entry holds what ``cmd_fresnel`` writes there: a dict of
-    numbers with exactly ``keys``, in order, or (``keys`` None) a number or a list of
-    numbers.  A number is an int or a float, not a bool."""
-    if keys is not None:
-        return type(value) is dict and tuple(value) == keys and _holds([*value.values()], None)
-    return all(type(x) in (int, float) for x in (value if type(value) is list else [value]))
+def _record(obj, names) -> list:
+    """The values of the JSON object ``obj`` under ``names``, typed, in that order; a
+    name it lacks, or every name if ``obj`` is no object, reads as null."""
+    return [_typed(obj.get(name) if type(obj) is dict else None, name) for name in names]
 
 
-def _check_rewrite(text: str, chunks) -> None:
-    """Refuse ``text`` unless the writer's ``chunks`` join to it; each chunk is
-    compared in place as it comes, so the whole rewrite is never held."""
-    at = 0
-    for chunk in chunks:
-        if not text.startswith(chunk, at):
-            break
-        at += len(chunk)
-    else:
-        if at == len(text):
-            return
-    raise ValidationError("JSON round-trip differs from the file")
+def _csv_rows(lines, columns):
+    """Each CSV body line's values, typed by their columns; a refusal names its line."""
+    for number, line in enumerate(lines, 2):
+        try:
+            yield [_typed(token, column)
+                   for column, token in zip(columns, line.split(","), strict=True)]
+        except ValidationError as exc:
+            raise ValidationError(f"line {number}: {exc}") from None
+        except ValueError:  # zip's: more or fewer values than columns
+            raise ValidationError(f"line {number} does not hold {len(columns)} values") from None
 
 
 def cmd_validate(args) -> int:
@@ -351,58 +347,31 @@ def cmd_validate(args) -> int:
         from .field import WignerField
 
         (WignerField.from_json if is_json else WignerField.from_csv)(text)
-    elif is_json:
+        sys.stdout.write("ok\n")
+        return 0
+    key, columns = _TABLES[args.kind]
+    if not is_json:
+        chunks = _table("csv", args.kind, _csv_rows(text.split("\n")[1:-1], columns))
+    else:
         try:
-            obj = json.loads(text, parse_constant=_refuse_constant)
+            obj = json.loads(text)
         except RecursionError as exc:
             raise ValidationError(f"malformed JSON: {exc}") from exc
-        # a float that round-trips is finite: json writes inf and nan as
-        # Infinity and NaN, which are refused above
-        key, columns = _TABLES[args.kind]
-        if args.kind == "zones" and "geometry" in obj:  # a zonesum or plate summary
-            _check_rewrite(text, [json.dumps(obj) + "\n"])
-            entries = next((s for s in _SUMMARIES.values() if tuple(s) == tuple(obj)), {})
-            if not entries or not all(_holds(obj[k], keys) for k, keys in entries.items()):
-                raise ValidationError("JSON summary holds neither a zonesum's nor a plate's "
-                                      "keys with finite numbers")
+        name = next((name for name, entries in _SUMMARIES.items()
+                     if args.kind == "zones" and entries.keys() == obj.keys()), None)
+        if name is not None:
+            chunks = _summary(name, [
+                _typed(obj[entry], entry) if keys is None
+                else dict(zip(keys, _record(obj[entry], keys)))
+                for entry, keys in _SUMMARIES[name].items()
+            ])
         else:
-            records = obj.get(key)
-            if not isinstance(records, list) or any(
-                not isinstance(row, dict) or tuple(row) != columns for row in records
-            ):
-                raise ValidationError(f"JSON holds no {key!r} list of records with columns "
-                                      f"{','.join(columns)}")
-            if tuple(obj)[-1] != key or any(type(obj[k]) is not float for k in tuple(obj)[:-1]):
-                raise ValidationError(f"JSON holds more than floats before its {key!r} list")
-            head = dict(itertools.islice(obj.items(), len(obj) - 1))
-            _check_rewrite(text, _table("json", args.kind, map(dict.values, records), **head))
-            for row in records:
-                for column, value in row.items():
-                    if type(value) is not (int if column == "n" else float):
-                        kind = "integer" if column == "n" else "float"
-                        raise ValidationError(f"record value {column}={value!r} is not a "
-                                              f"finite {kind}")
-    else:
-        columns = _TABLES[args.kind][1]
-        lines = text.split("\n")
-        expected = ",".join(columns)
-        if lines[0] != expected:
-            raise ValidationError(f"header mismatch: expected {expected!r}")
-        if lines.pop() != "":
-            raise ValidationError("the last line does not end in a newline")
-        for line in lines[1:]:
-            tokens = line.split(",")
-            if len(tokens) != len(columns):
-                raise ValidationError(f"row {line!r} does not hold {len(columns)} columns")
-            for column, tok in zip(columns, tokens):
-                value = float(tok)
-                if not math.isfinite(value):
-                    raise ValidationError(f"non-finite value {tok!r}")
-                if column == "n" and not (value.is_integer() and _fmt(int(value)) == tok):
-                    raise ValidationError(f"record value n={tok} is not a finite integer")
-                if _fmt(value) != tok:
-                    raise ValidationError(f"token {tok!r} does not round-trip at "
-                                          "17 significant digits")
+            records = obj.pop(key, None)
+            # a head value is a float whatever its key, so its name is set apart
+            head = {entry: _typed(value, "head " + entry) for entry, value in obj.items()}
+            rows = (_record(row, columns) for row in (records if type(records) is list else []))
+            chunks = _table("json", args.kind, rows, **head)
+    check_rewrite(text, chunks)
     sys.stdout.write("ok\n")
     return 0
 
@@ -444,16 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="wavelength", type=float, required=True)
     p.add_argument("--amplitude", type=float, default=1.0)
     fsub = p.add_subparsers(dest="subaction", required=True)
-    pz = fsub.add_parser("zones", parents=[common])
-    pz.add_argument("--n", type=int, required=True)
-    pz.add_argument("--nodes", type=int, default=16)
-    ps = fsub.add_parser("zonesum", parents=[common])
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--nodes", type=int, default=16)
-    pp = fsub.add_parser("plate", parents=[common])
-    pp.add_argument("--open", required=True, help="odd | even | all | comma list")
-    pp.add_argument("--n", type=int, required=True, help="number of open zones")
-    pp.add_argument("--nodes", type=int, default=16)
+    for action in ("zones", "zonesum", "plate"):
+        pa = fsub.add_parser(action, parents=[common])
+        if action == "plate":
+            pa.add_argument("--open", required=True, help="odd | even | all | comma list")
+        pa.add_argument("--n", type=int, required=True,
+                        help="number of open zones" if action == "plate" else None)
+        pa.add_argument("--nodes", type=int, default=16)
     p.set_defaults(func=cmd_fresnel)
 
     p = sub.add_parser("spin", help="sphere belts and their plane images", parents=[common])

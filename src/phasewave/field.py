@@ -14,10 +14,10 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
-from .errors import ValidationError
+from .errors import ValidationError, check_rewrite
 
 #: Hard bound of the dimensionless Wigner function, with roundoff slack.
 WIGNER_BOUND = 1.0 / math.pi + 1e-6
@@ -29,7 +29,6 @@ MAX_GRID_NODES = 4_000_000
 _BLOCK_CHARS = 1 << 20
 
 _CSV_HEADER = "u,v,w\n"
-_NOT_WRITTEN = "round-trip re-serialization differs from the file"
 
 
 def _axis(lo, hi, n: int) -> list:
@@ -115,12 +114,10 @@ class WignerField:
       "values": [[...n_v...], ...n_u rows...]}``, written by ``json.dumps``,
       so each float is Python's shortest round-trip repr (``-1.0``, not ``-1``).
 
-    Each reader takes the grid and the values from a file, builds the field
-    and writes it again; it accepts the file only if that text is the file,
-    and raises ValidationError on anything else.  So the node order, the
-    spacing, every token and every line end are checked by the writer
-    itself.  Non-finite values and values beyond the Wigner bound are
-    refused before the re-write.
+    Each reader builds the field from a file's grid and values and accepts
+    the file only if the writer writes it again byte for byte (``check_rewrite``),
+    so the writer itself checks the node order, the spacing, every token and
+    every line end; non-finite values and values beyond 1/pi are refused first.
     """
 
     def __init__(self, grid: PhaseGrid, values):
@@ -200,38 +197,29 @@ class WignerField:
             raise ValidationError(f"malformed field CSV: {exc}") from exc
         n_u = len(u_tokens)
         grid = PhaseGrid(*bounds, n_u, len(ws) // n_u)
-        if grid.n_u * grid.n_v != len(ws):
-            raise ValidationError(_NOT_WRITTEN)
+        del ws[grid.n_u * grid.n_v:]  # rows past the last whole u row: the re-write ends there
         field = cls.__new__(cls)
         field._adopt(grid, ws)
-        if field.to_csv() != text:
-            raise ValidationError(_NOT_WRITTEN)
+        check_rewrite(text, [field.to_csv()])
         return field
 
     def to_json_dict(self) -> dict:
-        g = self.grid
-        flat = self._flat
-        return {
-            "grid": {
-                "u_min": g.u_min, "u_max": g.u_max,
-                "v_min": g.v_min, "v_max": g.v_max,
-                "n_u": g.n_u, "n_v": g.n_v,
-            },
-            "values": [flat[i : i + g.n_v] for i in range(0, len(flat), g.n_v)],
-        }
+        n_v, flat = self.grid.n_v, self._flat
+        return {"grid": asdict(self.grid),  # the six fields, in the order written
+                "values": [flat[i : i + n_v] for i in range(0, len(flat), n_v)]}
+
+    def _json_chunks(self):
+        """The text of :meth:`to_json`, one row of values per chunk."""
+        obj = self.to_json_dict()
+        first, *rows = obj["values"]
+        yield '{"grid": ' + json.dumps(obj["grid"]) + ', "values": [' + json.dumps(first)
+        yield from (", " + json.dumps(row) for row in rows)
+        yield "]}\n"
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict())`` and a newline, encoded one row at a time.
-
-        One join of the rows' texts: json.dumps would hold every number's
-        text as a separate string before its join.
-        """
-        obj = self.to_json_dict()
-        parts = ['{"grid": ', json.dumps(obj["grid"]), ', "values": [']
-        for row in obj["values"]:
-            parts += (json.dumps(row), ", ")
-        parts[-1] = "]}\n"
-        return "".join(parts)
+        """``json.dumps(self.to_json_dict())`` and a newline, in one join of the rows'
+        texts: json.dumps would hold every number's text apart before its join."""
+        return "".join(self._json_chunks())
 
     @classmethod
     def from_json(cls, text: str) -> "WignerField":
@@ -244,6 +232,5 @@ class WignerField:
             raise ValidationError(f"malformed field JSON: {exc}") from exc
         field = cls(PhaseGrid(*bounds), rows)
         del obj, g, rows  # the parsed rows, freed before the re-write
-        if field.to_json() != text:
-            raise ValidationError(_NOT_WRITTEN)
+        check_rewrite(text, field._json_chunks())  # one row's text at a time
         return field

@@ -323,8 +323,10 @@ def zone_plate(
     n_zones: int,
     nodes_per_zone: int = 16,
 ) -> complex:
-    """Field with only the listed zones transparent, all others blocked."""
-    open_sorted = sorted(set(int(z) for z in open_zones))
+    """Field with only the listed zones transparent, all others blocked; an ascending
+    range is used as it stands, so no set of it is built before the quadrature limit."""
+    ascending = isinstance(open_zones, range) and open_zones.step > 0
+    open_sorted = open_zones if ascending else sorted(set(int(z) for z in open_zones))
     if not open_sorted:
         return 0j
     if open_sorted[0] < 0 or open_sorted[-1] >= n_zones:

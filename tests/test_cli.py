@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -473,6 +474,27 @@ def test_oversized_numbers_rejected_before_allocation(capsys, argv, limit):
     assert "Traceback" not in err
 
 
+def test_plate_mask_is_refused_before_it_is_built():
+    # a child limited to 1 GiB of address space could not hold 10**8 open zones
+    src = str(Path(phasewave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from phasewave.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    argv = ["fresnel", "--r0", "100", "--b", "100", "--lambda", "1",
+            "plate", "--open", "odd", "--n", "100000000"]
+    result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.count("\n") == 1
+    assert "exceed the limit of 4000000 quadrature points" in result.stderr
+
+
+_DIFFERS = "round-trip re-serialization differs from the file at line"
+_UNTYPED = "is not a finite value of its writer's type"
+
+
 class TestValidateAndDeterminism:
     def _both_runs(self, capsys, tmp_path, name, *argv):
         a, b = tmp_path / f"{name}.a", tmp_path / f"{name}.b"
@@ -570,19 +592,17 @@ class TestValidateAndDeterminism:
 
     @pytest.mark.parametrize("kind, text, message", [
         ("zones", "n,rho,re_Un,im_Un,abs_Un,phase_Un\n1,2\n",
-         "row '1,2' does not hold 6 columns"),
+         "line 2 does not hold 6 values"),
         ("spin-bands", "n,m,rho_lo,rho_hi,area\n1,2,3,4,5,6,7\n",
-         "row '1,2,3,4,5,6,7' does not hold 5 columns"),
-        ("overlap", "n,p_overlap,p_poisson\n0,0.5,0.5",
-         "the last line does not end in a newline"),
-        ("spin-belts", "m,z_lo,z_hi,area\n007,0,1,2\n",
-         "token '007' does not round-trip at 17 significant digits"),
-        ("overlap", "n,p_overlap,p_poisson\n0.5,0.5,0.5\n",
-         "record value n=0.5 is not a finite integer"),
+         "line 2 does not hold 5 values"),
+        # the unended last line is not read, so the re-write ends where it begins
+        ("overlap", "n,p_overlap,p_poisson\n0,0.5,0.5", f"{_DIFFERS} 2, column 1"),
+        ("spin-belts", "m,z_lo,z_hi,area\n007,0,1,2\n", f"{_DIFFERS} 2, column 1"),
+        ("overlap", "n,p_overlap,p_poisson\n0.5,0.5,0.5\n", f"line 2: n='0.5' {_UNTYPED}"),
         ("spin-bands", "n,m,rho_lo,rho_hi,area\n1.5,0,0,1,1\n",
-         "record value n=1.5 is not a finite integer"),
+         f"line 2: n='1.5' {_UNTYPED}"),
         ("zones", "n,rho,re_Un,im_Un,abs_Un,phase_Un\n1.0,1,0,0,0,0\n",
-         "record value n=1.0 is not a finite integer"),
+         f"line 2: n='1.0' {_UNTYPED}"),
     ], ids=["short-row", "long-row", "no-final-newline", "zero-padded-integer",
             "half-index", "fractional-index", "float-written-index"])
     def test_validate_refuses_tables_the_writer_never_writes(self, capsys, tmp_path,
@@ -607,16 +627,23 @@ class TestValidateAndDeterminism:
 
     _FRESNEL = ("fresnel", "--r0", "100", "--b", "100", "--lambda", "1")
 
-    @pytest.mark.parametrize("kind, argv, reverse", [
-        *((kind, None, False) for kind in ("zones", "overlap", "spin-belts", "spin-bands")),
-        ("overlap", ("--format", "json", "spin", "--j", "2", "belts"), False),
-        ("zones", ("--format", "json", *_FRESNEL, "zones", "--n", "5"), True),
-        ("overlap", (*_FRESNEL, "zonesum", "--n", "5"), False),
+    @pytest.mark.parametrize("kind, argv, reverse, message", [
+        # the head value 1 is re-written as 1.0
+        *((kind, None, False, f"{_DIFFERS} 1, column 8")
+          for kind in ("zones", "overlap", "spin-belts", "spin-bands")),
+        ("overlap", ("--format", "json", "spin", "--j", "2", "belts"), False,
+         "head belts=[{'m': -2.0, 'z_lo': -2.449489742783178, 'z_hi': -1.5, 'area "
+         f"{_UNTYPED}"),
+        ("zones", ("--format", "json", *_FRESNEL, "zones", "--n", "5"), True,
+         f"{_DIFFERS} 1, column 49"),
+        ("overlap", (*_FRESNEL, "zonesum", "--n", "5"), False,
+         "head geometry={'r0': 100.0, 'b': 100.0, 'wavelength': 1.0, 'amplitude': 1. "
+         f"{_UNTYPED}"),
     ], ids=["object-as-zones", "object-as-overlap", "object-as-spin-belts",
             "object-as-spin-bands", "belts-as-overlap", "reversed-zone-columns",
             "zonesum-as-overlap"])
     def test_validate_json_holds_the_kinds_records(self, capsys, tmp_path, kind, argv,
-                                                   reverse):
+                                                   reverse, message):
         # each file re-serializes to its own bytes, but holds no list of the
         # kind's records with exactly its columns in order
         path = tmp_path / "t.json"
@@ -629,8 +656,7 @@ class TestValidateAndDeterminism:
             obj["zones"] = [dict(reversed(row.items())) for row in obj["zones"]]
             path.write_text(json.dumps(obj) + "\n")
         code, stdout, err = run(capsys, "validate", "--kind", kind, str(path))
-        assert (code, stdout) == (2, "")
-        assert err.startswith("error: JSON holds no ")
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
 
 
     @pytest.mark.parametrize("kind, argv", [
@@ -652,38 +678,33 @@ class TestValidateAndDeterminism:
               "open_zones": [1, 3], "U_plate": {"re": 1.0, "im": 0.0, "abs": 1.0, "phase": 0.0},
               "U_free": {"re": 0.5, "im": 0.0, "abs": 0.5, "phase": 0.0},
               "amplitude_ratio": 2.0}
-    _SUMMARY_REFUSED = ("JSON summary holds neither a zonesum's nor a plate's keys with "
-                        "finite numbers")
-
     @pytest.mark.parametrize("kind, obj, message", [
         ("overlap", {"table": [{"n": "x", "p_overlap": None, "p_poisson": []}]},
-         "record value n='x' is not a finite integer"),
+         f"n='x' {_UNTYPED}"),
+        # a value typed as its writer types it is re-written in another spelling
         ("overlap", {"table": [{"n": 0, "p_overlap": 1, "p_poisson": 0.5}]},
-         "record value p_overlap=1 is not a finite float"),
+         f"{_DIFFERS} 1, column 35"),
         ("spin-bands", {"bands": [{"n": 1.0, "m": 0.0, "rho_lo": 0.0, "rho_hi": 1.0,
-                                   "area": 1.0}]},
-         "record value n=1.0 is not a finite integer"),
+                                   "area": 1.0}]}, f"{_DIFFERS} 1, column 19"),
         ("overlap", {"table": [{"n": 0.5, "p_overlap": 0.5, "p_poisson": 0.5}]},
-         "record value n=0.5 is not a finite integer"),
+         f"{_DIFFERS} 1, column 19"),
         ("spin-bands", {"bands": [{"n": 1.5, "m": 0.0, "rho_lo": 0.0, "rho_hi": 1.0,
-                                   "area": 1.0}]},
-         "record value n=1.5 is not a finite integer"),
+                                   "area": 1.0}]}, f"{_DIFFERS} 1, column 19"),
         ("spin-belts", {"belts": [{"m": True, "z_lo": 0.0, "z_hi": 1.0, "area": 1.0}]},
-         "record value m=True is not a finite float"),
-        ("zones", {"geometry": 1}, _SUMMARY_REFUSED),
-        ("zones", {**_PLATE, "amplitude_ratio": "1"}, _SUMMARY_REFUSED),
-        ("zones", {**_PLATE, "open_zones": [None]}, _SUMMARY_REFUSED),
+         f"{_DIFFERS} 1, column 18"),
+        ("zones", {"geometry": 1}, f"{_DIFFERS} 1, column 15"),
+        ("zones", {**_PLATE, "amplitude_ratio": "1"}, f"{_DIFFERS} 1, column 240"),
+        ("zones", {**_PLATE, "open_zones": [None]}, f"open_zones=[None] {_UNTYPED}"),
+        # an entry that lacks a key reads null there
         ("zones", {"geometry": {}, "U_free": {}, "U_integral": {}, "U_zone_sum_raw": {},
-                   "U_zone_sum_averaged": {}}, _SUMMARY_REFUSED),
+                   "U_zone_sum_averaged": {}}, f"r0=None {_UNTYPED}"),
         ("zones", {**_PLATE, "geometry": {**_PLATE["geometry"], "n_zones": 3}},
-         _SUMMARY_REFUSED),
-        ("zones", {**_PLATE, "U_free": {"re": 1.0, "im": 0.0, "abs": 1.0}}, _SUMMARY_REFUSED),
-        ("zones", {"slope_loglog": "x", "zones": []},
-         "JSON holds more than floats before its 'zones' list"),
-        ("zones", {"zones": [], "slope_loglog": 1.0},
-         "JSON holds more than floats before its 'zones' list"),
-        ("spin-bands", {"j": 2.0, "bands": [], "extra": 1.0},
-         "JSON holds more than floats before its 'bands' list"),
+         f"{_DIFFERS} 1, column 75"),
+        ("zones", {**_PLATE, "U_free": {"re": 1.0, "im": 0.0, "abs": 1.0}},
+         f"phase=None {_UNTYPED}"),
+        ("zones", {"slope_loglog": "x", "zones": []}, f"head slope_loglog='x' {_UNTYPED}"),
+        ("zones", {"zones": [], "slope_loglog": 1.0}, f"{_DIFFERS} 1, column 3"),
+        ("spin-bands", {"j": 2.0, "bands": [], "extra": 1.0}, f"{_DIFFERS} 1, column 13"),
     ], ids=["text-and-null", "integer-probability", "float-index", "half-index",
             "fractional-index", "bool", "bare-geometry",
             "text-ratio", "null-zone", "empty-inner-objects", "plate-with-zone-count",
@@ -707,6 +728,35 @@ class TestValidateAndDeterminism:
         path.write_text(json.dumps(self._PLATE) + "\n")
         assert run(capsys, "validate", "--kind", "zones", str(path)) == (0, "ok\n", "")
 
+    #: A zonesum summary as ``cmd_fresnel`` writes it, which validate accepts.
+    _ZONESUM = {"geometry": {**_PLATE["geometry"], "n_zones": 12},
+                **dict.fromkeys(("U_free", "U_integral", "U_zone_sum_raw",
+                                 "U_zone_sum_averaged"), _PLATE["U_free"])}
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("zones", json.dumps({**_PLATE, "amplitude_ratio": 2}) + "\n",
+         f"{_DIFFERS} 1, column 241"),
+        ("zones", json.dumps({**_PLATE, "amplitude_ratio": [2.0]}) + "\n",
+         f"amplitude_ratio=[2.0] {_UNTYPED}"),
+        ("zones", json.dumps({**_PLATE, "open_zones": [1.0, 3.0]}) + "\n",
+         f"{_DIFFERS} 1, column 94"),
+        ("zones", json.dumps({**_PLATE, "U_free": {**_PLATE["U_free"], "abs": 1}}) + "\n",
+         f"{_DIFFERS} 1, column 202"),
+        ("zones", json.dumps({**_ZONESUM, "geometry": {**_PLATE["geometry"], "n_zones": 12.0}})
+         + "\n", f"{_DIFFERS} 1, column 90"),
+        ("overlap", "n,p_overlap,p_poisson\n1e+17,0.5,0.5\n", f"line 2: n='1e+17' {_UNTYPED}"),
+    ], ids=["integer-ratio", "list-ratio", "float-zones", "integer-abs", "float-zone-count",
+            "exponent-index"])
+    def test_validate_refuses_values_typed_otherwise_than_written(self, capsys, tmp_path, kind,
+                                                                  text, message):
+        # each value is a number, but not of the type the writer gives it
+        path = tmp_path / "t.out"
+        path.write_text(json.dumps(self._ZONESUM) + "\n")
+        assert run(capsys, "validate", "--kind", "zones", str(path)) == (0, "ok\n", "")
+        path.write_text(text)
+        code, stdout, err = run(capsys, "validate", "--kind", kind, str(path))
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("kind, text", [
         ("zones", '{"zones": ' + "[" * 100000 + "]" * 100000 + "}\n"),
         ("wigner", '{"grid": ' + "[" * 100000 + "]" * 100000 + "}\n"),
@@ -717,6 +767,50 @@ class TestValidateAndDeterminism:
         code, stdout, err = run(capsys, "validate", "--kind", kind, str(path))
         assert (code, stdout) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+#: Characters a one-character edit writes: number, separator and JSON syntax.
+_EDIT_CHARS = '0123456789.-+eE,"{}[] :\r\nnx'
+#: What a type swap writes in place of one number.
+_SWAPS = ("1", "1.0", "1e+20", '"1"', "null", "true", "[1]", "{}", "NaN", "1e400", "nan", "x",
+          "")
+
+
+def _edits(text, rng):
+    """Edited copies of ``text``: seeded one-character replacements, insertions and
+    deletions, CRLF line ends, no final newline, and a number swapped each way."""
+    for _ in range(12):
+        at, char = rng.randrange(len(text)), rng.choice(_EDIT_CHARS)
+        yield rng.choice((text[:at] + char + text[at + 1:], text[:at] + char + text[at:],
+                          text[:at] + text[at + 1:]))
+    yield text.replace("\n", "\r\n")
+    yield text[:-1]
+    numbers = list(re.finditer(r"-?\d[\d.e+-]*", text))
+    for swap in _SWAPS:
+        number = rng.choice(numbers)
+        yield text[:number.start()] + swap + text[number.end():]
+
+
+def test_validate_exits_cleanly_on_edited_files(tmp_path, capsys):
+    # every edit of every table and summary, read as each table kind, is
+    # accepted or refused with one error line, never a traceback
+    geom = ("fresnel", "--r0", "100", "--b", "100", "--lambda", "1")
+    sources = [(*fmt, *argv) for fmt in ((), ("--format", "json")) for argv in (
+        (*geom, "zones", "--n", "5"), ("overlap", "--beta", "1"),
+        ("spin", "--j", "2", "belts"), ("spin", "--j", "1.5", "project"))]
+    sources += [(*geom, "zonesum", "--n", "5"), (*geom, "plate", "--open", "odd", "--n", "3")]
+    rng, source, path = random.Random(25), tmp_path / "source", tmp_path / "edited"
+    for argv in sources:
+        assert main(["--out", str(source), *argv]) == 0
+        for text in _edits(source.read_text(), rng):
+            path.write_text(text, newline="")
+            for kind in ("zones", "overlap", "spin-belts", "spin-bands"):
+                capsys.readouterr()
+                code = main(["validate", "--kind", kind, str(path)])
+                out, err = capsys.readouterr()
+                assert (code, out, err) == (0, "ok\n", "") or (
+                    (code, out) == (2, "") and err.startswith("error: ")
+                    and err.count("\n") == 1), (argv, kind, text, err)
 
 
 def test_direct_route_bytes_do_not_depend_on_blas_threads(tmp_path):
