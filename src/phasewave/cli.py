@@ -231,7 +231,7 @@ def cmd_wigner(args) -> int:
 def cmd_overlap(args) -> int:
     from . import semiclassics
 
-    head = dict(vars(semiclassics.compare_poisson(args.beta, args.n_bands)))
+    head = dict(vars(semiclassics.compare_poisson(args.beta)))
     p_overlap, p_poisson = head.pop("p_overlap"), head.pop("p_poisson")
     rows = zip(range(len(p_overlap)), p_overlap, p_poisson)
     _write(args.out, _table(args.format, "overlap", rows, **head))
@@ -247,7 +247,7 @@ def cmd_fresnel(args) -> int:
         r0=args.r0, b=args.b, wavelength=args.wavelength, amplitude=args.amplitude
     )
     if args.subaction == "zones":
-        rows = fresnel.zone_table(geom, args.n, args.nodes)
+        rows = fresnel.zone_table(geom, args.n)
         slope = fresnel.fit_zone_scaling(geom, args.n)
         _write(args.out, _table(args.format, "zones", rows, slope_loglog=slope),
                slope_loglog=slope)
@@ -255,9 +255,9 @@ def cmd_fresnel(args) -> int:
 
     if args.subaction == "zonesum":
         # the zone sums check the budgets before the boundary angle is taken
-        u_raw, u_avg = fresnel._partial_sums(geom, args.n, args.nodes)
+        u_raw, u_avg = fresnel._partial_sums(geom, args.n)
         theta_max = fresnel.zone_boundary_angle(geom, args.n)
-        u_int = fresnel.huygens_integral(geom, theta_max, args.nodes)
+        u_int = fresnel.huygens_integral(geom, theta_max)
         _write(args.out, _summary("zonesum", (
             {**asdict(geom), "n_zones": args.n},
             *map(_complex_dict, (geom.free_field(), u_int, u_raw, u_avg)),
@@ -265,7 +265,7 @@ def cmd_fresnel(args) -> int:
         return 0
 
     open_zones, n_zones = _parse_mask(args.open, args.n)  # plate, the one subaction left
-    u_plate = fresnel.zone_plate(geom, open_zones, n_zones, args.nodes)
+    u_plate = fresnel.zone_plate(geom, open_zones, n_zones)
     u_free = geom.free_field()
     ratio = abs(u_plate) / abs(u_free)
     _write(args.out, _summary("plate", (
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlap", help="overlap-area vs Poisson occupation report", parents=[common])
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--n-bands", type=int, default=None)
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("fresnel", help="zone tables, field integrals, zone plates", parents=[common])
@@ -419,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
             pa.add_argument("--open", required=True, help="odd | even | all | comma list")
         pa.add_argument("--n", type=int, required=True,
                         help="number of open zones" if action == "plate" else None)
-        pa.add_argument("--nodes", type=int, default=16)
     p.set_defaults(func=cmd_fresnel)
 
     p = sub.add_parser("spin", help="sphere belts and their plane images", parents=[common])
@@ -475,13 +473,10 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ValidationError and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

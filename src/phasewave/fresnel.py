@@ -31,6 +31,9 @@ from dataclasses import asdict, dataclass
 
 from .errors import NumericsError, ValidationError
 
+#: Gauss-Legendre nodes per zone of every zone term; 32 or 64 move the
+#: 200-zone sums by at most 1e-12 relative, the phase-rounding floor.
+NODES_PER_ZONE = 16
 #: Minimum quadrature nodes per zone; the phase advances by pi across a
 #: zone, so fewer nodes cannot resolve the integrand.
 MIN_NODES_PER_ZONE = 10
@@ -240,23 +243,23 @@ def _segment_integral(geom, th_lo, th_hi, nodes, ramp=None) -> list[complex]:
     return terms
 
 
-def _zone_terms(geom: FresnelGeometry, n: int, nodes: int):
+def _zone_terms(geom: FresnelGeometry, n: int):
     """Boundary angles theta_0 .. theta_n and zone integrals U_0 .. U_(n-1)."""
-    _check_grid(n, nodes)  # before the angles are computed
+    _check_grid(n, NODES_PER_ZONE)  # before the angles are computed
     theta = _boundary_angles(geom, range(n + 1))
-    return theta, _segment_integral(geom, theta[:-1], theta[1:], nodes)
+    return theta, _segment_integral(geom, theta[:-1], theta[1:], NODES_PER_ZONE)
 
 
-def zone_contribution(geom: FresnelGeometry, n: int, nodes_per_zone: int = 16) -> complex:
+def zone_contribution(geom: FresnelGeometry, n: int) -> complex:
     """The wavelet integral restricted to zone n alone."""
     theta = _boundary_angles(geom, [n, n + 1])
-    return _segment_integral(geom, theta[:1], theta[1:], nodes_per_zone)[0]
+    return _segment_integral(geom, theta[:1], theta[1:], NODES_PER_ZONE)[0]
 
 
 def huygens_integral(
     geom: FresnelGeometry,
     theta_max: float,
-    nodes_per_zone: int = 16,
+    nodes_per_zone: int = NODES_PER_ZONE,
     *,
     taper: bool = True,
 ) -> complex:
@@ -282,12 +285,7 @@ def huygens_integral(
     return sum(terms, 0j)
 
 
-def zone_sum(
-    geom: FresnelGeometry,
-    n_zones: int,
-    mode: str = "averaged",
-    nodes_per_zone: int = 16,
-) -> complex:
+def zone_sum(geom: FresnelGeometry, n_zones: int, mode: str = "averaged") -> complex:
     """Field at P assembled from the alternating series of zone terms.
 
     The per-zone integrals carry the sign alternation themselves (their
@@ -298,11 +296,11 @@ def zone_sum(
     """
     if mode not in ("raw", "averaged"):
         raise ValidationError(f"unknown mode {mode!r}")
-    raw, averaged = _partial_sums(geom, n_zones, nodes_per_zone, mode == "averaged")
+    raw, averaged = _partial_sums(geom, n_zones, mode == "averaged")
     return raw if mode == "raw" else averaged
 
 
-def _partial_sums(geom, n_zones, nodes_per_zone, averaged=True):
+def _partial_sums(geom, n_zones, averaged=True):
     """Raw and averaged partial sums of the zone series from one term list.
 
     The averaged sum is None when not ``averaged``; asking for it needs at
@@ -312,17 +310,12 @@ def _partial_sums(geom, n_zones, nodes_per_zone, averaged=True):
         raise ValidationError("need at least one zone")
     if averaged and n_zones < 2:
         raise ValidationError("averaged mode needs at least two zones")
-    _, terms = _zone_terms(geom, n_zones, nodes_per_zone)
+    _, terms = _zone_terms(geom, n_zones)
     total = sum(terms, 0j)
     return total, (total - 0.5 * terms[-1] if averaged else None)
 
 
-def zone_plate(
-    geom: FresnelGeometry,
-    open_zones,
-    n_zones: int,
-    nodes_per_zone: int = 16,
-) -> complex:
+def zone_plate(geom: FresnelGeometry, open_zones, n_zones: int) -> complex:
     """Field with only the listed zones transparent, all others blocked; an ascending
     range is used as it stands, so no set of it is built before the quadrature limit."""
     ascending = isinstance(open_zones, range) and open_zones.step > 0
@@ -331,13 +324,13 @@ def zone_plate(
         return 0j
     if open_sorted[0] < 0 or open_sorted[-1] >= n_zones:
         raise ValidationError("open zone indices must lie in [0, n_zones)")
-    _, terms = _zone_terms(geom, open_sorted[-1] + 1, nodes_per_zone)
+    _, terms = _zone_terms(geom, open_sorted[-1] + 1)
     return sum((terms[z] for z in open_sorted), 0j)
 
 
-def zone_table(geom: FresnelGeometry, n_zones: int, nodes_per_zone: int = 16):
+def zone_table(geom: FresnelGeometry, n_zones: int):
     """Rows (n, rho, Re U_n, Im U_n, |U_n|, arg U_n) for the first zones."""
-    theta, terms = _zone_terms(geom, n_zones, nodes_per_zone)
+    theta, terms = _zone_terms(geom, n_zones)
     return [
         (n, geom.r0 * math.sin(th), u.real, u.imag, abs(u), math.atan2(u.imag, u.real))
         for n, (th, u) in enumerate(zip(theta[1:], terms))

@@ -68,23 +68,19 @@ def circle_circle_lens(r1: float, r2: float, d: float) -> float:
     return seg - tri
 
 
-def _auto_bands(beta_mag: float, n_bands: int | None) -> int:
-    if n_bands is not None and n_bands < 0:
-        raise ValidationError("band count must be nonnegative")
+def _auto_bands(beta_mag: float) -> int:
+    """The table's length: its last band lies wholly outside the disc."""
     reach = beta_mag + 1.0
-    requested = max(reach * reach + 2.0, n_bands or 0)  # inf for huge beta, no overflow
+    requested = reach * reach + 2.0  # inf for huge beta, no overflow
     if requested > MAX_BANDS:
-        raise ValidationError(
-            f"{requested:.6g} bands exceed the limit of {MAX_BANDS}"
-        )
-    needed = math.ceil(reach**2) + 2
-    return needed if n_bands is None else max(n_bands, needed)
+        raise ValidationError(f"{requested:.6g} bands exceed the limit of {MAX_BANDS}")
+    return math.ceil(reach**2) + 2
 
 
-def _band_fractions(beta_mag: float, n_bands: int | None) -> list[float]:
+def _band_fractions(beta_mag: float) -> list[float]:
     if not (math.isfinite(beta_mag) and beta_mag >= 0):
         raise ValidationError("beta magnitude must be finite and nonnegative")
-    n_bands = _auto_bands(beta_mag, n_bands)
+    n_bands = _auto_bands(beta_mag)
     d, radius = math.sqrt(2.0) * beta_mag, math.sqrt(2.0)
     inner_areas = [circle_circle_lens(radius, band(n).r_outer, d) for n in range(n_bands)]
     disc = math.pi * radius**2
@@ -100,17 +96,16 @@ def _poisson_terms(mean: float, n_terms: int) -> list[float]:
     return [math.exp(-mean + n * log_mean - math.lgamma(n + 1)) for n in range(n_terms)]
 
 
-def overlap_distribution(beta_mag: float, n_bands: int | None = None):
+def overlap_distribution(beta_mag: float):
     """Occupation probabilities as disc/band overlap-area fractions, an ndarray.
 
     The disc of radius sqrt(2) centered sqrt(2)*beta from the origin is
     partitioned by the bands, so the entries sum to one up to roundoff;
-    ``n_bands`` is grown automatically until the disc lies inside the
-    outermost band.
+    the table's last band lies wholly outside the disc, so its entry is 0.
     """
     import numpy as np
 
-    return np.array(_band_fractions(beta_mag, n_bands))
+    return np.array(_band_fractions(beta_mag))
 
 
 def poisson_pmf(mean: float, n_terms: int):
@@ -134,13 +129,13 @@ class OverlapComparison:
     p_poisson: tuple[float, ...]
 
 
-def compare_poisson(beta_mag: float, n_bands: int | None = None) -> OverlapComparison:
+def compare_poisson(beta_mag: float) -> OverlapComparison:
     """Compare the overlap-area distribution with the exact Poissonian.
 
     The total-variation distance accounts for the Poisson mass beyond the
     tabulated range (where the overlap distribution is exactly zero).
     """
-    p = _band_fractions(beta_mag, n_bands)
+    p = _band_fractions(beta_mag)
     q = _poisson_terms(beta_mag**2, len(p))
     p_mean = math.fsum(n * pn for n, pn in enumerate(p))
     p_var = math.fsum((n - p_mean) * (n - p_mean) * pn for n, pn in enumerate(p))

@@ -154,8 +154,10 @@ def _wigner_eval(rho, u_vec, v_vec, paired, min_points=None):
         fw[:, 1:-1] *= 2.0  # the folded trapezoid's weights
         vy = v_vec[:, None] * (hy * np.arange(nodes))
         c, s = np.cos(vy), np.sin(vy)
+        # a grid-wide dgemm would sum in an order that follows the BLAS thread
+        # count; each row's matrix-vector products sum in one order for any count
         summed = (np.sum(fw.real * c + fw.imag * s, axis=1) if paired
-                  else fw.real @ c.T + fw.imag @ s.T)
+                  else np.array([c @ fr + s @ fi for fr, fi in zip(fw.real, fw.imag)]))
         vals = summed / (2.0 * math.pi)
         if prev is not None:
             delta = np.abs(vals - prev)

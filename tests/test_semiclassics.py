@@ -132,10 +132,10 @@ class TestOverlapDistribution:
     def test_band_budget_is_checked_first(self):
         # (998 + 1)**2 + 2 bands fit the budget, (999 + 1)**2 + 2 do not;
         # only the count is computed, no table is built
-        assert _auto_bands(998.0, None) == MAX_BANDS - 1997
-        for beta, n_bands in ((999.0, None), (1e200, None), (1.0, MAX_BANDS + 1)):
+        assert _auto_bands(998.0) == MAX_BANDS - 1997
+        for beta in (999.0, 1e200):
             with pytest.raises(ValidationError, match=f"limit of {MAX_BANDS}"):
-                _auto_bands(beta, n_bands)
+                _auto_bands(beta)
 
 
 class TestComparePoisson:
