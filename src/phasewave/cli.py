@@ -70,7 +70,11 @@ def parse_state(spec: str) -> list:
         if "@" not in part:
             raise ValidationError(f"mixture component {part!r} lacks a @weight")
         sub, weight = part.rsplit("@", 1)
-        pairs.append((_parse_pure(sub), float(weight)))
+        component = _parse_pure(sub)
+        try:
+            pairs.append((component, float(weight)))
+        except ValueError as exc:
+            raise _malformed(part, exc) from exc
     return pairs
 
 
@@ -209,6 +213,9 @@ def cmd_wigner(args) -> int:
     grid = parse_grid(args.grid, args.grid_v)
     if args.method == "both" and args.out is None:
         raise ValidationError("--method both needs --out to place two files")
+    if args.method == "direct" and args.n_max is not None:
+        raise ValidationError("--n-max sets the parity route's truncation; --method direct "
+                              "runs no parity route")
     rho = build_state(pairs)
     from . import wigner
 
@@ -399,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="min:max:count, both axes")
     p.add_argument("--grid-v", default=None, help="override for the v axis")
     p.add_argument("--method", choices=("direct", "parity", "both"), default="direct")
-    p.add_argument("--n-max", type=int, default=None, help="truncation override")
+    p.add_argument("--n-max", type=int, default=None, help="parity corner-check truncation")
     p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("overlap", help="overlap-area vs Poisson occupation report", parents=[common])

@@ -185,7 +185,9 @@ def eigenfunction_stack(coeffs, xs) -> np.ndarray:
     The orthonormal Hermite functions psi_n follow the three-term recurrence
         psi_(n+1) = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_(n-1);
     each carries its Gaussian factor, so there is no overflow for any n
-    accepted.  Each psi_n is added to the column sums when it is reached, so
+    accepted.  The recurrence starts from psi_0, whose Gaussian underflows
+    to 0.0 beyond |x| ~ 38.6, so there every psi_n reads 0.0, even where
+    its true value is not small.  Each psi_n is added to the column sums when it is reached, so
     the working set is two recurrence rows and the sums, and no psi past the
     last coefficient row is computed.  The identity matrix gives the stack
     psi_0..psi_N itself.

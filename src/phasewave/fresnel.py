@@ -139,23 +139,11 @@ def zone_boundary_angle(geom: FresnelGeometry, n: int) -> float:
     return _boundary_angles(geom, [n])[0]
 
 
-def _check_grid(n_segments: int, nodes: int | None) -> None:
-    """Reject a Gauss rule too coarse for a zone, or a grid too large to evaluate.
-
-    ``nodes=None`` sizes one point per segment, with no Gauss rule.
-    """
-    if nodes is not None:
-        if nodes < MIN_NODES_PER_ZONE:
-            raise ValidationError(
-                f"need at least {MIN_NODES_PER_ZONE} quadrature nodes per zone"
-            )
-        if nodes > MAX_NODES_PER_ZONE:
-            raise ValidationError(
-                f"{nodes} nodes per zone exceed the limit of {MAX_NODES_PER_ZONE}"
-            )
-    if n_segments * (nodes or 1) > MAX_QUADRATURE_POINTS:
+def _check_grid(n_segments: int, nodes: int) -> None:
+    """Reject a grid of more segments x nodes than one call may evaluate."""
+    if n_segments * nodes > MAX_QUADRATURE_POINTS:
         raise ValidationError(
-            f"{n_segments} segments x {nodes or 1} nodes exceed the limit of "
+            f"{n_segments} segments x {nodes} nodes exceed the limit of "
             f"{MAX_QUADRATURE_POINTS} quadrature points"
         )
 
@@ -217,7 +205,6 @@ def _segment_integral(geom, th_lo, th_hi, nodes, ramp=None) -> list[complex]:
     node's phase is k t; the global phase e^{ik(r0+b)} is the one
     ``free_field`` takes.
     """
-    _check_grid(len(th_lo), nodes)
     rule = list(zip(*_gauss_legendre(nodes)))
     r0, b, k = geom.r0, geom.b, geom.k
     q, b_sq, over = 4.0 * r0 * (r0 + b), b * b, 0.5 / r0
@@ -243,17 +230,17 @@ def _segment_integral(geom, th_lo, th_hi, nodes, ramp=None) -> list[complex]:
     return terms
 
 
-def _zone_terms(geom: FresnelGeometry, n: int):
-    """Boundary angles theta_0 .. theta_n and zone integrals U_0 .. U_(n-1)."""
-    _check_grid(n, NODES_PER_ZONE)  # before the angles are computed
-    theta = _boundary_angles(geom, range(n + 1))
+def _zone_terms(geom: FresnelGeometry, zones: range):
+    """Boundary angles from the inner edge of ``zones``'s first zone to the outer
+    edge of its last, and the integrals U of those zones."""
+    _check_grid(len(zones), NODES_PER_ZONE)  # before the angles are computed
+    theta = _boundary_angles(geom, range(zones.start, zones.stop + 1))
     return theta, _segment_integral(geom, theta[:-1], theta[1:], NODES_PER_ZONE)
 
 
 def zone_contribution(geom: FresnelGeometry, n: int) -> complex:
     """The wavelet integral restricted to zone n alone."""
-    theta = _boundary_angles(geom, [n, n + 1])
-    return _segment_integral(geom, theta[:1], theta[1:], NODES_PER_ZONE)[0]
+    return _zone_terms(geom, range(n, n + 1))[1][0]
 
 
 def huygens_integral(
@@ -273,6 +260,12 @@ def huygens_integral(
     """
     if not 0.0 < theta_max <= math.pi:
         raise ValidationError("theta_max must lie in (0, pi]")
+    if nodes_per_zone < MIN_NODES_PER_ZONE:
+        raise ValidationError(f"need at least {MIN_NODES_PER_ZONE} quadrature nodes per zone")
+    if nodes_per_zone > MAX_NODES_PER_ZONE:
+        raise ValidationError(
+            f"{nodes_per_zone} nodes per zone exceed the limit of {MAX_NODES_PER_ZONE}"
+        )
     t_end = _path_difference(geom, theta_max)
     ramp = (0.9 * t_end, t_end) if taper else None
     n_full = int(math.floor(t_end / (0.5 * geom.wavelength) + 1e-12))
@@ -310,7 +303,7 @@ def _partial_sums(geom, n_zones, averaged=True):
         raise ValidationError("need at least one zone")
     if averaged and n_zones < 2:
         raise ValidationError("averaged mode needs at least two zones")
-    _, terms = _zone_terms(geom, n_zones)
+    _, terms = _zone_terms(geom, range(n_zones))
     total = sum(terms, 0j)
     return total, (total - 0.5 * terms[-1] if averaged else None)
 
@@ -324,13 +317,13 @@ def zone_plate(geom: FresnelGeometry, open_zones, n_zones: int) -> complex:
         return 0j
     if open_sorted[0] < 0 or open_sorted[-1] >= n_zones:
         raise ValidationError("open zone indices must lie in [0, n_zones)")
-    _, terms = _zone_terms(geom, open_sorted[-1] + 1)
+    _, terms = _zone_terms(geom, range(open_sorted[-1] + 1))
     return sum((terms[z] for z in open_sorted), 0j)
 
 
 def zone_table(geom: FresnelGeometry, n_zones: int):
     """Rows (n, rho, Re U_n, Im U_n, |U_n|, arg U_n) for the first zones."""
-    theta, terms = _zone_terms(geom, n_zones)
+    theta, terms = _zone_terms(geom, range(n_zones))
     return [
         (n, geom.r0 * math.sin(th), u.real, u.imag, abs(u), math.atan2(u.imag, u.real))
         for n, (th, u) in enumerate(zip(theta[1:], terms))
@@ -341,7 +334,7 @@ def fit_zone_scaling(geom: FresnelGeometry, n_max: int = 100) -> float:
     """Least-squares slope of log rho_n against log n for n = 1..n_max."""
     if n_max < 2:
         raise ValidationError("need at least two boundaries for a fit")
-    _check_grid(n_max, None)  # before the angles are computed
+    _check_grid(n_max, 1)  # before the angles are computed
     angles = _boundary_angles(geom, range(1, n_max + 1))
     x = [math.log(n) for n in range(1, n_max + 1)]
     y = [math.log(geom.r0 * math.sin(th)) for th in angles]

@@ -75,6 +75,8 @@ class TestWignerCommand:
                            "in 'coherent:1,2,3'"),
         ("squeezed:1", "unknown state spec 'squeezed:1'"),
         ("mixture:fock:1", "mixture component 'fock:1' lacks a @weight"),
+        ("mixture:fock:1@abc", "malformed state spec 'fock:1@abc': could not convert string "
+                               "to float: 'abc'"),
         ("coherent:2j", "malformed state spec 'coherent:2j': could not convert string to "
                         "float: '2j'"),
         ("mixture:vacuum@1;fock:20000@1", "malformed state spec 'fock:20000': truncation "
@@ -83,6 +85,28 @@ class TestWignerCommand:
     def test_refused_state_messages(self, capsys, state, message):
         code, out, err = run(capsys, "wigner", "--state", state, "--grid", "-7:7:11")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_direct_route_refuses_a_truncation(self, capsys):
+        # --n-max sets the parity route's corner checks only, so the direct route refuses it
+        code, out, err = run(capsys, "wigner", "--state", "vacuum", "--grid", "-2:2:3",
+                             "--method", "direct", "--n-max", "40")
+        assert (code, out, err) == (2, "", "error: --n-max sets the parity route's "
+                                           "truncation; --method direct runs no parity route\n")
+
+    def test_truncation_only_refuses(self, capsys, tmp_path):
+        # the parity field's bytes do not depend on --n-max: it can only make the
+        # corner checks refuse the grid
+        argv = ["wigner", "--state", "coherent:2", "--grid", "-6:6:81", "--method", "parity"]
+        written = []
+        for extra in ((), ("--n-max", "900"), ("--n-max", "3000")):
+            out = tmp_path / f"w{len(written)}.csv"
+            assert run(capsys, "--out", str(out), *argv, *extra) == (0, "", "")
+            written.append(out.read_bytes())
+        assert written[1:] == written[:1] * 2
+        code, _, err = run(capsys, "--out", str(tmp_path / "w.csv"), *argv, "--n-max", "100")
+        assert code == 3
+        assert "increase n_max" in err
+        assert not (tmp_path / "w.csv").exists()
 
     def test_malformed_grid_rejected(self, capsys):
         for method in ("direct", "both"):  # before a missing --out
@@ -356,6 +380,15 @@ class TestFresnelCommand:
                            "--lambda", "1", "zonesum", "--n", str(10**15))
         assert code == 2
         assert "exceed the limit" in err
+
+    @pytest.mark.parametrize("mask, count, message", [
+        ("odd", "-1", "zone count must be nonnegative"),
+        ("1,x", "3", "bad zone mask '1,x': invalid literal for int() with base 10: 'x'"),
+        ("-1", "3", "zone indices must be nonnegative"),
+    ], ids=["negative-count", "non-integer", "negative-zone"])
+    def test_refused_plate_masks(self, capsys, mask, count, message):
+        code, out, err = run(capsys, *self.GEOM, "plate", "--open", mask, "--n", count)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("action", [
         ("integral", "--zones", "3"),
@@ -1028,7 +1061,8 @@ def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
     refused = [["wigner", "--state", state, "--grid", "-7:7:11"] for state in
                ("fock:-1", "coherent:1,2,3", "squeezed:1", "mixture:fock:1", "coherent:2j")]
     refused += [["wigner", "--state", "vacuum", "--grid", "-2:2"],
-                ["wigner", "--state", "fock:1", "--grid", "-2:2:3", "--method", "both"]]
+                ["wigner", "--state", "fock:1", "--grid", "-2:2:3", "--method", "both"],
+                ["wigner", "--state", "fock:1", "--grid", "-2:2:3", "--n-max", "40"]]
     codes, loaded = _fresh_cli(*refused)
     assert codes == [2] * len(refused)
     assert loaded == set()

@@ -321,6 +321,16 @@ class TestEnergyDistribution:
         assert np.all(p >= 0.0)
         assert abs(p.sum() - 1.0) <= EPS_TAIL
 
+    def test_row_sum_refuses_the_tightest_certified_truncation(self):
+        # n_max = 101 is the first whose certified span holds the vacuum at
+        # |alpha| = 7.097, and column 0 passes the 1e-6 leak check there, but the
+        # Poisson tail past 101 (1.1e-10) exceeds the row-sum tolerance EPS_TAIL
+        rho = FockState.vacuum().density()
+        assert displacement_certified_span(7.097, 100) == -1
+        assert displacement_certified_span(7.097, 101) == 0
+        with pytest.raises(TruncationError, match=r"^displaced probabilities sum to 0\.9999999998"):
+            energy_distribution(rho, 7.097, n_max=101)
+
     def test_blocks_freed_before_the_next(self, monkeypatch):
         # a block of D(alpha) support columns takes 16 * _CHUNK_ELEMS bytes;
         # holding the previous one while the next is built doubles the peak
@@ -427,6 +437,21 @@ class TestDomainTypes:
     def test_density_rejects_malformed_components(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FockState([[1.0]]), "amplitudes must be a non-empty 1-d vector"),
+        (lambda: FockState.fock(-1), "Fock index must be nonnegative"),
+        (lambda: FockState.fock(3, 1), "n_max 1 cannot hold Fock index 3"),
+        (lambda: FockState.fock(2).density().embedded(1),
+         "embedding may only enlarge the truncation"),
+        (lambda: eigenfunction_stack(np.ones(3), [0.0]),
+         "coefficients must be a (levels, columns) matrix"),
+    ], ids=["matrix_amplitudes", "negative_index", "index_past_n_max", "shrinking_embed",
+            "vector_coefficients"])
+    def test_states_refuse_malformed_input(self, build, message):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == message
 
     def test_constructors_copy_their_input(self):
         # a state validated on the caller's array must not follow later writes to it

@@ -63,6 +63,10 @@ class TestZoneGeometry:
         with pytest.raises(ValidationError):
             zone_boundary_angle(geom, geom.max_zones + 1)
 
+    def test_negative_zone_rejected(self, geom):
+        with pytest.raises(ValidationError, match="^zone index must be nonnegative$"):
+            zone_boundary_angle(geom, -1)
+
     def test_scaling_fit_square_root_law(self, geom):
         assert fit_zone_scaling(geom, 100) == pytest.approx(0.5, abs=0.01)
 
@@ -374,6 +378,17 @@ class TestZoneSeries:
             zone_sum(geom, 10, "fancy")
         with pytest.raises(ValidationError):
             zone_sum(geom, 1, "averaged")
+
+    def test_empty_series_rejected(self, geom):
+        with pytest.raises(ValidationError, match="^need at least one zone$"):
+            zone_sum(geom, 0, "raw")
+
+    def test_zone_contribution_is_its_table_row(self, geom):
+        # one zone-term path: a single zone is the last term of the table that ends with it
+        for n in range(300):
+            row = zone_table(geom, n + 1)[n]
+            assert row[0] == n
+            assert zone_contribution(geom, n) == complex(row[2], row[3]), n
 
 
 class TestZonePlate:

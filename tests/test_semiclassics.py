@@ -193,6 +193,10 @@ class TestStandardLibraryKernel:
     def test_poisson_terms_of_zero_mean(self):
         assert poisson_pmf(0.0, 4).tolist() == [1.0, 0.0, 0.0, 0.0]
 
+    def test_negative_mean_rejected(self):
+        with pytest.raises(ValidationError, match="^mean must be nonnegative$"):
+            poisson_pmf(-1.0, 3)
+
     @pytest.mark.parametrize("beta", [0.0, 5.0, *np.random.default_rng(21).uniform(0, 30, 10)])
     def test_moments_are_correctly_rounded_sums(self, beta):
         rep = compare_poisson(float(beta))

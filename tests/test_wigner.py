@@ -295,6 +295,10 @@ class TestDirectRoute:
         with pytest.raises(ValidationError, match="at least one point"):
             wigner_values(FockState.vacuum().density(), [], [])
 
+    def test_unpaired_points_rejected(self):
+        with pytest.raises(ValidationError, match="^u and v must have matching shapes$"):
+            wigner_values(FockState.vacuum().density(), [0.0, 1.0], [0.0])
+
     @pytest.mark.parametrize("call", [
         lambda rho: wigner_values(rho, 0.0, 1e300),
         lambda rho: wigner_values(rho, 0.0, 0.0, min_points=10**7),
@@ -588,6 +592,10 @@ class TestConvention:
         # at the origin alone, both candidates match: no single winner
         with pytest.raises(QuadratureError):
             convention_check(FockState.vacuum().density(), [(0.0, 0.0)])
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValidationError, match="^need at least one sample point$"):
+            convention_check(FockState.vacuum().density(), [])
 
 
 class TestOverlap:
