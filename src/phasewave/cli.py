@@ -208,7 +208,7 @@ def _route_deviation(direct: field.WignerField, parity: field.WignerField) -> fl
     return deviation
 
 
-def cmd_wigner(args) -> int:
+def cmd_wigner(args) -> None:
     pairs = parse_state(args.state)
     grid = parse_grid(args.grid, args.grid_v)
     if args.method == "both" and args.out is None:
@@ -232,20 +232,18 @@ def cmd_wigner(args) -> int:
     for out, wf in zip(outs, fields):
         _write(out, [wf.to_json() if args.format == "json" else wf.to_csv()],
                **(echo if wf is fields[-1] else {}))
-    return 0
 
 
-def cmd_overlap(args) -> int:
+def cmd_overlap(args) -> None:
     from . import semiclassics
 
     head = dict(vars(semiclassics.compare_poisson(args.beta)))
     p_overlap, p_poisson = head.pop("p_overlap"), head.pop("p_poisson")
     rows = zip(range(len(p_overlap)), p_overlap, p_poisson)
     _write(args.out, _table(args.format, "overlap", rows, **head))
-    return 0
 
 
-def cmd_fresnel(args) -> int:
+def cmd_fresnel(args) -> None:
     from dataclasses import asdict
 
     from . import fresnel
@@ -258,7 +256,7 @@ def cmd_fresnel(args) -> int:
         slope = fresnel.fit_zone_scaling(geom, args.n)
         _write(args.out, _table(args.format, "zones", rows, slope_loglog=slope),
                slope_loglog=slope)
-        return 0
+        return
 
     if args.subaction == "zonesum":
         # the zone sums check the budgets before the boundary angle is taken
@@ -269,7 +267,7 @@ def cmd_fresnel(args) -> int:
             {**asdict(geom), "n_zones": args.n},
             *map(_complex_dict, (geom.free_field(), u_int, u_raw, u_avg)),
         )), abs_U=abs(u_avg))
-        return 0
+        return
 
     open_zones, n_zones = _parse_mask(args.open, args.n)  # plate, the one subaction left
     u_plate = fresnel.zone_plate(geom, open_zones, n_zones)
@@ -278,7 +276,6 @@ def cmd_fresnel(args) -> int:
     _write(args.out, _summary("plate", (
         asdict(geom), list(open_zones), _complex_dict(u_plate), _complex_dict(u_free), ratio,
     )), amplitude_ratio=ratio)
-    return 0
 
 
 def _parse_mask(spec: str, count: int) -> tuple[range | list[int], int]:
@@ -300,7 +297,7 @@ def _parse_mask(spec: str, count: int) -> tuple[range | list[int], int]:
     return zones, n_zones
 
 
-def cmd_spin(args) -> int:
+def cmd_spin(args) -> None:
     from . import spinmap
 
     if args.subaction == "belts":
@@ -310,11 +307,10 @@ def cmd_spin(args) -> int:
             for b in spinmap.belts(args.j)
         ]
         _write(args.out, _table(args.format, "spin-belts", rows, j=args.j))
-        return 0
+        return
 
     rows = spinmap.band_table(args.j)  # project, the one subaction left
     _write(args.out, _table(args.format, "spin-bands", rows, j=args.j))
-    return 0
 
 
 def _typed(value, name: str):
@@ -346,7 +342,7 @@ def _csv_rows(lines, columns):
             raise ValidationError(f"line {number} does not hold {len(columns)} values") from None
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
     with open(args.path, newline="") as fh:  # no line-end translation
         text = fh.read()
     is_json = text.lstrip().startswith("{")
@@ -355,7 +351,7 @@ def cmd_validate(args) -> int:
 
         (WignerField.from_json if is_json else WignerField.from_csv)(text)
         sys.stdout.write("ok\n")
-        return 0
+        return
     key, columns = _TABLES[args.kind]
     if not is_json:
         chunks = _table("csv", args.kind, _csv_rows(text.split("\n")[1:-1], columns))
@@ -380,7 +376,6 @@ def cmd_validate(args) -> int:
             chunks = _table("json", args.kind, rows, **head)
     check_rewrite(text, chunks)
     sys.stdout.write("ok\n")
-    return 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -443,16 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_negative_values(argv):
     """Fuse each --flag with a next token that starts with a single '-', such as
     --grid -4:4:81 or --beta -1e-5, so argparse reads it as the flag's value."""
-    fused, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if tok.startswith("--") and nxt.startswith("-") and not nxt.startswith("--"):
-            fused.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    fused, flag = [], False  # flag: the last token kept is an unfused --flag
+    for tok in argv:
+        if flag and tok.startswith("-") and not tok.startswith("--"):
+            fused[-1] += "=" + tok
+            flag = False
         else:
             fused.append(tok)
-            i += 1
+            flag = tok.startswith("--")
     return fused
 
 
@@ -462,30 +455,24 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _join_negative_values(list(argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        # the global flags default in the namespace: their SUPPRESS defaults keep
+        # pre- and post-subcommand occurrences from clobbering each other
+        args = build_parser().parse_args(argv, argparse.Namespace(out=None, format="csv"))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    # global flags default here: SUPPRESS keeps pre- and post-subcommand
-    # occurrences from clobbering each other
-    if not hasattr(args, "out"):
-        args.out = None
-    if not hasattr(args, "format"):
-        args.format = "csv"
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return args.func(args)
+            args.func(args)
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # ValidationError and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

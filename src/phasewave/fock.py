@@ -363,7 +363,8 @@ def _displaced_occupations(rho: DensityMatrix, alphas, n_max=None) -> np.ndarray
     if bad.any():
         total = float(totals[bad][0])
         raise TruncationError(
-            f"displaced probabilities sum to {total!r}", detail=abs(total - 1.0)
+            f"displaced probabilities sum to {total!r}; increase n_max",
+            detail=abs(total - 1.0),
         )
     return out
 

@@ -50,7 +50,8 @@ UV_TO_ALPHA = 1.0 / math.sqrt(2.0)
 #: quadrature, the nodes counted over the whole window, -y as well as y; the
 #: complex (rows, nodes) integrand of y >= 0 then holds at most 16 MB.  A grid
 #: whose first two levels exceed it is refused before anything is sampled; a
-#: later level that would exceed it ends the refinement unconverged.
+#: later level that would exceed it ends the refinement unconverged.  It also
+#: bounds the points x kernel nodes of each level of :func:`rotated_quadrature`.
 MAX_CHORD_SAMPLES = 1_000_000
 REL_TOL = 1e-10  #: chord levels agree once they differ by under REL_TOL / pi
 MAX_REFINEMENTS = 8  #: chord levels the direct route evaluates before failing
@@ -308,8 +309,7 @@ def wigner_parity(
     """
     u, v = np.asarray(grid.u_axis), np.asarray(grid.v_axis)
     _parity_sums(rho, alpha_from_uv(u[[0, 0, -1, -1]], v[[0, -1, 0, -1]]), n_max)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    sums = _royer_sums(rho, alpha_from_uv(uu.ravel(), vv.ravel()))
+    sums = _royer_sums(rho, alpha_from_uv(u[:, None], v).ravel())
     return WignerField(grid, (sums / (2.0 * math.pi)).reshape(grid.n_u, grid.n_v))
 
 
@@ -368,7 +368,9 @@ def rotated_quadrature(
     Applies the quadratic-phase integral kernel of fractional order theta
     to the position wavefunction; theta = 0 is the identity and theta =
     pi/2 the ordinary Fourier transform.  The result is checked by doubling
-    the kernel sampling density, which must change it by at most 1e-9.
+    the kernel sampling density, which must change it by at most 1e-9.  The
+    node count grows as 1/|sin theta|; a level of more than MAX_CHORD_SAMPLES
+    points x nodes, as near 0 and pi, is refused before it is built.
     """
     xs = np.asarray(xs, dtype=float)
     coarse = _rotated_once(psi, theta, xs, oversample)
@@ -392,6 +394,11 @@ def _rotated_once(psi: fock.FockState, theta: float, xs, oversample: int) -> np.
     freq = abs(cot) * half + abs(csc) * float(np.max(np.abs(xs), initial=1.0))
     dx = 2.0 * math.pi / (max(freq, 1.0) * 12.0 * oversample)
     npts = int(math.ceil(2.0 * half / dx)) + 1
+    if xs.size * npts > MAX_CHORD_SAMPLES:
+        raise ValidationError(
+            f"{xs.size} points x {npts} rotation kernel nodes exceed the limit "
+            f"of {MAX_CHORD_SAMPLES} kernel samples"
+        )
     xp = np.linspace(-half, half, npts)
     w = np.full(npts, xp[1] - xp[0])
     w[0] *= 0.5

@@ -161,14 +161,16 @@ class TestWignerCommand:
                        "normalization will fall short\n")
 
     def test_undersized_truncation_fails_numerically(self, capsys, tmp_path):
+        # the second fails the row-sum check: its truncation is certified at the
+        # corners, but the vacuum's displaced tail past 101 exceeds EPS_TAIL
         out = tmp_path / "w.csv"
-        code, _, err = run(
-            capsys, "--out", str(out),
-            "wigner", "--state", "fock:1", "--grid", "-6:6:5",
-            "--method", "parity", "--n-max", "40",
-        )
-        assert code == 3
-        assert "increase n_max" in err
+        for state, grid, n_max in (("fock:1", "-6:6:5", "40"),
+                                   ("vacuum", "-7.097:7.097:3", "101")):
+            code, stdout, err = run(capsys, "--out", str(out), "wigner", "--state", state,
+                                    "--grid", grid, "--method", "parity", "--n-max", n_max)
+            assert (code, stdout) == (3, "")
+            assert "increase n_max" in err
+            assert list(tmp_path.iterdir()) == []
 
     def test_mixture_state_accepted(self, capsys, tmp_path):
         out = tmp_path / "w.json"
@@ -455,6 +457,24 @@ class TestSpinCommand:
         code, _, _ = run(capsys, "spin", "--j", "1", "belts", "--out", str(out))
         assert code == 0
         assert out.read_text().startswith("m,z_lo,z_hi,area")
+
+    @pytest.mark.parametrize("before, after, written", [
+        (("--out", "x"), (), "x"),
+        ((), ("--out", "y"), "y"),
+        (("--out", "x"), ("--out", "y"), "y"),
+    ])
+    def test_global_out_on_either_side(self, capsys, tmp_path, monkeypatch, before, after,
+                                       written):
+        # no parser resets a value that an earlier one parsed; the last --out wins
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *before, "spin", "--j", "1", "belts", *after) == (0, "", "")
+        assert [path.name for path in tmp_path.iterdir()] == [written]
+
+    def test_global_format_between_subcommands(self, capsys):
+        code, out, _ = run(capsys, "fresnel", "--r0", "100", "--b", "100", "--lambda", "1",
+                           "--format", "json", "zones", "--n", "3")
+        assert code == 0
+        assert out.startswith('{"slope_loglog": ')
 
 
 @pytest.mark.parametrize("argv", [

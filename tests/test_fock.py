@@ -328,7 +328,8 @@ class TestEnergyDistribution:
         rho = FockState.vacuum().density()
         assert displacement_certified_span(7.097, 100) == -1
         assert displacement_certified_span(7.097, 101) == 0
-        with pytest.raises(TruncationError, match=r"^displaced probabilities sum to 0\.9999999998"):
+        with pytest.raises(TruncationError, match=r"^displaced probabilities sum to "
+                                                  r"0\.9999999998877931; increase n_max$"):
             energy_distribution(rho, 7.097, n_max=101)
 
     def test_blocks_freed_before_the_next(self, monkeypatch):

@@ -669,6 +669,40 @@ class TestRotatedQuadrature:
             oracle = np.exp(-((xs - mu) ** 2)) / math.sqrt(math.pi)
             np.testing.assert_allclose(dens, oracle, atol=1e-10)
 
+    def test_fresnel_kernel_is_the_fock_basis_rotation(self):
+        # the quadratic-phase kernel is the Fresnel propagator; the rotation it
+        # performs is diagonal in the Fock basis, psi_theta = sum_n c_n e^{-in theta} psi_n.
+        # The states' relative Fock phases matter, so e^{+in theta} misses by 0.6.
+        # 81 points keep the coherent states at 0.3 and pi - 0.3 within the kernel budget.
+        rng = np.random.default_rng(28)
+        c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        states = (coherent_amplitudes(1 + 0.5j), coherent_amplitudes(2.0),
+                  FockState(np.array([1, 0, 0, 1j]) / math.sqrt(2.0)),
+                  FockState(c / np.linalg.norm(c)))
+        xs = np.linspace(-6, 6, 81)
+        for st in states:
+            n = np.arange(st.n_max + 1)
+            for theta in (0.3, math.pi / 6, math.pi / 2, 2.0, math.pi - 0.3, 4.0):
+                turned = st.amplitudes * np.exp(-1j * n * theta)
+                oracle = np.abs(eigenfunction_stack(turned[:, None], xs)[0]) ** 2
+                np.testing.assert_allclose(rotated_quadrature(st, theta, xs), oracle,
+                                           rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("theta", [1e-3, 1e-6, math.pi - 1e-6])
+    def test_oversized_kernel_refused_before_allocation(self, theta):
+        # the node count grows as 1/|sin theta|: at 1e-3 the doubled level would be
+        # a 41 x 1.03e6 complex kernel (676 MB), at 1e-6 about 1e9 nodes
+        xs = np.linspace(-6, 6, 41)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"^41 points x \d+ rotation kernel nodes "
+                                                      r"exceed the limit of 1000000 kernel samples$"):
+                rotated_quadrature(FockState.vacuum(), theta, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestRadonSlice:
     def test_vacuum_axis_marginal(self):
