@@ -34,13 +34,8 @@ _CSV_HEADER = "u,v,w\n"
 def _axis(lo, hi, n: int) -> list:
     """n nodes from lo to hi, computed as np.linspace(lo, hi, n) computes them."""
     lo, hi = float(lo), float(hi)
-    div = n - 1
-    step = (hi - lo) / div
-    if step == 0.0:  # the span underflows over div steps: subnormal spans
-        span = hi - lo
-        nodes = [i / div * span + lo for i in range(n)]
-    else:
-        nodes = [i * step + lo for i in range(n)]
+    step = (hi - lo) / (n - 1)  # 0.0 only where nodes repeat, which PhaseGrid refuses
+    nodes = [i * step + lo for i in range(n)]
     nodes[-1] = hi
     return nodes
 
@@ -79,6 +74,12 @@ class PhaseGrid:
             raise ValidationError(
                 f"{self.n_u} x {self.n_v} grid nodes exceed the limit of {MAX_GRID_NODES}"
             )
+        for name, axis in (("u", self.u_axis), ("v", self.v_axis)):
+            if not all(map(float.__lt__, axis, axis[1:])):
+                raise ValidationError(
+                    f"the {name} axis repeats a node: its {len(axis)} nodes from "
+                    f"{axis[0]!r} to {axis[-1]!r} are not distinct doubles"
+                )
 
     @property
     def u_axis(self) -> list:

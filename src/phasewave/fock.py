@@ -8,8 +8,8 @@ Factorial-sized prefactors are always built from log-factorial
 differences (:func:`log_factorials`), never from raw factorials, so indices
 in the thousands are safe.
 
-A mixed state is kept as its normalized pure components and their weights
-(:class:`DensityMatrix`), and every route reads them as stored: nothing is factored.
+A state is kept as its normalized pure components and their weights (one for a
+:class:`FockState`), and every route reads them as stored: nothing is factored.
 """
 
 from __future__ import annotations
@@ -56,57 +56,9 @@ def _check_cutoff(n_max) -> None:
     arithmetic, so every truncation is checked before anything is allocated."""
     if n_max < 0:
         raise ValidationError(f"truncation n_max={n_max} is below the limit of 0")
-    if n_max > MAX_CUTOFF:
+    if not n_max <= MAX_CUTOFF:  # nan too
         shown = f"{n_max:.6g}" if isinstance(n_max, float) else n_max
         raise ValidationError(f"truncation n_max={shown} exceeds the limit of {MAX_CUTOFF}")
-
-
-class FockState:
-    """Pure state as a truncated vector of Fock amplitudes c_0..c_N."""
-
-    def __init__(self, amplitudes):
-        amp = np.array(amplitudes, dtype=complex)  # a copy: no caller can change it later
-        if amp.ndim != 1 or amp.size == 0:
-            raise ValidationError("amplitudes must be a non-empty 1-d vector")
-        _require_unit_norm(amp)
-        self._amp = amp
-        self._amp.setflags(write=False)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amp
-
-    @property
-    def n_max(self) -> int:
-        return self._amp.size - 1
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self._amp[:, None], [1.0])
-
-    @classmethod
-    def vacuum(cls, n_max: int = 0) -> "FockState":
-        return cls.fock(0, n_max)
-
-    @classmethod
-    def fock(cls, n: int, n_max: int | None = None) -> "FockState":
-        if n < 0:
-            raise ValidationError("Fock index must be nonnegative")
-        size = (n if n_max is None else n_max) + 1
-        if size < n + 1:
-            raise ValidationError(f"n_max {n_max} cannot hold Fock index {n}")
-        _check_cutoff(size - 1)
-        amp = np.zeros(size, dtype=complex)
-        amp[n] = 1.0
-        return cls(amp)
-
-
-def _require_unit_norm(amp: np.ndarray) -> None:
-    """TruncationError unless the vector ``amp``, or each column, has unit norm."""
-    tail = float(np.max(np.abs(1.0 - np.sum(np.abs(amp) ** 2, axis=0))))
-    if tail > EPS_TAIL:
-        raise TruncationError(
-            f"state norm misses 1 by {tail:.3e} (allowed {EPS_TAIL:.0e})", detail=tail
-        )
 
 
 class DensityMatrix:
@@ -115,7 +67,7 @@ class DensityMatrix:
     so rho is Hermitian, unit-trace and positive by construction."""
 
     def __init__(self, amplitudes, weights):
-        amp = np.array(amplitudes, dtype=complex)  # a copy, as in FockState
+        amp = np.array(amplitudes, dtype=complex)  # a copy: no caller can change it later
         w = np.asarray(weights, dtype=float)
         if amp.ndim != 2 or amp.shape[0] == 0 or w.shape != amp.shape[1:]:
             raise ValidationError("amplitudes must be (levels, components), a weight each")
@@ -129,7 +81,11 @@ class DensityMatrix:
             )
         if total == math.inf:
             raise ValidationError("mixture weights sum past the largest double")
-        _require_unit_norm(amp)
+        tail = float(np.max(np.abs(1.0 - np.sum(np.abs(amp) ** 2, axis=0))))
+        if tail > EPS_TAIL:  # every component must have unit norm
+            raise TruncationError(
+                f"state norm misses 1 by {tail:.3e} (allowed {EPS_TAIL:.0e})", detail=tail
+            )
         self._amp, self._w = amp, w / total
         for arr in (self._amp, self._w):  # shared by every route, so read-only
             arr.setflags(write=False)
@@ -176,7 +132,41 @@ class DensityMatrix:
         amp = np.zeros((size, len(pairs)), dtype=complex)
         for i, (state, _) in enumerate(pairs):
             amp[: state.n_max + 1, i] = state.amplitudes
-        return cls(amp, [w for _, w in pairs])
+        return DensityMatrix(amp, [w for _, w in pairs])
+
+
+class FockState(DensityMatrix):
+    """Pure state as a truncated vector of Fock amplitudes c_0..c_N: the
+    DensityMatrix whose one component, of weight 1, is that vector."""
+
+    def __init__(self, amplitudes):
+        amp = np.asarray(amplitudes, dtype=complex)  # copied by DensityMatrix
+        if amp.ndim != 1 or amp.size == 0:
+            raise ValidationError("amplitudes must be a non-empty 1-d vector")
+        super().__init__(amp[:, None], [1.0])
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self._amp[:, 0]
+
+    def density(self) -> "FockState":
+        return self
+
+    @classmethod
+    def vacuum(cls, n_max: int = 0) -> "FockState":
+        return cls.fock(0, n_max)
+
+    @classmethod
+    def fock(cls, n: int, n_max: int | None = None) -> "FockState":
+        if n < 0:
+            raise ValidationError("Fock index must be nonnegative")
+        size = (n if n_max is None else n_max) + 1
+        if size < n + 1:
+            raise ValidationError(f"n_max {n_max} cannot hold Fock index {n}")
+        _check_cutoff(size - 1)
+        amp = np.zeros(size, dtype=complex)
+        amp[n] = 1.0
+        return cls(amp)
 
 
 def eigenfunction_stack(coeffs, xs) -> np.ndarray:
@@ -296,12 +286,13 @@ def displacement_certified_span(alpha: complex, n_max: int) -> int:
 
     Column n displaced by alpha centers near n + |alpha|^2 with spread
     sqrt((2n+1))|alpha|; a six-sigma margin keeps the spilled mass far below
-    the leak tolerance.  Returns -1 when not even the vacuum column fits.
+    the leak tolerance.  Returns -1 when not even the vacuum column fits, as for
+    a nan alpha.
     """
     a = abs(alpha)
     span = -1
     for n in range(n_max + 1):
-        if n + a * a + 6.0 * a * math.sqrt(2.0 * n + 1.0) + 8.0 > n_max:
+        if not n + a * a + 6.0 * a * math.sqrt(2.0 * n + 1.0) + 8.0 <= n_max:
             break
         span = n
     return span
@@ -332,6 +323,8 @@ def _displaced_occupations(rho: DensityMatrix, alphas, n_max=None) -> np.ndarray
     [-EPS_TAIL, 1e-10].
     """
     alphas = np.asarray(alphas, dtype=complex).ravel()
+    if not np.isfinite(alphas).all():
+        raise ValidationError("displacement amplitudes must be finite")
     largest = float(np.max(np.abs(alphas)))
     if n_max is None:
         n_max = default_cutoff(largest, math.sqrt(rho.top_occupied()))

@@ -77,11 +77,15 @@ def _chord_lattice(u: np.ndarray, h: float, half_window: float, shared: bool):
     i * pitch.  A grid's rows share the lattice u_0 + k * delta, hy = 2 q delta:
     delta = du / m, q = 1 with m = ceil(du / (h/2)) when du >= h/2, else
     delta = du, q = floor(h / (2 du)).  Scattered points, and a grid whose
-    lattice would outgrow its rows' own, take one lattice u_i + k * h/2 per row.
+    lattice would outgrow its rows' own, take one lattice u_i + k * h/2 per row;
+    so does a q past MAX_CHORD_SAMPLES, whose lattice spans more points than
+    any level may hold (h / (2 du) is inf for a subnormal du).
     """
     rows = u.size
     if shared:
-        du = (u[-1] - u[0]) / (rows - 1)
+        du = float(u[-1] - u[0]) / (rows - 1)
+        shared = h / (2.0 * du) < MAX_CHORD_SAMPLES + 1
+    if shared:
         m, q = (math.ceil(2.0 * du / h), 1) if 2.0 * du >= h else (1, int(h / (2.0 * du)))
         hy = 2.0 * q * du / m
         nodes = math.ceil(half_window / hy) + 1
@@ -373,6 +377,8 @@ def rotated_quadrature(
     points x nodes, as near 0 and pi, is refused before it is built.
     """
     xs = np.asarray(xs, dtype=float)
+    if not (math.isfinite(theta) and np.isfinite(xs).all() and oversample >= 1):
+        raise ValidationError("theta and xs must be finite, and oversample at least 1")
     coarse = _rotated_once(psi, theta, xs, oversample)
     fine = _rotated_once(psi, theta, xs, 2 * oversample)
     err = float(np.max(np.abs(fine - coarse)))
@@ -419,6 +425,8 @@ def radon_slice(field: WignerField, theta: float, xs) -> np.ndarray:
     marginal would be wrong.
     """
     xs = np.asarray(xs, dtype=float)
+    if not (math.isfinite(theta) and np.isfinite(xs).all()):
+        raise ValidationError("theta and xs must be finite")
     g = field.grid
     u0, v0 = g.u_min, g.v_min
     du = (g.u_max - g.u_min) / (g.n_u - 1)

@@ -115,6 +115,26 @@ class TestWignerCommand:
             assert code == 2
             assert "not min:max:count" in err
 
+    @pytest.mark.parametrize("method", ["direct", "parity"])
+    def test_grid_axis_repeating_a_node_rejected(self, capsys, tmp_path, method):
+        # np.linspace gives the nodes [1.0, 1.0, 1.0000000000000002] and [0, 0, 5e-324]
+        out = tmp_path / "w.csv"
+        for axis in ("1:1.0000000000000002:3", "0:5e-324:3"):
+            code, _, err = run(capsys, "--out", str(out), "wigner", "--state", "vacuum",
+                               "--grid", axis, "--grid-v", "-1:1:3", "--method", method)
+            assert code == 2 and "error: the u axis repeats a node" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["0:5e-324:2", "0:1e-320:2", "-1e-310:1e-310:2"])
+    def test_subnormal_two_node_axis_computes(self, capsys, tmp_path, axis):
+        out = tmp_path / "w.csv"
+        code, stdout, err = run(capsys, "--out", str(out), "wigner", "--state", "vacuum",
+                                "--grid", axis, "--grid-v", "-1:1:3", "--method", "both")
+        assert code == 0, err
+        assert float(stdout.strip().split("=")[1]) < 1e-12
+        for path in (out, tmp_path / "w.parity.csv"):
+            assert run(capsys, "validate", "--kind", "wigner", str(path))[0] == 0
+
     def test_empty_v_grid_rejected(self, capsys):
         # an empty --grid-v is a malformed spec, not an absent one
         code, out, err = run(capsys, "wigner", "--state", "vacuum", "--grid", "-1:1:3",
@@ -1125,6 +1145,7 @@ def _number(data, accepted, one_in=4):
 def _exits_cleanly(tmp_path_factory, data, argv):
     """Run ``argv`` through main; exit 0, 2 or 3, no traceback, finite output.
 
+    Every field a ``wigner`` run writes must pass ``validate --kind wigner``.
     Returns the exit code, stderr and the files written."""
     workdir = tmp_path_factory.mktemp("fuzz")
     fmt = data.draw(st.sampled_from(("csv", "json")))
@@ -1136,6 +1157,10 @@ def _exits_cleanly(tmp_path_factory, data, argv):
     if code == 0:
         for text in [out.getvalue()] + [p.read_text() for p in workdir.iterdir()]:
             assert not _NONFINITE.search(text), (argv, text[:200])
+        if argv[0] == "wigner":
+            with contextlib.redirect_stdout(io.StringIO()):
+                for path in workdir.iterdir():
+                    assert main(["validate", "--kind", "wigner", str(path)]) == 0, (argv, path)
     else:
         # argparse prefixes its own refusals with the usage text
         assert re.search(r"^(?:phasewave.*: )?error: |^numerical failure: ", err.getvalue(),
@@ -1218,12 +1243,22 @@ def _state_spec(data, depth=0):
     return "vacuum"
 
 
+#: Lower bounds of the axes that span only a few doubles.
+_NARROW_FROM = (0.0, 5e-324, -1e-310, 1.0)
+
+
 def _grid_axis(data):
     """min:max:count with bounds up to +-1e300 and at most 5 nodes; one axis in
-    eight carries a special token, one in sixteen a field too few."""
-    small = st.floats(-8.0, 8.0)
-    bound = st.one_of(small, small, small, st.floats(-1e300, 1e300))
-    lo, hi = sorted(data.draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
+    four spans one to three doubles above a bound of _NARROW_FROM, one in eight
+    carries a special token, one in sixteen a field too few."""
+    if data.draw(st.integers(0, 3)) == 0:
+        lo = hi = data.draw(st.sampled_from(_NARROW_FROM))
+        for _ in range(data.draw(st.integers(1, 3))):
+            hi = math.nextafter(hi, math.inf)
+    else:
+        small = st.floats(-8.0, 8.0)
+        bound = st.one_of(small, small, small, st.floats(-1e300, 1e300))
+        lo, hi = sorted(data.draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
     fields = [repr(lo), repr(hi), repr(data.draw(st.integers(2, 5)))]
     if data.draw(st.integers(0, 7)) == 0:
         fields[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(_SPECIAL_NUMBERS))

@@ -16,8 +16,10 @@ from phasewave import (
     coherent_amplitudes,
     default_cutoff,
     energy_distribution,
+    parity_sum,
+    wigner_direct,
 )
-from phasewave import fock
+from phasewave import PhaseGrid, fock
 from phasewave.fock import (
     MAX_CUTOFF,
     _displaced_occupations,
@@ -468,6 +470,32 @@ class TestDomainTypes:
         )
         assert np.trace(_dense(rho)) == pytest.approx(1.0, abs=1e-14)
         assert _dense(rho)[0, 0] == pytest.approx(0.5, abs=1e-14)
+
+    def test_pure_state_is_its_own_density(self):
+        # a FockState is the one-component DensityMatrix, so every route reads it
+        st = FockState.fock(1)
+        assert isinstance(st, DensityMatrix) and st.density() is st
+        weights, vectors = st.support
+        np.testing.assert_array_equal(weights, [1.0])
+        np.testing.assert_array_equal(vectors[:, 0], st.amplitudes)
+        assert not st.amplitudes.flags.writeable
+        assert parity_sum(st, 0.0).value == pytest.approx(-2.0, abs=1e-14)
+        grid = PhaseGrid(-2, 2, -2, 2, 3, 3)
+        assert wigner_direct(st, grid).values[1, 1] == pytest.approx(-1 / math.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda: parity_sum(FockState.fock(1), complex(math.nan, 0.0)),
+        lambda: parity_sum(FockState.fock(1), complex(math.nan, 0.0), n_max=80),
+        lambda: energy_distribution(FockState.vacuum(), complex(0.0, math.inf)),
+        lambda: coherent_amplitudes(1.0, math.nan),
+        lambda: FockState.fock(1, math.nan),
+        lambda: default_cutoff(math.nan),
+    ], ids=["parity_sum", "parity_sum_n_max", "occupations_inf", "coherent_n_max",
+            "fock_n_max", "default_cutoff"])
+    def test_nan_refused_by_the_size_checks(self, build):
+        with pytest.raises(ValidationError, match="must be finite|n_max=nan exceeds"):
+            build()
+        assert displacement_certified_span(math.nan, 80) == -1
 
     def test_state_norm_enforced(self):
         with pytest.raises(TruncationError):

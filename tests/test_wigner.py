@@ -318,6 +318,14 @@ class TestDirectRoute:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (0.0, 1e-320), (-1e-310, 1e-310)])
+    def test_subnormal_row_spacing_takes_the_rows_own_lattices(self, lo, hi):
+        # h / (2 du) is inf there, so a shared lattice would need q = inf chord steps
+        rho = FockState.vacuum()
+        grid = PhaseGrid(lo, hi, -1.0, 1.0, 2, 3)
+        deviation = np.abs(wigner_direct(rho, grid).values - wigner_parity(rho, grid).values)
+        assert deviation.max() < 1e-12
+
 
 class TestParityRoute:
     def test_vacuum_parity_at_origin(self):
@@ -703,6 +711,15 @@ class TestRotatedQuadrature:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("theta, xs, oversample", [
+        (0.3, [0.0, math.inf], 1), (0.3, [0.0, math.nan], 1), (math.nan, [0.0], 1),
+        (math.inf, [0.0], 1), (0.3, [0.0], 0), (0.3, [0.0], -1),
+    ], ids=["inf_x", "nan_x", "nan_theta", "inf_theta", "oversample_0", "oversample_-1"])
+    def test_nonfinite_input_refused(self, theta, xs, oversample):
+        message = "^theta and xs must be finite, and oversample at least 1$"
+        with pytest.raises(ValidationError, match=message):
+            rotated_quadrature(coherent_amplitudes(1.0), theta, xs, oversample=oversample)
+
 
 class TestRadonSlice:
     def test_vacuum_axis_marginal(self):
@@ -739,6 +756,13 @@ class TestRadonSlice:
         field = _coherent_field(grid, 0.9 + 0.0j)
         with pytest.raises(ContainmentError):
             radon_slice(field, 0.3, np.linspace(-1.4, 1.4, 15))
+
+    @pytest.mark.parametrize("theta, xs", [(math.nan, [0.0]), (0.3, [math.nan]),
+                                           (0.3, [math.inf]), (-math.inf, [0.0])])
+    def test_nonfinite_input_refused(self, theta, xs):
+        field = _coherent_field(PhaseGrid(-5, 5, -5, 5, 21, 21), 0.0)
+        with pytest.raises(ValidationError, match="^theta and xs must be finite$"):
+            radon_slice(field, theta, xs)
 
 
 class TestFieldSerialization:
@@ -897,15 +921,36 @@ class TestGridAxes:
                 yield lo, hi, n
 
     def test_axes_match_linspace_bit_for_bit(self):
+        # a grid is refused exactly where np.linspace repeats a node
         rng = np.random.default_rng(20)
-        checked = underflows = 0
+        checked = refused = 0
         for lo, hi, n in self._cases(rng):
-            grid = PhaseGrid(lo, hi, 0.0, 1.0, n, 2)
             ref = np.linspace(lo, hi, n)
-            assert np.asarray(grid.u_axis).tobytes() == ref.tobytes(), (lo, hi, n)
-            checked += 1
-            underflows += (float(hi) - float(lo)) / (n - 1) == 0.0
-        assert checked > 2000 and underflows > 100
+            if np.all(np.diff(ref) > 0):
+                grid = PhaseGrid(lo, hi, 0.0, 1.0, n, 2)
+                assert np.asarray(grid.u_axis).tobytes() == ref.tobytes(), (lo, hi, n)
+                checked += 1
+            else:
+                with pytest.raises(ValidationError, match="the u axis repeats a node"):
+                    PhaseGrid(lo, hi, 0.0, 1.0, n, 2)
+                refused += 1
+        assert checked > 2000 and refused > 100
+
+    def test_repeated_node_refused_after_the_node_budget(self):
+        with pytest.raises(ValidationError, match=r"^the u axis repeats a node: its 3 nodes "
+                           r"from 1\.0 to 1\.0000000000000002 are not distinct doubles$"):
+            PhaseGrid(1.0, 1.0000000000000002, -1, 1, 3, 3)
+        with pytest.raises(ValidationError, match="the v axis repeats a node"):
+            PhaseGrid(-1, 1, 0.0, 5e-324, 3, 3)
+        # the node budget comes first, so no axis of a refused size is built
+        with pytest.raises(ValidationError, match="exceed the limit of 4000000"):
+            PhaseGrid(0.0, 5e-324, -1, 1, 3000, 3000)
+        # and a file holding such a grid is refused with it
+        text = ('{"grid": {"u_min": 1.0, "u_max": 1.0000000000000002, "v_min": -1.0, '
+                '"v_max": 1.0, "n_u": 3, "n_v": 2}, '
+                '"values": [[0.1, 0.1], [0.1, 0.1], [0.1, 0.1]]}\n')
+        with pytest.raises(ValidationError, match="the u axis repeats a node"):
+            WignerField.from_json(text)
 
     def test_axes_come_from_float_bounds(self):
         grid = PhaseGrid(-10**20, 10**20, -1, 1, 3, 3)
