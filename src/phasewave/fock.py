@@ -4,9 +4,8 @@ Everything is dimensionless: hbar = 1 and the oscillator length scale
 kappa = 1, so position u = kappa*x and momentum v = p/(hbar*kappa) are
 plain numbers.
 
-Factorial-sized prefactors are always built from log-factorial
-differences (:func:`log_factorials`), never from raw factorials, so indices
-in the thousands are safe.
+Factorial-sized prefactors are always built from log-gamma differences,
+never from raw factorials, so indices in the thousands are safe.
 
 A state is kept as its normalized pure components and their weights (one for a
 :class:`FockState`), and every route reads them as stored: nothing is factored.
@@ -203,16 +202,12 @@ def eigenfunction_stack(coeffs, xs) -> np.ndarray:
     return out
 
 
-def log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n, from the standard library's log-gamma."""
-    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-
-
 def coherent_amplitudes(beta: complex, n_max: int | None = None) -> FockState:
     """Coherent state of amplitude ``beta`` as a truncated Fock vector.
 
-    |c_n|^2 is the Poisson distribution of mean |beta|^2; the truncation is
-    sized (or checked) so the lost tail stays below EPS_TAIL.
+    It is the displaced vacuum, column 0 of D(beta): its moduli are the start
+    row T_0^(n)(|beta|) of :func:`_laguerre_degrees`, its phases e^(in arg beta).
+    The truncation is sized (or checked) so the lost tail stays below EPS_TAIL.
     """
     beta = complex(beta)
     if not cmath.isfinite(beta):
@@ -220,12 +215,9 @@ def coherent_amplitudes(beta: complex, n_max: int | None = None) -> FockState:
     if n_max is None:
         n_max = default_cutoff(abs(beta))
     _check_cutoff(n_max)
-    if abs(beta) == 0.0:
-        return FockState.fock(0, n_max)
-    n = np.arange(n_max + 1)
-    logmag = -0.5 * abs(beta) ** 2 + n * math.log(abs(beta)) - 0.5 * log_factorials(n_max)
-    amp = np.exp(logmag) * np.exp(1j * n * np.angle(beta))
-    return FockState(amp)  # whose norm check refuses a truncation that loses the tail
+    mag = next(_laguerre_degrees(np.array([abs(beta)]), n_max, 0))[0]
+    # FockState's norm check refuses a truncation that loses the tail
+    return FockState(mag * np.exp(1j * np.arange(n_max + 1) * np.angle(beta)))
 
 
 def _laguerre_degrees(mag: np.ndarray, n_max: int, last: int):
@@ -242,7 +234,8 @@ def _laguerre_degrees(mag: np.ndarray, n_max: int, last: int):
     aa = mag * mag
     zero = mag[:, 0] == 0.0
     logmag = np.log(np.where(zero[:, None], 1.0, mag))
-    cur = np.exp(order * logmag - 0.5 * log_factorials(n_max) - 0.5 * aa)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+    cur = np.exp(order * logmag - 0.5 * log_fact - 0.5 * aa)
     cur[zero, 1:] = 0.0
     prev = np.zeros_like(cur)
     for n in range(last + 1):

@@ -51,7 +51,8 @@ UV_TO_ALPHA = 1.0 / math.sqrt(2.0)
 #: complex (rows, nodes) integrand of y >= 0 then holds at most 16 MB.  A grid
 #: whose first two levels exceed it is refused before anything is sampled; a
 #: later level that would exceed it ends the refinement unconverged.  It also
-#: bounds the points x kernel nodes of each level of :func:`rotated_quadrature`.
+#: bounds the kernel nodes of each level of :func:`rotated_quadrature`, whose
+#: kernel is formed MAX_CHORD_SAMPLES // nodes points at a time.
 MAX_CHORD_SAMPLES = 1_000_000
 REL_TOL = 1e-10  #: chord levels agree once they differ by under REL_TOL / pi
 MAX_REFINEMENTS = 8  #: chord levels the direct route evaluates before failing
@@ -76,22 +77,20 @@ def _chord_lattice(u: np.ndarray, h: float, half_window: float, shared: bool):
     u_i +- y_j / 2 at xs[c_i +- j * stride], c_i = (nodes - 1) * stride +
     i * pitch.  A grid's rows share the lattice u_0 + k * delta, hy = 2 q delta:
     delta = du / m, q = 1 with m = ceil(du / (h/2)) when du >= h/2, else
-    delta = du, q = floor(h / (2 du)).  Scattered points, and a grid whose
-    lattice would outgrow its rows' own, take one lattice u_i + k * h/2 per row;
-    so does a q past MAX_CHORD_SAMPLES, whose lattice spans more points than
-    any level may hold (h / (2 du) is inf for a subnormal du).
+    delta = du, q = floor(h / (2 du)).  Scattered points, and a grid with
+    q > rows, whose lattice would outgrow its rows' own, take one lattice
+    u_i + k * h/2 per row (h / (2 du) is inf for a subnormal du, so it does too).
     """
     rows = u.size
     if shared:
         du = float(u[-1] - u[0]) / (rows - 1)
-        shared = h / (2.0 * du) < MAX_CHORD_SAMPLES + 1
+        shared = h / (2.0 * du) < rows + 1  # q <= rows
     if shared:
         m, q = (math.ceil(2.0 * du / h), 1) if 2.0 * du >= h else (1, int(h / (2.0 * du)))
         hy = 2.0 * q * du / m
         nodes = math.ceil(half_window / hy) + 1
         span = (rows - 1) * m + 2 * (nodes - 1) * q + 1
-        if span <= rows * (2 * nodes - 1):
-            return u[0] + (du / m) * (np.arange(span) - (nodes - 1) * q), m, q, hy, nodes
+        return u[0] + (du / m) * (np.arange(span) - (nodes - 1) * q), m, q, hy, nodes
     nodes = math.ceil(half_window / h) + 1
     xs = (u[:, None] + 0.5 * h * np.arange(1 - nodes, nodes)).ravel()
     return xs, 2 * nodes - 1, 1, h, nodes
@@ -374,13 +373,13 @@ def rotated_quadrature(
     pi/2 the ordinary Fourier transform.  The result is checked by doubling
     the kernel sampling density, which must change it by at most 1e-9.  The
     node count grows as 1/|sin theta|; a level of more than MAX_CHORD_SAMPLES
-    points x nodes, as near 0 and pi, is refused before it is built.
+    nodes, as near 0 and pi, is refused before it is built.
     """
     xs = np.asarray(xs, dtype=float)
     if not (math.isfinite(theta) and np.isfinite(xs).all() and oversample >= 1):
         raise ValidationError("theta and xs must be finite, and oversample at least 1")
+    fine = _rotated_once(psi, theta, xs, 2 * oversample)  # the larger level, refused first
     coarse = _rotated_once(psi, theta, xs, oversample)
-    fine = _rotated_once(psi, theta, xs, 2 * oversample)
     err = float(np.max(np.abs(fine - coarse)))
     if err > 1e-9:
         raise QuadratureError(
@@ -400,19 +399,21 @@ def _rotated_once(psi: fock.FockState, theta: float, xs, oversample: int) -> np.
     freq = abs(cot) * half + abs(csc) * float(np.max(np.abs(xs), initial=1.0))
     dx = 2.0 * math.pi / (max(freq, 1.0) * 12.0 * oversample)
     npts = int(math.ceil(2.0 * half / dx)) + 1
-    if xs.size * npts > MAX_CHORD_SAMPLES:
+    if npts > MAX_CHORD_SAMPLES:
         raise ValidationError(
-            f"{xs.size} points x {npts} rotation kernel nodes exceed the limit "
-            f"of {MAX_CHORD_SAMPLES} kernel samples"
+            f"{npts} rotation kernel nodes exceed the limit of {MAX_CHORD_SAMPLES}"
         )
     xp = np.linspace(-half, half, npts)
     w = np.full(npts, xp[1] - xp[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     inner = np.exp(0.5j * cot * xp**2) * fock.eigenfunction_stack(amp, xp)[0] * w
-    kernel_phase = np.exp(-1j * csc * np.outer(xs, xp))
+    flat, step = xs.ravel(), MAX_CHORD_SAMPLES // npts
+    summed = np.empty(flat.size, dtype=complex)
+    for lo in range(0, flat.size, step):  # at most MAX_CHORD_SAMPLES kernel entries at once
+        summed[lo : lo + step] = np.exp(-1j * csc * np.outer(flat[lo : lo + step], xp)) @ inner
     pref = np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi))
-    out = pref * np.exp(0.5j * cot * xs**2) * (kernel_phase @ inner)
+    out = pref * np.exp(0.5j * cot * xs**2) * summed
     return np.abs(out) ** 2
 
 

@@ -61,6 +61,16 @@ def _displacement_mpmath(alpha, m, n, dps=40):
         return complex(val)
 
 
+def _coherent_moduli_mpmath(r, size, dps=40):
+    """Oracle: e^(-r^2/2) r^n / sqrt(n!) for n < size at 40 digits, by its ratio."""
+    with mpmath.workdps(dps):
+        r = mpmath.mpf(r)
+        terms = [mpmath.exp(-r * r / 2)]
+        for n in range(1, size):
+            terms.append(terms[-1] * r / mpmath.sqrt(n))
+        return np.array([float(t) for t in terms])
+
+
 def _psi(n, xs):
     """psi_n on ``xs``: the kernel's sum for the unit column e_n."""
     unit = np.zeros((n + 1, 1))
@@ -116,9 +126,9 @@ class TestEigenfunctions:
 
 class TestCoherentAmplitudes:
     def test_vacuum(self):
+        # exactly [1, 0, ...], every zero +0.0 in both parts
         st = coherent_amplitudes(0.0)
-        assert st.amplitudes[0] == 1.0
-        assert np.all(st.amplitudes[1:] == 0.0)
+        assert st.amplitudes.tobytes() == np.eye(st.n_max + 1, dtype=complex)[0].tobytes()
 
     def test_poisson_weights_beta_one(self):
         st = coherent_amplitudes(1.0)
@@ -126,6 +136,16 @@ class TestCoherentAmplitudes:
             [math.exp(-1.0) / float(math.factorial(k)) for k in range(25)]
         )
         np.testing.assert_allclose(np.abs(st.amplitudes[:25]) ** 2, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 1.2 + 1.6j, 5.0, 12.0, 30.0])
+    def test_moduli_match_mpmath_poisson_root(self, beta):
+        # the kernel's start row, checked independently of it; the bound grows
+        # with |beta|^2 as the exp-of-log rounding does (1.1e-12 at beta = 30)
+        amp = coherent_amplitudes(beta).amplitudes
+        want = _coherent_moduli_mpmath(abs(beta), amp.size)
+        keep = want > 1e-12 * want.max()
+        rel = np.abs(np.abs(amp[keep]) - want[keep]) / want[keep]
+        assert rel.max() <= 4e-15 * (1.0 + abs(beta) ** 2)
 
     def test_matches_displacement_column_zero(self):
         beta = 0.7 - 0.4j

@@ -39,6 +39,11 @@ def test_traced_wigner_routes_fire_their_counters(tracing):
     tracer = tracing.Tracer()
     undo = tracing.install(tracer, phasewave)
     try:
+        # building states displaces nothing: a coherent state is the kernel's start row
+        fock.coherent_amplitudes(2.0)
+        fock.DensityMatrix.mixture(
+            [(fock.coherent_amplitudes(1.0), 0.5), (fock.coherent_amplitudes(-1.0j), 0.5)]
+        )
         rho = fock.FockState.fock(1).density()
         grid = wigner.PhaseGrid(-2.0, 2.0, -2.0, 2.0, 3, 3)
         wigner.wigner_parity(rho, grid)
@@ -47,7 +52,7 @@ def test_traced_wigner_routes_fire_their_counters(tracing):
         tracing.uninstall(undo)
     assert fock._displacement_batch is raw
     counts = tracer.counts
-    assert counts["fock.displacement.calls"] == 1  # the parity grid's corner check
+    assert counts["fock.displacement.calls"] == 1  # the parity grid's corner check only
     assert counts["fock.displacement.entries"] == 4 * 65 * 2  # corners x levels x support
     assert counts["wigner.parity.calls"] == 1
     assert counts["wigner.parity.points"] == 9
