@@ -14,7 +14,7 @@ Each subcommand imports the one numerics module it computes with when it
 runs, so start-up loads the standard library only; only ``wigner`` loads
 numpy, after its state and grid specs parse.  ``wigner --method both``
 fails (exit 3, no file written) when its routes differ by more than
-ROUTE_TOL.  Warnings reach stderr as one ``warning: ...`` line each.
+``wigner.ROUTE_TOL``.  Warnings reach stderr as one ``warning: ...`` line each.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from pathlib import Path
 
 from .errors import NumericsError, ValidationError, check_rewrite
 
-#: Largest max |direct - parity| that ``wigner --method both`` accepts.
-ROUTE_TOL = 1e-6
 #: Table rows formatted and written at a time.
 _ROWS_PER_WRITE = 4096
 
@@ -193,7 +191,9 @@ def _summary(name: str, values) -> list:
 
 def _route_deviation(direct: field.WignerField, parity: field.WignerField) -> float:
     """max |direct - parity| over the grid; NumericsError naming the worst node
-    when it exceeds ROUTE_TOL."""
+    when it exceeds ``wigner.ROUTE_TOL``."""
+    from .wigner import ROUTE_TOL
+
     diff = abs(direct.values - parity.values)
     worst = int(diff.argmax())
     deviation = float(diff.flat[worst])

@@ -253,24 +253,21 @@ def _displacement_batch(alphas: np.ndarray, n_max: int, columns) -> np.ndarray:
 
     Entries are the closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969),
         <m|D(a)|n> = sqrt(n!/m!) a^(m-n) e^(-|a|^2/2) L_n^(m-n)(|a|^2)
-    for m >= n, and conj(<n|D(-a)|m>) below the diagonal.  Degree n of
+    for m >= n, and conj(<n|D(-a)|m>) right of the diagonal.  Degree n of
     :func:`_laguerre_degrees` fills column n from the diagonal down and row n
-    right of it, so D(0) is the exact identity; phases and signs follow in
-    place, so the working set beyond the result is a few (alpha, order) arrays.
+    right of it, each entry written once with its phase and sign, so D(0) is
+    the exact identity and the working set beyond the result is a few (alpha,
+    order) arrays.
     """
     al = np.asarray(alphas, dtype=complex).reshape(-1, 1)
     s = len(columns)
-    order = np.arange(n_max + 1)
+    k = np.arange(n_max + 1)
+    below = np.exp(1j * k * np.angle(al))  # <n+k|D(a)|n> carries e^(ik arg a)
+    above = below.conj() * (1.0 - 2.0 * (k % 2))  # <n|D(a)|n+k>: (-1)^k e^(-ik arg a)
     out = np.empty((al.shape[0], n_max + 1, s), dtype=complex)
     for n, cur in enumerate(_laguerre_degrees(np.abs(al), n_max, s - 1)):
-        out[:, n:, n] = cur
-        out[:, n, n + 1 :] = cur[:, 1 : s - n]
-    theta = np.angle(al)
-    out *= np.exp(1j * order * theta)[:, :, None]
-    out *= np.exp(-1j * order[:s] * theta)[:, None, :]
-    # <m|D(a)|n> = conj(<n|D(-a)|m>) carries (-1)^(n-m) below the diagonal
-    diff = order[:, None] - order[:s]
-    np.negative(out, out=out, where=(diff < 0) & (diff % 2 == 1))
+        out[:, n:, n] = cur * below[:, : n_max + 1 - n]
+        out[:, n, n + 1 :] = cur[:, 1 : s - n] * above[:, 1 : s - n]
     return out
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
@@ -103,6 +104,15 @@ class FresnelGeometry:
         )
 
 
+def _count(value) -> int:
+    """``value`` as the int ``operator.index`` takes it for; ValidationError naming
+    it otherwise, so no count or zone index is truncated or half-used."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"count or zone index {value!r} must be an integer") from None
+
+
 def _path_difference(geom: FresnelGeometry, theta: float) -> float:
     """t = s - b: how much farther the wavefront point at polar angle theta
     lies from P than the pole does."""
@@ -136,7 +146,7 @@ def _boundary_angles(geom: FresnelGeometry, n: Sequence[int]) -> list[float]:
 
 def zone_boundary_angle(geom: FresnelGeometry, n: int) -> float:
     """Polar angle at the source subtending the n-th zone boundary."""
-    return _boundary_angles(geom, [n])[0]
+    return _boundary_angles(geom, [_count(n)])[0]
 
 
 def _check_grid(n_segments: int, nodes: int) -> None:
@@ -240,6 +250,7 @@ def _zone_terms(geom: FresnelGeometry, zones: range):
 
 def zone_contribution(geom: FresnelGeometry, n: int) -> complex:
     """The wavelet integral restricted to zone n alone."""
+    n = _count(n)
     return _zone_terms(geom, range(n, n + 1))[1][0]
 
 
@@ -258,6 +269,7 @@ def huygens_integral(
     which removes the artificial hard edge; without it the integral equals the sum of its
     zone contributions identically.
     """
+    nodes_per_zone = _count(nodes_per_zone)
     if not 0.0 < theta_max <= math.pi:
         raise ValidationError("theta_max must lie in (0, pi]")
     if nodes_per_zone < MIN_NODES_PER_ZONE:
@@ -299,6 +311,7 @@ def _partial_sums(geom, n_zones, averaged=True):
     The averaged sum is None when not ``averaged``; asking for it needs at
     least two zones.
     """
+    n_zones = _count(n_zones)
     if n_zones < 1:
         raise ValidationError("need at least one zone")
     if averaged and n_zones < 2:
@@ -311,8 +324,9 @@ def _partial_sums(geom, n_zones, averaged=True):
 def zone_plate(geom: FresnelGeometry, open_zones, n_zones: int) -> complex:
     """Field with only the listed zones transparent, all others blocked; an ascending
     range is used as it stands, so no set of it is built before the quadrature limit."""
+    n_zones = _count(n_zones)
     ascending = isinstance(open_zones, range) and open_zones.step > 0
-    open_sorted = open_zones if ascending else sorted(set(int(z) for z in open_zones))
+    open_sorted = open_zones if ascending else sorted(set(map(_count, open_zones)))
     if not open_sorted:
         return 0j
     if open_sorted[0] < 0 or open_sorted[-1] >= n_zones:
@@ -323,7 +337,7 @@ def zone_plate(geom: FresnelGeometry, open_zones, n_zones: int) -> complex:
 
 def zone_table(geom: FresnelGeometry, n_zones: int):
     """Rows (n, rho, Re U_n, Im U_n, |U_n|, arg U_n) for the first zones."""
-    theta, terms = _zone_terms(geom, range(n_zones))
+    theta, terms = _zone_terms(geom, range(_count(n_zones)))
     return [
         (n, geom.r0 * math.sin(th), u.real, u.imag, abs(u), math.atan2(u.imag, u.real))
         for n, (th, u) in enumerate(zip(theta[1:], terms))
@@ -332,6 +346,7 @@ def zone_table(geom: FresnelGeometry, n_zones: int):
 
 def fit_zone_scaling(geom: FresnelGeometry, n_max: int = 100) -> float:
     """Least-squares slope of log rho_n against log n for n = 1..n_max."""
+    n_max = _count(n_max)
     if n_max < 2:
         raise ValidationError("need at least two boundaries for a fit")
     _check_grid(n_max, 1)  # before the angles are computed

@@ -16,7 +16,7 @@ Two independent evaluation routes are provided and cross-checked:
   state's support, summed as an angular Fourier series in arg(alpha)
   whose radial coefficients come from one Laguerre recurrence per distinct
   |alpha|, and applies the occupation route's truncation checks at the
-  grid's four corners.
+  grid's four corners, whose values the grid must match within ROUTE_TOL.
 
 Route agreement fixes the identification between the phase-plane
 coordinate u + i*v and the displacement amplitude: the winning scale is
@@ -35,6 +35,7 @@ import numpy as np
 from . import fock
 from .errors import (
     ContainmentError,
+    NumericsError,
     QuadratureError,
     TruncationError,
     ValidationError,
@@ -56,6 +57,9 @@ UV_TO_ALPHA = 1.0 / math.sqrt(2.0)
 MAX_CHORD_SAMPLES = 1_000_000
 REL_TOL = 1e-10  #: chord levels agree once they differ by under REL_TOL / pi
 MAX_REFINEMENTS = 8  #: chord levels the direct route evaluates before failing
+#: Largest |W| by which two routes may differ at a node: the parity grid's corners
+#: against the occupation sums, and ``wigner --method both``'s two fields.
+ROUTE_TOL = 1e-6
 
 
 class ContainmentWarning(UserWarning):
@@ -308,12 +312,23 @@ def wigner_parity(
     last alternating term, all at ``n_max``) is applied at the four
     corners: they hold the grid's largest |alpha| and, wherever the state
     sits, its largest |beta - alpha|.  A TruncationError there refuses the
-    grid.
+    grid, and so does a NumericsError when the grid's own values at the
+    corners differ from those sums by more than ROUTE_TOL.
     """
     u, v = np.asarray(grid.u_axis), np.asarray(grid.v_axis)
-    _parity_sums(rho, alpha_from_uv(u[[0, 0, -1, -1]], v[[0, -1, 0, -1]]), n_max)
+    iu, iv = [0, 0, -1, -1], [0, -1, 0, -1]
+    occupation, _ = _parity_sums(rho, alpha_from_uv(u[iu], v[iv]), n_max)
     sums = _royer_sums(rho, alpha_from_uv(u[:, None], v).ravel())
-    return WignerField(grid, (sums / (2.0 * math.pi)).reshape(grid.n_u, grid.n_v))
+    values = (sums / (2.0 * math.pi)).reshape(grid.n_u, grid.n_v)
+    dev = np.abs(values[iu, iv] - occupation / (2.0 * math.pi))
+    worst = int(np.argmax(dev))
+    if dev[worst] > ROUTE_TOL:
+        corner = (grid.u_axis[iu[worst]], grid.v_axis[iv[worst]])
+        raise NumericsError(
+            f"the Royer and occupation routes disagree at corner (u, v) = {corner!r}: "
+            f"|dW| = {dev[worst]:.3e} exceeds {ROUTE_TOL:.0e}"
+        )
+    return WignerField(grid, values)
 
 
 # -- convention discrimination ----------------------------------------------
@@ -380,7 +395,7 @@ def rotated_quadrature(
         raise ValidationError("theta and xs must be finite, and oversample at least 1")
     fine = _rotated_once(psi, theta, xs, 2 * oversample)  # the larger level, refused first
     coarse = _rotated_once(psi, theta, xs, oversample)
-    err = float(np.max(np.abs(fine - coarse)))
+    err = float(np.max(np.abs(fine - coarse), initial=0.0))
     if err > 1e-9:
         raise QuadratureError(
             f"rotation kernel quadrature not converged: doubling changes the "

@@ -173,6 +173,37 @@ class TestWignerCommand:
         assert "routes disagree" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_parity_route_refuses_its_own_underflow(self, capsys, tmp_path):
+        # the same grid under --method parity alone: its corner (28.784, -0.5) reads
+        # a Royer value 0.14 off the occupation sum there, so no file is written
+        out = tmp_path / "o.csv"
+        code, stdout, err = run(capsys, "--out", str(out), "wigner", "--state", "coherent:20",
+                                "--grid", "27.784:28.784:3", "--grid-v", "-0.5:0.5:3",
+                                "--method", "parity")
+        assert (code, stdout) == (3, "")
+        assert err == ("numerical failure: the Royer and occupation routes disagree at "
+                       "corner (u, v) = (28.784, -0.5): |dW| = 1.398e-01 exceeds 1e-06\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unconverged_alternating_sum_fails_numerically(self, capsys, tmp_path,
+                                                           monkeypatch):
+        from phasewave import fock
+
+        exact = fock._displaced_occupations
+
+        def heavy_tail(rho, alphas, n_max=None):
+            p = exact(rho, alphas, n_max)
+            p[:, -1] = 1e-7
+            return p
+
+        monkeypatch.setattr(fock, "_displaced_occupations", heavy_tail)
+        code, stdout, err = run(capsys, "--out", str(tmp_path / "w.csv"), "wigner",
+                                "--state", "vacuum", "--grid", "-1:1:3", "--method", "parity")
+        assert (code, stdout) == (3, "")
+        assert err.startswith("numerical failure: alternating sum not converged: last term "
+                              "1.000e-07")
+        assert list(tmp_path.iterdir()) == []
+
     def test_containment_warning_is_one_line(self, capsys, tmp_path):
         code, _, err = run(capsys, "--out", str(tmp_path / "w.csv"), "wigner",
                            "--state", "coherent:2", "--grid", "-2:2:5")

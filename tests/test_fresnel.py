@@ -474,3 +474,16 @@ class TestQuadratureBudget:
     def test_rejects_too_many_nodes(self, geom):
         with pytest.raises(ValidationError, match="exceed the limit of 1024"):
             huygens_integral(geom, 0.5, nodes_per_zone=1025)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda g: zone_plate(g, [1.5], 3), "1.5"),
+    (lambda g: huygens_integral(g, 0.5, 16.0), "16.0"),
+    (lambda g: zone_sum(g, 2.5), "2.5"),
+    (lambda g: zone_table(g, 2.5), "2.5"),
+    (lambda g: fit_zone_scaling(g, 2.5), "2.5"),
+], ids=["zone_plate", "huygens_integral", "zone_sum", "zone_table", "fit_zone_scaling"])
+def test_non_integer_counts_refused(geom, call, value):
+    # refused by name, not truncated by int() nor failed as a TypeError
+    with pytest.raises(ValidationError, match=f"^count or zone index {value} must be an integer$"):
+        call(geom)

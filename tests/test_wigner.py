@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ from phasewave import (
     ContainmentWarning,
     DensityMatrix,
     FockState,
+    NumericsError,
     PhaseGrid,
     QuadratureError,
     TruncationError,
@@ -318,6 +320,14 @@ class TestDirectRoute:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_level_past_the_budget_ends_unconverged(self, monkeypatch):
+        # 300 rows: levels of 1025 and 2049 nodes fit the budget, 4097 does not;
+        # with no tolerance to meet, the refinement stops there unconverged
+        monkeypatch.setattr(wigner, "REL_TOL", 0.0)
+        with pytest.raises(QuadratureError, match="^chord quadrature not converged"):
+            wigner_values(FockState.vacuum(), np.zeros(300), np.linspace(0.0, 1.0, 300),
+                          min_points=1025)
+
     @pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (0.0, 1e-320), (-1e-310, 1e-310)])
     def test_subnormal_row_spacing_takes_the_rows_own_lattices(self, lo, hi):
         # h / (2 du) is inf there, so a shared lattice would need q = inf chord steps
@@ -358,6 +368,39 @@ class TestParityRoute:
         rho = FockState.fock(60, 64).density()
         with pytest.raises(TruncationError):
             parity_sum(rho, 0.9, n_max=64)
+
+    def test_alternating_sum_not_converged(self, monkeypatch):
+        exact = fock._displaced_occupations
+
+        def heavy_tail(rho, alphas, n_max=None):
+            p = exact(rho, alphas, n_max)
+            p[:, -1] = 1e-7
+            return p
+
+        monkeypatch.setattr(fock, "_displaced_occupations", heavy_tail)
+        with pytest.raises(TruncationError, match="^alternating sum not converged: "
+                                                  "last term 1.000e-07 above 1e-08"):
+            parity_sum(FockState.vacuum(), 0.3)
+
+    def test_grid_corners_checked_against_occupation_sums(self, monkeypatch):
+        # the grid's own corner values are compared; a moved interior node is not
+        grid = PhaseGrid(-2.0, 2.0, -1.0, 1.0, 3, 4)
+        exact = wigner._royer_sums
+
+        def moved(node):
+            def royer(rho, alphas):
+                sums = exact(rho, alphas)
+                sums[node] += 2.0 * math.pi * 2e-6
+                return sums
+            return royer
+
+        monkeypatch.setattr(wigner, "_royer_sums", moved(2 * 4 + 0))
+        with pytest.raises(NumericsError, match=re.escape(
+                "the Royer and occupation routes disagree at corner (u, v) = (2.0, -1.0): "
+                "|dW| = 2.000e-06 exceeds 1e-06")):
+            wigner_parity(FockState.fock(1), grid)
+        monkeypatch.setattr(wigner, "_royer_sums", moved(4 + 1))
+        wigner_parity(FockState.fock(1), grid)
 
     def test_single_point_is_a_batch_row(self):
         # the point sums occupations, the grid takes Royer's trace: two routes
@@ -710,6 +753,20 @@ class TestRotatedQuadrature:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    def test_empty_abscissa_gives_empty_density(self, theta):
+        # both branches: |sin theta| < 1e-12 reads psi itself, 0.3 forms the kernel
+        dens = rotated_quadrature(coherent_amplitudes(1.0), theta, [])
+        assert dens.shape == (0,)
+
+    def test_doubling_refusal(self, monkeypatch):
+        exact = wigner._rotated_once
+        monkeypatch.setattr(wigner, "_rotated_once", lambda psi, theta, xs, oversample:
+                            exact(psi, theta, xs, oversample) + 1e-8 * oversample)
+        with pytest.raises(QuadratureError, match="^rotation kernel quadrature not converged: "
+                                                  "doubling changes the density by 1.000e-08$"):
+            rotated_quadrature(FockState.vacuum(), 0.3, np.linspace(-2.0, 2.0, 5))
 
     @pytest.mark.parametrize("theta, xs, oversample", [
         (0.3, [0.0, math.inf], 1), (0.3, [0.0, math.nan], 1), (math.nan, [0.0], 1),
