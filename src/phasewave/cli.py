@@ -13,8 +13,8 @@ those values back byte for byte, a Wigner field through ``phasewave.field``.
 Each subcommand imports the one numerics module it computes with when it
 runs, so start-up loads the standard library only; only ``wigner`` loads
 numpy, after its state and grid specs parse.  ``wigner --method both``
-fails (exit 3, no file written) when its routes differ by more than
-``wigner.ROUTE_TOL``.  Warnings reach stderr as one ``warning: ...`` line each.
+fails (exit 3, no file written) when its two routes disagree at a node.
+Warnings reach stderr as one ``warning: ...`` line each.
 """
 
 from __future__ import annotations
@@ -189,25 +189,6 @@ def _summary(name: str, values) -> list:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _route_deviation(direct: field.WignerField, parity: field.WignerField) -> float:
-    """max |direct - parity| over the grid; NumericsError naming the worst node
-    when it exceeds ``wigner.ROUTE_TOL``."""
-    from .wigner import ROUTE_TOL
-
-    diff = abs(direct.values - parity.values)
-    worst = int(diff.argmax())
-    deviation = float(diff.flat[worst])
-    if deviation > ROUTE_TOL:
-        grid = direct.grid
-        i, k = divmod(worst, grid.n_v)
-        raise NumericsError(
-            f"the direct and parity routes disagree: max |direct - parity| = "
-            f"{deviation:.3e} exceeds {ROUTE_TOL:.0e} at node "
-            f"(u, v) = ({grid.u_axis[i]!r}, {grid.v_axis[k]!r})"
-        )
-    return deviation
-
-
 def cmd_wigner(args) -> None:
     pairs = parse_state(args.state)
     grid = parse_grid(args.grid, args.grid_v)
@@ -226,7 +207,8 @@ def cmd_wigner(args) -> None:
         fields.append(wigner.wigner_parity(rho, grid, args.n_max))
     outs, echo = [args.out], {}
     if args.method == "both":
-        echo["max_abs_deviation"] = _route_deviation(*fields)
+        echo["max_abs_deviation"] = wigner._route_deviation(
+            "direct", fields[0].values, "parity", fields[1].values, grid.u_axis, grid.v_axis)
         path = Path(args.out)
         outs.append(str(path.with_name(path.stem + ".parity" + path.suffix)))
     for out, wf in zip(outs, fields):

@@ -125,13 +125,19 @@ class DensityMatrix:
 
     @classmethod
     def mixture(cls, states_and_weights) -> "DensityMatrix":
-        """Convex mixture of (FockState, weight) pairs; weights renormalized."""
+        """Convex mixture of (DensityMatrix, weight) pairs: each state's stored
+        components, each weighted by the pair's weight times its own; weights
+        renormalized.  A FockState is one component of weight 1."""
         pairs = list(states_and_weights)
+        given = np.asarray([w for _, w in pairs], dtype=float)  # read as __init__ reads weights
         size = max((state.n_max for state, _ in pairs), default=0) + 1
-        amp = np.zeros((size, len(pairs)), dtype=complex)
-        for i, (state, _) in enumerate(pairs):
-            amp[: state.n_max + 1, i] = state.amplitudes
-        return DensityMatrix(amp, [w for _, w in pairs])
+        amp = np.zeros((size, sum(state._w.size for state, _ in pairs)), dtype=complex)
+        col = 0
+        for state, _ in pairs:
+            amp[: state.n_max + 1, col : col + state._w.size] = state._amp
+            col += state._w.size
+        weights = [w * own for (state, _), w in zip(pairs, given) for own in state._w]
+        return DensityMatrix(amp, weights)
 
 
 class FockState(DensityMatrix):

@@ -71,6 +71,20 @@ def alpha_from_uv(u, v) -> np.ndarray:
     return (np.asarray(u, dtype=float) + 1j * np.asarray(v, dtype=float)) * UV_TO_ALPHA
 
 
+def _route_deviation(name_a: str, a, name_b: str, b, u_axis, v_axis) -> float:
+    """max |a - b| on the grid u_axis x v_axis; NumericsError at its worst node past ROUTE_TOL."""
+    diff = np.abs(np.asarray(a) - np.asarray(b))
+    worst = int(diff.argmax())
+    deviation = float(diff.flat[worst])
+    if deviation > ROUTE_TOL:
+        i, k = divmod(worst, len(v_axis))
+        raise NumericsError(
+            f"the {name_a} and {name_b} routes disagree at (u, v) = ({u_axis[i]!r}, "
+            f"{v_axis[k]!r}): |dW| = {deviation:.3e} exceeds {ROUTE_TOL:.0e}"
+        )
+    return deviation
+
+
 # -- direct Fourier-integral route ----------------------------------------
 
 
@@ -315,19 +329,13 @@ def wigner_parity(
     grid, and so does a NumericsError when the grid's own values at the
     corners differ from those sums by more than ROUTE_TOL.
     """
+    ends = [0, -1]
     u, v = np.asarray(grid.u_axis), np.asarray(grid.v_axis)
-    iu, iv = [0, 0, -1, -1], [0, -1, 0, -1]
-    occupation, _ = _parity_sums(rho, alpha_from_uv(u[iu], v[iv]), n_max)
-    sums = _royer_sums(rho, alpha_from_uv(u[:, None], v).ravel())
-    values = (sums / (2.0 * math.pi)).reshape(grid.n_u, grid.n_v)
-    dev = np.abs(values[iu, iv] - occupation / (2.0 * math.pi))
-    worst = int(np.argmax(dev))
-    if dev[worst] > ROUTE_TOL:
-        corner = (grid.u_axis[iu[worst]], grid.v_axis[iv[worst]])
-        raise NumericsError(
-            f"the Royer and occupation routes disagree at corner (u, v) = {corner!r}: "
-            f"|dW| = {dev[worst]:.3e} exceeds {ROUTE_TOL:.0e}"
-        )
+    alphas, corners = alpha_from_uv(u[:, None], v), np.ix_(ends, ends)
+    occupation, _ = _parity_sums(rho, alphas[corners].ravel(), n_max)
+    values = (_royer_sums(rho, alphas.ravel()) / (2.0 * math.pi)).reshape(alphas.shape)
+    _route_deviation("Royer", values[corners], "occupation",
+                     occupation.reshape(2, 2) / (2.0 * math.pi), u[ends].tolist(), v[ends].tolist())
     return WignerField(grid, values)
 
 
@@ -375,16 +383,17 @@ def convention_check(rho: fock.DensityMatrix, points) -> ConventionReport:
 
 
 def rotated_quadrature(
-    psi: fock.FockState,
+    psi: fock.DensityMatrix,
     theta: float,
     xs,
     *,
     oversample: int = 1,
 ) -> np.ndarray:
-    """Probability density of the theta-rotated quadrature of a pure state.
+    """Probability density of the theta-rotated quadrature of a state.
 
     Applies the quadratic-phase integral kernel of fractional order theta
-    to the position wavefunction; theta = 0 is the identity and theta =
+    to the position wavefunction of each stored component (``psi.support``)
+    and sums their densities by weight; theta = 0 is the identity and theta =
     pi/2 the ordinary Fourier transform.  The result is checked by doubling
     the kernel sampling density, which must change it by at most 1e-9.  The
     node count grows as 1/|sin theta|; a level of more than MAX_CHORD_SAMPLES
@@ -404,32 +413,35 @@ def rotated_quadrature(
     return fine
 
 
-def _rotated_once(psi: fock.FockState, theta: float, xs, oversample: int) -> np.ndarray:
+def _rotated_once(psi: fock.DensityMatrix, theta: float, xs, oversample: int) -> np.ndarray:
     st, ct = math.sin(theta), math.cos(theta)
-    amp = psi.amplitudes[:, None]  # one column: psi(x) from the Fock amplitudes
+    weights, amp = psi.support  # psi_e(x) of each stored component from its Fock amplitudes
     if abs(st) < 1e-12:
-        return np.abs(fock.eigenfunction_stack(amp, math.copysign(1.0, ct) * xs)[0]) ** 2
-    half = math.sqrt(2.0 * psi.n_max + 1.0) + 8.0
-    cot, csc = ct / st, 1.0 / st
-    freq = abs(cot) * half + abs(csc) * float(np.max(np.abs(xs), initial=1.0))
-    dx = 2.0 * math.pi / (max(freq, 1.0) * 12.0 * oversample)
-    npts = int(math.ceil(2.0 * half / dx)) + 1
-    if npts > MAX_CHORD_SAMPLES:
-        raise ValidationError(
-            f"{npts} rotation kernel nodes exceed the limit of {MAX_CHORD_SAMPLES}"
-        )
-    xp = np.linspace(-half, half, npts)
-    w = np.full(npts, xp[1] - xp[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    inner = np.exp(0.5j * cot * xp**2) * fock.eigenfunction_stack(amp, xp)[0] * w
-    flat, step = xs.ravel(), MAX_CHORD_SAMPLES // npts
-    summed = np.empty(flat.size, dtype=complex)
-    for lo in range(0, flat.size, step):  # at most MAX_CHORD_SAMPLES kernel entries at once
-        summed[lo : lo + step] = np.exp(-1j * csc * np.outer(flat[lo : lo + step], xp)) @ inner
-    pref = np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi))
-    out = pref * np.exp(0.5j * cot * xs**2) * summed
-    return np.abs(out) ** 2
+        out = fock.eigenfunction_stack(amp, math.copysign(1.0, ct) * xs)
+    else:
+        half = math.sqrt(2.0 * psi.n_max + 1.0) + 8.0
+        cot, csc = ct / st, 1.0 / st
+        freq = abs(cot) * half + abs(csc) * float(np.max(np.abs(xs), initial=1.0))
+        dx = 2.0 * math.pi / (max(freq, 1.0) * 12.0 * oversample)
+        npts = int(math.ceil(2.0 * half / dx)) + 1
+        if npts > MAX_CHORD_SAMPLES:
+            raise ValidationError(
+                f"{npts} rotation kernel nodes exceed the limit of {MAX_CHORD_SAMPLES}"
+            )
+        xp = np.linspace(-half, half, npts)
+        w = np.full(npts, xp[1] - xp[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        inner = np.exp(0.5j * cot * xp**2) * fock.eigenfunction_stack(amp, xp) * w
+        flat, step = xs.ravel(), MAX_CHORD_SAMPLES // npts
+        summed = np.empty((weights.size, flat.size), dtype=complex)
+        for lo in range(0, flat.size, step):  # at most MAX_CHORD_SAMPLES kernel entries at once
+            kernel = np.exp(-1j * csc * np.outer(flat[lo : lo + step], xp))
+            for e, vec in enumerate(inner):  # per component: the sum order of a pure state
+                summed[e, lo : lo + step] = kernel @ vec
+        pref = np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi))
+        out = pref * np.exp(0.5j * cot * xs**2) * summed
+    return np.einsum("e,e...->...", weights, np.abs(out) ** 2)
 
 
 def radon_slice(field: WignerField, theta: float, xs) -> np.ndarray:

@@ -30,6 +30,7 @@ from phasewave import (
     alpha_from_uv,
     coherent_amplitudes,
     convention_check,
+    energy_distribution,
     parity_sum,
     radon_slice,
     rotated_quadrature,
@@ -396,7 +397,7 @@ class TestParityRoute:
 
         monkeypatch.setattr(wigner, "_royer_sums", moved(2 * 4 + 0))
         with pytest.raises(NumericsError, match=re.escape(
-                "the Royer and occupation routes disagree at corner (u, v) = (2.0, -1.0): "
+                "the Royer and occupation routes disagree at (u, v) = (2.0, -1.0): "
                 "|dW| = 2.000e-06 exceeds 1e-06")):
             wigner_parity(FockState.fock(1), grid)
         monkeypatch.setattr(wigner, "_royer_sums", moved(4 + 1))
@@ -778,6 +779,58 @@ class TestRotatedQuadrature:
             rotated_quadrature(coherent_amplitudes(1.0), theta, xs, oversample=oversample)
 
 
+def _state_forms():
+    """Four forms of a state, each with its twin, whose stored components and
+    weights are the same, and the (state, weight) pairs it stands for."""
+    a, b = coherent_amplitudes(0.6 - 0.4j, 40), FockState.fock(2, 40)
+    inner = DensityMatrix.mixture([(a, 0.5), (b, 0.5)])
+    mixed = [(a, 0.25), (b, 0.75)]
+    return {
+        "FockState": (a, a, [(a, 1.0)]),
+        "one_component_mixture": (DensityMatrix.mixture([(a, 1.0)]), a, [(a, 1.0)]),
+        "two_component_mixture": (DensityMatrix.mixture(mixed), None, mixed),
+        "mixture_of_mixtures": (DensityMatrix.mixture([(inner, 0.5), (b, 0.5)]),
+                                DensityMatrix.mixture([(a, 0.25), (b, 0.25), (b, 0.5)]), mixed),
+    }
+
+
+def _route_results(rho):
+    """Every Fock-space route and constructor on ``rho``; each result is linear in rho."""
+    grid = PhaseGrid(-4.5, 4.0, -3.5, 4.5, 5, 4)
+    xs = np.linspace(-5.0, 5.0, 41)
+    return {
+        "wigner_direct": wigner_direct(rho, grid).values,
+        "wigner_parity": wigner_parity(rho, grid, n_max=200).values,
+        "wigner_values": wigner_values(rho, [0.3, -1.2], [0.7, 0.1]),
+        "parity_sum": parity_sum(rho, 0.4 - 0.9j, n_max=200).value,
+        "energy_distribution": energy_distribution(rho, 0.5 + 0.2j, n_max=200),
+        "rotated_quadrature": rotated_quadrature(rho, 0.7, xs),
+        "rotated_quadrature_at_pi": rotated_quadrature(rho, math.pi, xs),
+        "mixture": DensityMatrix.mixture([(rho, 1.0)]).leading_block(8),
+    }
+
+
+class TestOneStateType:
+    @pytest.mark.parametrize("form", ["FockState", "one_component_mixture",
+                                      "two_component_mixture", "mixture_of_mixtures"])
+    def test_every_route_reads_the_stored_components(self, form):
+        # a FockState and its one-component mixture are one stored state, and so
+        # are a mixture of mixtures and the flat mixture of its components: their
+        # results are the same bits; every form gives the weighted results of the
+        # states it mixes
+        rho, twin, pairs = _state_forms()[form]
+        got = _route_results(rho)
+        if twin is not None:
+            for mine, theirs in zip(rho.support, twin.support):
+                np.testing.assert_array_equal(mine, theirs)
+            for name, value in _route_results(twin).items():
+                assert np.asarray(got[name]).tobytes() == np.asarray(value).tobytes(), name
+        parts = [(_route_results(state), weight) for state, weight in pairs]
+        for name, value in got.items():
+            expected = sum(weight * np.asarray(results[name]) for results, weight in parts)
+            np.testing.assert_allclose(value, expected, rtol=0, atol=1e-12, err_msg=name)
+
+
 class TestRadonSlice:
     def test_vacuum_axis_marginal(self):
         # analytic marginal of the vacuum Gaussian: exp(-s^2)/sqrt(pi)
@@ -797,15 +850,20 @@ class TestRadonSlice:
             total = np.sum(slc) * (xs[1] - xs[0])
             assert total == pytest.approx(1.0, abs=1e-3)
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, math.pi / 2])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, math.pi / 2, 2.5])
     def test_matches_rotated_quadrature(self, theta):
         grid = PhaseGrid(-5, 5, -5, 5, 501, 501)
         xs = np.linspace(-4.5, 4.5, 91)
         dx = xs[1] - xs[0]
-        for beta in (0.0 + 0.0j, 1.0 + 0.0j):
-            field = _coherent_field(grid, beta)
+        # two coherent states, then a mixture of two: a partially coherent field,
+        # whose Wigner function is the weighted sum of its components'
+        for pairs in ([(0.0 + 0.0j, 1.0)], [(1.0 + 0.0j, 1.0)],
+                      [(1.0 + 0.0j, 0.3), (-0.4 + 0.5j, 0.7)]):
+            field = WignerField(grid, sum(w * _coherent_field(grid, beta).values
+                                          for beta, w in pairs))
             slc = radon_slice(field, theta, xs)
-            dens = rotated_quadrature(coherent_amplitudes(beta), theta, xs)
+            rho = DensityMatrix.mixture([(coherent_amplitudes(beta), w) for beta, w in pairs])
+            dens = rotated_quadrature(rho, theta, xs)
             assert np.sum(np.abs(slc - dens)) * dx < 1e-4
 
     def test_containment_error(self):
