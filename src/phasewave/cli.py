@@ -27,7 +27,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .errors import NumericsError, ValidationError, check_rewrite
+from .errors import NumericsError, ValidationError, check_rewrite, json_chunks
 
 #: Table rows formatted and written at a time.
 _ROWS_PER_WRITE = 4096
@@ -165,20 +165,11 @@ def _table(fmt: str, kind: str, rows, /, **head):
     rows = iter(rows)
     blocks = iter(lambda: list(itertools.islice(rows, _ROWS_PER_WRITE)), [])
     if fmt == "json":
-        # json.dumps separates list items by ", ", so the records can follow
-        # the text that opens their list one block at a time, each block the
-        # inside of its own list
-        yield json.dumps({**head, key: []})[:-2]
-        sep = ""
-        for block in blocks:
-            yield sep + json.dumps([dict(zip(columns, row)) for row in block])[1:-1]
-            sep = ", "
-        yield "]}\n"
-        return
+        return json_chunks(head, key, ([dict(zip(columns, row)) for row in block]
+                                       for block in blocks))
     line = ",".join(["%.17g"] * len(columns)) + "\n"  # one %-template per block
-    yield ",".join(columns) + "\n"
-    for block in blocks:
-        yield (line * len(block)) % tuple(itertools.chain.from_iterable(block))
+    return itertools.chain([",".join(columns) + "\n"], (
+        (line * len(block)) % tuple(itertools.chain.from_iterable(block)) for block in blocks))
 
 
 def _summary(name: str, values) -> list:
@@ -230,9 +221,7 @@ def cmd_fresnel(args) -> None:
 
     from . import fresnel
 
-    geom = fresnel.FresnelGeometry(
-        r0=args.r0, b=args.b, wavelength=args.wavelength, amplitude=args.amplitude
-    )
+    geom = fresnel.FresnelGeometry(r0=args.r0, b=args.b, wavelength=args.wavelength)
     if args.subaction == "zones":
         rows = fresnel.zone_table(geom, args.n)
         slope = fresnel.fit_zone_scaling(geom, args.n)
@@ -394,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--lambda", dest="wavelength", type=float, required=True)
-    p.add_argument("--amplitude", type=float, default=1.0)
     fsub = p.add_subparsers(dest="subaction", required=True)
     for action in ("zones", "zonesum", "plate"):
         pa = fsub.add_parser(action, parents=[common])

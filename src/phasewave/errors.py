@@ -2,9 +2,12 @@
 
 Two top branches matter to callers (and to the CLI exit-code contract):
 ``ValidationError`` for rejected inputs and ``NumericsError`` for
-computations that started but could not be completed reliably.
+computations that started but could not be completed reliably.  Two text
+helpers serve every writer and reader: ``json_chunks`` writes a JSON object
+a block at a time, and ``check_rewrite`` compares a file with its writer's chunks.
 """
 
+import json
 import os
 
 
@@ -42,6 +45,16 @@ class QuadratureError(NumericsError):
 
 class ContainmentError(ValidationError):
     """A sampled field does not contain the state it is asked about."""
+
+
+def json_chunks(head: dict, key: str, blocks):
+    """The text of ``json.dumps({**head, key: items})`` and a newline, one chunk per
+    block of the items in ``blocks``: json.dumps separates list items by ", ", so each
+    block can follow the text that opens the list as the inside of its own list."""
+    yield json.dumps({**head, key: []})[:-2]
+    for i, block in enumerate(blocks):
+        yield (", " if i else "") + json.dumps(block)[1:-1]
+    yield "]}\n"
 
 
 def check_rewrite(text: str, chunks) -> None:

@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass
 from itertools import chain
 
-from .errors import ValidationError, check_rewrite
+from .errors import ValidationError, check_rewrite, json_chunks
 
 #: Hard bound of the dimensionless Wigner function, with roundoff slack.
 WIGNER_BOUND = 1.0 / math.pi + 1e-6
@@ -161,15 +161,17 @@ class WignerField:
 
     # -- serialization ----------------------------------------------------
 
+    def _csv_chunks(self):
+        """The text of :meth:`to_csv`: the header, then one u row per chunk."""
+        vs, w, n_v = ["%.17g," % v for v in self.grid.v_axis], "%.17g\n", self.grid.n_v
+        yield _CSV_HEADER
+        for i, u in enumerate(self.grid.u_axis):
+            u = "%.17g," % u  # one %-template holds the row's "u,v," texts, none with a "%"
+            yield (u + (w + u).join(vs) + w) % tuple(self._flat[i * n_v:(i + 1) * n_v])
+
     def to_csv(self) -> str:
         """CSV with header u,v,w, u-major nodes (v fastest), 17 significant digits."""
-        us = ["%.17g," % x for x in self.grid.u_axis]
-        vs = ["%.17g," % x for x in self.grid.v_axis]
-        # one %-template holds the header and every node's "u,v," text, so the
-        # text is built once; neither the header nor the axes contain a "%"
-        w = "%.17g\n"
-        template = "".join([_CSV_HEADER] + [u + (w + u).join(vs) + w for u in us])
-        return template % tuple(self._flat)
+        return "".join(self._csv_chunks())
 
     @classmethod
     def from_csv(cls, text: str) -> "WignerField":
@@ -198,10 +200,9 @@ class WignerField:
             raise ValidationError(f"malformed field CSV: {exc}") from exc
         n_u = len(u_tokens)
         grid = PhaseGrid(*bounds, n_u, len(ws) // n_u)
-        del ws[grid.n_u * grid.n_v:]  # rows past the last whole u row: the re-write ends there
         field = cls.__new__(cls)
         field._adopt(grid, ws)
-        check_rewrite(text, [field.to_csv()])
+        check_rewrite(text, field._csv_chunks())  # one u row's text at a time
         return field
 
     def to_json_dict(self) -> dict:
@@ -211,11 +212,8 @@ class WignerField:
 
     def _json_chunks(self):
         """The text of :meth:`to_json`, one row of values per chunk."""
-        obj = self.to_json_dict()
-        first, *rows = obj["values"]
-        yield '{"grid": ' + json.dumps(obj["grid"]) + ', "values": [' + json.dumps(first)
-        yield from (", " + json.dumps(row) for row in rows)
-        yield "]}\n"
+        head = self.to_json_dict()
+        return json_chunks(head, "values", ([row] for row in head.pop("values")))
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict())`` and a newline, in one join of the rows'

@@ -459,6 +459,19 @@ class TestFresnelCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("--amplitude", "2", "zonesum", "--n", "3"),
+        ("zonesum", "--n", "3", "--amplitude", "2"),
+    ], ids=["before-subaction", "after-subaction"])
+    def test_amplitude_option_removed(self, capsys, tmp_path, argv):
+        # the CLI's geometry keeps FresnelGeometry's default amplitude, 1.0, which
+        # every summary still writes; the library's amplitude keeps its limits
+        out = tmp_path / "f.json"
+        code, stdout, err = run(capsys, "--out", str(out), *self.GEOM, *argv)
+        assert (code, stdout) == (2, "")
+        assert "error: " in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSpinCommand:
     def test_half_spin_two_rows(self, capsys, tmp_path):
@@ -540,14 +553,8 @@ class TestSpinCommand:
     ("wigner", "--state", "mixture:fock:1@1e308;fock:2@1e308", "--grid", "-1:1:3"),
     ("fresnel", "--r0", "inf", "--b", "1000", "--lambda", "1", "zones", "--n", "3"),
     ("fresnel", "--r0", "nan", "--b", "1000", "--lambda", "1", "zones", "--n", "3"),
-    ("fresnel", "--r0", "1000", "--b", "1000", "--lambda", "1", "--amplitude", "nan",
-     "zonesum", "--n", "4"),
-    ("fresnel", "--r0", "1000", "--b", "1000", "--lambda", "1", "--amplitude", "inf",
-     "plate", "--open", "odd", "--n", "2"),
     # a negative value in exponent form reaches the range check, not argparse
     ("overlap", "--beta", "-1e-5"),
-    ("fresnel", "--r0", "100", "--b", "100", "--lambda", "1", "--amplitude", "-1e-3",
-     "zones", "--n", "3"),
     ("spin", "--j", "-1e-3", "belts"),
     # finite bounds whose span overflows a double
     ("wigner", "--state", "fock:1", "--grid", "-1e308:1e308:3", "--method", "parity"),
@@ -1214,7 +1221,6 @@ def test_number_tokens_exit_cleanly(tmp_path_factory, data):
         length = st.floats(1.0, 1e6)
         argv = ["fresnel", "--r0", _number(data, length), "--b", _number(data, length),
                 "--lambda", _number(data, st.floats(1e-3, 1.0)),
-                "--amplitude", _number(data, st.floats(1e-3, 1e3)),
                 *data.draw(st.sampled_from(_FRESNEL_ACTIONS))]
     else:
         weight = st.floats(0.0, 1e308)
@@ -1232,13 +1238,12 @@ def _log_uniform(lo, hi):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(st.data())
 def test_fresnel_geometries_exit_cleanly(tmp_path_factory, data):
-    # r0 and b span 10 to 1e15 wavelengths, the wavelength and the amplitude
-    # 1e-100 to 1e100: the geometry's limits are all crossed, no math call may
-    # raise past them, and every geometry they accept computes
+    # r0 and b span 10 to 1e15 wavelengths and the wavelength 1e-100 to 1e100:
+    # the geometry's limits are all crossed, no math call may raise past them,
+    # and every geometry they accept computes
     lam = data.draw(_log_uniform(1e-100, 1e100))
     r0, b = (lam * data.draw(_log_uniform(10.0, 1e15)) for _ in range(2))
     argv = ["fresnel", "--r0", repr(r0), "--b", repr(b), "--lambda", repr(lam),
-            "--amplitude", repr(data.draw(_log_uniform(1e-100, 1e100))),
             *data.draw(st.sampled_from(_FRESNEL_ACTIONS))]
     code, err, written = _exits_cleanly(tmp_path_factory, data, argv)
     if code:
@@ -1314,21 +1319,24 @@ def _wigner_oracle_cases(seed=16):
     W at a node, the node indices checked).
 
     A coherent state's 3x3 grid of spacing 0.5 is centred on its centre, where
-    W = 1/pi; a Fock state's spans a random unit square in [-3, 3]^2, where
-    W = (-1)^n e^(-r^2) L_n(2 r^2) / pi at every node.  ``random.Random``, not
-    Hypothesis, draws them, so no literal constant of a loaded module moves them.
+    W = 1/pi; a Fock state's or a Fock mixture's spans a random unit square in
+    [-3, 3]^2, where W = sum_i w_i (-1)^n_i e^(-r^2) L_n_i(2 r^2) / (pi sum_i w_i)
+    at every node.  ``random.Random``, not Hypothesis, draws them, so no literal
+    constant of a loaded module moves them.
     """
     import mpmath
 
-    def fock_w(n):
+    def fock_w(parts):
         def w(u, v):
             with mpmath.workdps(30):
                 r2 = mpmath.mpf(u) ** 2 + mpmath.mpf(v) ** 2
-                return float((-1) ** n * mpmath.exp(-r2) * mpmath.laguerre(n, 0, 2 * r2)
-                             / mpmath.pi)
+                return float(mpmath.fsum(
+                    weight * (-1) ** n * mpmath.exp(-r2) * mpmath.laguerre(n, 0, 2 * r2)
+                    for n, weight in parts) / (mpmath.pi * mpmath.fsum(w for _, w in parts)))
         return w
 
     rng, cases = random.Random(seed), []
+    every_node = [(i, k) for i in range(3) for k in range(3)]
     for _ in range(12):
         beta = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
         cu, cv = math.sqrt(2.0) * beta.real, math.sqrt(2.0) * beta.imag
@@ -1336,30 +1344,42 @@ def _wigner_oracle_cases(seed=16):
                       (cv - 0.5, cv + 0.5), lambda u, v: 1.0 / math.pi, [(1, 1)]))
     for _ in range(8):
         n, u0, v0 = rng.randrange(60), rng.uniform(-3.0, 2.0), rng.uniform(-3.0, 2.0)
-        cases.append((f"fock:{n}", (u0, u0 + 1.0), (v0, v0 + 1.0), fock_w(n),
-                      [(i, k) for i in range(3) for k in range(3)]))
+        cases.append((f"fock:{n}", (u0, u0 + 1.0), (v0, v0 + 1.0), fock_w([(n, 1.0)]),
+                      every_node))
+    for _ in range(4):
+        parts = [(rng.randrange(60), rng.uniform(0.1, 1.0)) for _ in range(rng.randint(2, 3))]
+        u0, v0 = rng.uniform(-3.0, 2.0), rng.uniform(-3.0, 2.0)
+        spec = "mixture:" + ";".join(f"fock:{n}@{weight!r}" for n, weight in parts)
+        cases.append((spec, (u0, u0 + 1.0), (v0, v0 + 1.0), fock_w(parts), every_node))
     return cases
 
 
+def _call_violations(capsys, argv, files):
+    """Run ``argv`` through ``cli.main`` with ``--out files[0]``: its exit code, and
+    each way it breaks the rule of exit 0, or exit 2 or 3 with a message and none
+    of ``files`` written, in under 2 s either way."""
+    start = time.perf_counter()
+    code, _, err = run(capsys, "--out", str(files[0]), *argv)
+    elapsed = time.perf_counter() - start
+    label = " ".join(argv)
+    bad = [f"{label}: {elapsed:.2f} s"] if elapsed >= 2.0 else []
+    if code != 0 and (code not in (2, 3) or not err.strip()
+                      or any(path.exists() for path in files)):
+        bad.append(f"{label}: exit {code}, stderr {err!r}")
+    return code, bad
+
+
 def _oracle_violations(capsys, tmp_path, case, method):
-    """Each way one ``wigner`` call breaks the rule: exit 0 with every checked
-    node within 1e-8 of its closed form, or exit 2 or 3 with a message and no
-    file; and under 2 s either way."""
+    """Each way one ``wigner`` call breaks :func:`_call_violations`'s rule, or
+    exits 0 with a checked node more than 1e-8 from its closed form."""
     from phasewave import WignerField
 
     spec, (u_lo, u_hi), (v_lo, v_hi), oracle, nodes = case
-    out = tmp_path / f"{method}.csv"
-    files = [out, tmp_path / f"{method}.parity.csv"]
-    start = time.perf_counter()
-    code, _, err = run(capsys, "--out", str(out), "wigner", "--state", spec,
-                       "--grid", f"{u_lo!r}:{u_hi!r}:3", "--grid-v", f"{v_lo!r}:{v_hi!r}:3",
-                       "--method", method)
-    elapsed = time.perf_counter() - start
-    label = f"{spec} --method {method}"
-    bad = [f"{label}: {elapsed:.2f} s"] if elapsed >= 2.0 else []
+    files = [tmp_path / f"{method}.csv", tmp_path / f"{method}.parity.csv"]
+    code, bad = _call_violations(capsys, [
+        "wigner", "--state", spec, "--grid", f"{u_lo!r}:{u_hi!r}:3",
+        "--grid-v", f"{v_lo!r}:{v_hi!r}:3", "--method", method], files)
     if code != 0:
-        if code not in (2, 3) or not err.strip() or any(path.exists() for path in files):
-            bad.append(f"{label}: exit {code}, stderr {err!r}")
         return bad
     for path in files[: 2 if method == "both" else 1]:
         field = WignerField.from_csv(path.read_text())
@@ -1367,8 +1387,8 @@ def _oracle_violations(capsys, tmp_path, case, method):
         for i, k in nodes:
             got, want = float(field.values[i, k]), oracle(u[i], v[k])
             if not abs(got - want) <= 1e-8:
-                bad.append(f"{label}: {path.name} reads {got!r} at ({u[i]!r}, {v[k]!r}) "
-                           f"for {want!r}")
+                bad.append(f"{spec} --method {method}: {path.name} reads {got!r} at "
+                           f"({u[i]!r}, {v[k]!r}) for {want!r}")
         path.unlink()
     return bad
 
@@ -1386,6 +1406,90 @@ def test_wigner_closed_forms_through_the_cli(capsys, tmp_path):
     assert not bad, "\n".join(bad)
 
 
+def _relative_misses(label, pairs, rel):
+    """A line for each (name, got, want) of ``pairs`` more than ``rel`` from ``want``."""
+    return [f"{label}: {name} reads {got!r} for {want!r}"
+            for name, got, want in pairs if not abs(got - want) <= rel * abs(want)]
+
+
+def _poisson_misses(label, head, rows):
+    """``overlap``: p_poisson within 1e-12 relative of the 40-digit Poisson(beta^2)
+    wherever it reaches 1e-12 of its peak, and the p_overlap summing to 1 within 1e-12."""
+    import mpmath
+
+    peak = max(row["p_poisson"] for row in rows)
+    with mpmath.workdps(40):
+        mean = mpmath.mpf(head["beta"]) ** 2
+        pairs = [(f"p_poisson[{row['n']}]", row["p_poisson"],
+                  float(mpmath.exp(-mean) * mean ** row["n"] / mpmath.factorial(row["n"])))
+                 for row in rows if row["p_poisson"] >= 1e-12 * peak]
+    total = math.fsum(row["p_overlap"] for row in rows)
+    bad = [] if abs(total - 1.0) <= 1e-12 else [f"{label}: p_overlap sums to {total!r}"]
+    return bad + _relative_misses(label, pairs, 1e-12)
+
+
+def _zone_misses(label, geometry, rows):
+    """``fresnel zones``: row n's rho^2 within 1e-13 relative of the exact law at
+    boundary n + 1, evaluated at 30 digits (test_fresnel.py's radius law)."""
+    import mpmath
+
+    r0, b, lam = geometry
+    pairs = []
+    with mpmath.workdps(30):
+        r0, b, lam = map(mpmath.mpf, (r0, b, lam))
+        for row in rows:
+            n = row["n"] + 1
+            t = n * lam / 2
+            h = t * (2 * b + t) / (4 * r0 * (r0 + b))
+            want = r0 * b / (r0 + b) * n * lam * (1 + n * lam / (4 * b)) * (1 - h)
+            pairs.append((f"rho[{row['n']}]^2", row["rho"] ** 2, float(want)))
+    return _relative_misses(label, pairs, 1e-13)
+
+
+def _annulus_misses(label, head, rows):
+    """``spin project``: each southern band n >= 1 has rho_lo^2 R = 2n(j + 1/2) - n^2 - 1/4
+    within 1e-12 relative, R = sqrt(j(j + 1)) the sphere's radius."""
+    j = head["j"]
+    radius = math.sqrt(j * (j + 1.0))
+    return _relative_misses(label, [
+        (f"rho_lo[{row['n']}]^2 R", row["rho_lo"] ** 2 * radius,
+         2 * row["n"] * (j + 0.5) - row["n"] ** 2 - 0.25)
+        for row in rows if row["n"] >= 1 and row["m"] < 0], 1e-12)
+
+
+def _table_oracle_cases(seed=16):
+    """Drawn ``overlap``, ``fresnel zones`` and ``spin project`` calls: (argv, the
+    key of the JSON table written, the misses of its rows against its closed form)."""
+    rng, cases = random.Random(seed), []
+    for _ in range(8):
+        beta = rng.uniform(0.0, 8.0)
+        cases.append((["overlap", "--beta", repr(beta)], "table", _poisson_misses))
+    for _ in range(8):
+        lam = rng.uniform(0.5, 1.5)
+        r0, b = (lam * 10.0 ** rng.uniform(1.0, 4.0) for _ in range(2))
+        cases.append((["fresnel", "--r0", repr(r0), "--b", repr(b), "--lambda", repr(lam),
+                       "zones", "--n", str(rng.randint(2, 300))], "zones",
+                      lambda label, head, rows, g=(r0, b, lam): _zone_misses(label, g, rows)))
+    for _ in range(8):
+        cases.append((["spin", "--j", repr(rng.randint(2, 2000) / 2), "project"], "bands",
+                      _annulus_misses))
+    return cases
+
+
+def test_table_closed_forms_through_the_cli(capsys, tmp_path):
+    """Each drawn ``overlap``, ``fresnel zones`` and ``spin project`` call, through
+    ``cli.main`` under the rule of :func:`_call_violations`, against its closed form."""
+    out, bad, written = tmp_path / "table.json", [], 0
+    for argv, key, misses in _table_oracle_cases():
+        code, call_bad = _call_violations(capsys, ["--format", "json", *argv], [out])
+        bad += call_bad
+        if code == 0:
+            obj = json.loads(out.read_text())
+            bad += misses(" ".join(argv), obj, obj.pop(key))
+            out.unlink()
+            written += 1
+    assert not bad, "\n".join(bad)
+    assert written == 24  # every drawn call lies in its accepted domain
 @pytest.mark.xfail(strict=True, reason="FOUND 2: beyond |x| ~ 38.6 the direct route reads "
                                        "every psi_n as 0, so coherent:30 reads 0 for 1/pi")
 def test_wigner_closed_form_far_coherent_centre(capsys, tmp_path):

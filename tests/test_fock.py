@@ -24,6 +24,7 @@ from phasewave.fock import (
     MAX_CUTOFF,
     _displaced_occupations,
     _displacement_batch,
+    _laguerre_degrees,
     _worst_leak,
     displacement_certified_span,
     eigenfunction_stack,
@@ -83,6 +84,14 @@ def _dmatrix(alpha, n_max):
     return _displacement_batch(np.array([alpha]), n_max, np.arange(n_max + 1))[0]
 
 
+#: FOUND 1 and FOUND 2 (ROADMAP.md): each recurrence starts from a value that
+#: underflows to 0.0, and reads 0.0 where its true value is far from it.
+_FOUND_1 = pytest.mark.xfail(strict=True, reason="FOUND 1: the Laguerre start r**k "
+                             "exp(-r*r/2)/sqrt(k!) underflows, so the recurrence reads 0.0")
+_FOUND_2 = pytest.mark.xfail(strict=True, reason="FOUND 2: the Hermite start exp(-x*x/2) "
+                             "underflows, so the recurrence reads 0.0")
+
+
 class TestEigenfunctions:
     def test_ground_state_at_origin(self):
         # closed form: pi**(-1/4)
@@ -118,10 +127,20 @@ class TestEigenfunctions:
 
     def test_far_samples_are_zero_without_overflow(self):
         # x * x overflows beyond 1.3e154; RuntimeWarning is an error in this suite
-        xs = np.array([38.0, 39.0, 1e154, -1e200, 1.7e308])
+        xs = np.array([38.0, 1e154, -1e200, 1.7e308])
         vals = _psi(12, xs)
         assert vals[0] != 0.0
         assert np.all(vals[1:] == 0.0)
+
+    @pytest.mark.parametrize("n, x, rel", [
+        # a subnormal holds about 29 bits here: psi_12(39) = 1.3934473142673e-314
+        pytest.param(12, 39.0, 1e-6, marks=_FOUND_2),
+        (745, math.sqrt(1491) - 1, 1e-12),  # 1.6e-14 off
+        pytest.param(1000, math.sqrt(2001) - 1, 1e-10, marks=_FOUND_2),
+    ], ids=["psi12-subnormal", "psi745-turning-point", "psi1000-turning-point"])
+    def test_far_samples_match_mpmath(self, n, x, rel):
+        want = _psi_mpmath(n, x)
+        assert abs(_psi(n, np.array([x]))[0] - want) <= rel * abs(want)
 
 
 class TestCoherentAmplitudes:
@@ -198,6 +217,18 @@ class TestDisplacementKernel:
                 err = abs(block[m, n] - ref)
                 assert err < 1e-14, (m, n)
                 assert abs(ref) < 1e-12 or err < 1e-10 * abs(ref), (m, n)
+
+    @pytest.mark.parametrize("n, k, r, rel", [
+        (1444, 0, 38.0, 1e-10),  # 4.6e-11 off: it starts from the subnormal e^(-722)
+        pytest.param(1600, 0, 40.0, 1e-10, marks=_FOUND_1),
+        pytest.param(1500, 3, 40.0, 1e-10, marks=_FOUND_1),
+    ], ids=["T1444-subnormal-start", "T1600-zero-start", "T1500-order3-zero-start"])
+    def test_far_degrees_match_mpmath(self, n, k, r, rel):
+        # T_n^(k)(r) = <n+k|D(r)|n>, the recurrence's degree n at order k
+        for degree in _laguerre_degrees(np.array([r]), n + k, n):
+            pass
+        want = _displacement_mpmath(r, n + k, n).real
+        assert abs(degree[0, k] - want) <= rel * abs(want)
 
     def test_working_set_is_the_result(self):
         # each entry is written once with its phase and sign: no block-sized

@@ -895,6 +895,21 @@ class TestFieldSerialization:
         np.testing.assert_array_equal(back.values, field.values)
         assert back.to_csv() == text
 
+    def test_csv_reader_compares_row_by_row(self):
+        # the vacuum on -5:5:301, a 5.4 MB text: measured peak 2.1 times its length
+        # when the re-write is compared one u row at a time; 2.66 when the reader
+        # built the whole re-written text before comparing
+        grid = PhaseGrid(-5.0, 5.0, -5.0, 5.0, 301, 301)
+        text = WignerField(grid, [[math.exp(-u * u - v * v) / math.pi for v in grid.v_axis]
+                                  for u in grid.u_axis]).to_csv()
+        tracemalloc.start()
+        try:
+            WignerField.from_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * len(text)
+
     def test_json_roundtrip(self):
         field = self._field()
         back = WignerField.from_json(field.to_json())
