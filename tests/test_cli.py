@@ -1330,9 +1330,10 @@ def _wigner_oracle_cases(seed=16):
         def w(u, v):
             with mpmath.workdps(30):
                 r2 = mpmath.mpf(u) ** 2 + mpmath.mpf(v) ** 2
+                total = mpmath.fsum(weight for _, weight in parts)
                 return float(mpmath.fsum(
                     weight * (-1) ** n * mpmath.exp(-r2) * mpmath.laguerre(n, 0, 2 * r2)
-                    for n, weight in parts) / (mpmath.pi * mpmath.fsum(w for _, w in parts)))
+                    for n, weight in parts) / (mpmath.pi * total))
         return w
 
     rng, cases = random.Random(seed), []
@@ -1490,6 +1491,8 @@ def test_table_closed_forms_through_the_cli(capsys, tmp_path):
             written += 1
     assert not bad, "\n".join(bad)
     assert written == 24  # every drawn call lies in its accepted domain
+
+
 @pytest.mark.xfail(strict=True, reason="FOUND 2: beyond |x| ~ 38.6 the direct route reads "
                                        "every psi_n as 0, so coherent:30 reads 0 for 1/pi")
 def test_wigner_closed_form_far_coherent_centre(capsys, tmp_path):
