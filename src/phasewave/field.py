@@ -26,7 +26,7 @@ WIGNER_BOUND = 1.0 / math.pi + 1e-6
 MAX_GRID_NODES = 4_000_000
 
 #: Characters of CSV body parsed per block; a block ends at a newline.
-_BLOCK_CHARS = 1 << 20
+_BLOCK_CHARS = 1 << 16
 
 _CSV_HEADER = "u,v,w\n"
 

@@ -14,7 +14,6 @@ A state is kept as its normalized pure components and their weights (one for a
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -107,7 +106,7 @@ class DensityMatrix:
             occ += w * (a * a.conj()).real
         return int(np.flatnonzero(occ > threshold).max(initial=0))
 
-    @functools.cached_property
+    @property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """The stored (weights, components) over levels 0..s-1, s - 1 the last
         nonzero occupation: the weights w and the first s rows of A, both
@@ -129,13 +128,12 @@ class DensityMatrix:
         components, each weighted by the pair's weight times its own; weights
         renormalized.  A FockState is one component of weight 1."""
         pairs = list(states_and_weights)
+        if not pairs:
+            raise ValidationError("mixture needs at least one component")
         given = np.asarray([w for _, w in pairs], dtype=float)  # read as __init__ reads weights
-        size = max((state.n_max for state, _ in pairs), default=0) + 1
-        amp = np.zeros((size, sum(state._w.size for state, _ in pairs)), dtype=complex)
-        col = 0
-        for state, _ in pairs:
-            amp[: state.n_max + 1, col : col + state._w.size] = state._amp
-            col += state._w.size
+        n_max = max(state.n_max for state, _ in pairs)
+        amp = np.hstack([np.pad(state._amp, ((0, n_max - state.n_max), (0, 0)))
+                         for state, _ in pairs])
         weights = [w * own for (state, _), w in zip(pairs, given) for own in state._w]
         return DensityMatrix(amp, weights)
 
@@ -196,10 +194,9 @@ def eigenfunction_stack(coeffs, xs) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValidationError("sample grid must be finite")
     c = c.reshape(c.shape + (1,) * x.ndim)  # coefficient rows broadcast over the samples
-    if np.any(np.abs(x) > 40.0):
-        # every psi_n is 0.0 there already (the Gaussian underflows beyond 39);
-        # clipping keeps x * x finite, and the usual samples are not copied
-        x = np.clip(x, -40.0, 40.0)
+    # every psi_n is 0.0 past |x| = 40 already (the Gaussian underflows beyond
+    # 39); clipping keeps x * x finite
+    x = np.clip(x, -40.0, 40.0)
     prev, cur = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x * x)
     out = c[0] * cur
     for n in range(n_max):
@@ -226,28 +223,29 @@ def coherent_amplitudes(beta: complex, n_max: int | None = None) -> FockState:
     return FockState(mag * np.exp(1j * np.arange(n_max + 1) * np.angle(beta)))
 
 
-def _laguerre_degrees(mag: np.ndarray, n_max: int, last: int):
+def _laguerre_degrees(mag: np.ndarray, n_max: int, last: int, top: int = MAX_CUTOFF):
     """Yield, per degree n = 0..``last``, the moduli of <n+k|D(a)|n> at |a| = r,
         T_n^(k)(r) = sqrt(n!/(n+k)!) r^k e^(-r^2/2) L_n^(k)(r^2),
-    over (r in ``mag``, order k = 0..n_max - n), by the Laguerre recurrence
-        sqrt((n+1)(n+1+k)) T_(n+1) = (2n+1+k-r^2) T_n - sqrt(n(n+k)) T_(n-1).
+    over (r in ``mag``, order k = 0..min(``top``, n_max - n)), by the recurrence
+        sqrt((n+1)(n+1+k)) T_(n+1) = (2n+1+k-r^2) T_n - sqrt(n(n+k)) T_(n-1),
+    one per order, so a lower ``top`` keeps the bits of the orders it holds.
     As entries of a unitary they stay in [-1, 1], so no n_max overflows, and
     r = 0 gives exactly [k = 0].  Each array yielded is the recurrence's own
     state, to be read and never written.
     """
     mag = mag.reshape(-1, 1)
-    order = np.arange(n_max + 1)
+    order = np.arange(min(top, n_max) + 1)
     aa = mag * mag
     zero = mag[:, 0] == 0.0
     logmag = np.log(np.where(zero[:, None], 1.0, mag))
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+    log_fact = np.array([math.lgamma(k + 1.0) for k in order])
     cur = np.exp(order * logmag - 0.5 * log_fact - 0.5 * aa)
     cur[zero, 1:] = 0.0
     prev = np.zeros_like(cur)
     for n in range(last + 1):
         yield cur
-        k = order[: cur.shape[1] - 1]
-        nxt = (2 * n + 1 + k - aa) * cur[:, :-1]
+        k = order[: n_max - n]
+        nxt = (2 * n + 1 + k - aa) * cur[:, : k.size]
         nxt -= np.sqrt(n * (n + k)) * prev[:, : k.size]
         nxt /= np.sqrt((n + 1) * (n + 1 + k))
         prev, cur = cur, nxt

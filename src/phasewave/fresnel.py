@@ -24,7 +24,6 @@ Everything here is computed on the standard library (``math`` and
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -158,7 +157,6 @@ def _check_grid(n_segments: int, nodes: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=None)  # at most MAX_NODES_PER_ZONE rules
 def _gauss_legendre(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 

@@ -150,7 +150,7 @@ def _wigner_eval(rho, u_vec, v_vec, paired, min_points=None):
     u_vec = np.asarray(u_vec, dtype=float)
     v_vec = np.asarray(v_vec, dtype=float)
     half_window = 2.0 * (math.sqrt(2.0 * n_max + 1.0) + float(np.max(np.abs(u_vec)))) + 12.0
-    v_scale = float(np.max(np.abs(v_vec))) if v_vec.size else 0.0
+    v_scale = float(np.max(np.abs(v_vec)))
     chord_nodes = 6.0 * half_window * v_scale / math.pi
     need = max(chord_nodes, min_points or 0)
     rows = max(u_vec.size, v_vec.size)  # the integrand's and the phases' rows
@@ -217,14 +217,14 @@ def wigner_direct(rho: fock.DensityMatrix, grid: PhaseGrid) -> WignerField:
 def wigner_values(
     rho: fock.DensityMatrix, u, v, *, min_points: int | None = None
 ) -> np.ndarray:
-    """Wigner function at paired scattered points (u[i], v[i])."""
+    """Wigner function at paired scattered points (u[i], v[i]), in u's shape (1-d at least)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if u.shape != v.shape:
         raise ValidationError("u and v must have matching shapes")
     if u.size == 0:
         raise ValidationError("need at least one point")
-    return _wigner_eval(rho, u, v, True, min_points)
+    return _wigner_eval(rho, u.ravel(), v.ravel(), True, min_points).reshape(u.shape)
 
 
 # -- alternating parity-sum route ------------------------------------------
@@ -284,12 +284,15 @@ def _royer_sums(rho: fock.DensityMatrix, alphas: np.ndarray) -> np.ndarray:
         S = 2 Re[c_0(r) + 2 sum_(k>=1) e^(ik theta) c_k(r)],
         c_k(r) = sum_n (-1)^n rho_(n,n+k) T_n^(k)(r),
     whose c_k come from one Laguerre recurrence (``fock._laguerre_degrees``)
-    per distinct r, for blocks of _CHUNK_ELEMS / s^2 radii at a time; each
-    node then sums its series by Horner's rule in e^(i theta).
+    per distinct r and order k <= top, the last superdiagonal of rho holding a
+    nonzero entry (0 for a mixture of Fock states), for blocks of _CHUNK_ELEMS
+    / (s (top + 1)) radii at a time; each node then sums its series by
+    Horner's rule in e^(i theta).
     """
     s = rho.support[1].shape[0]
     signs = 1.0 - 2.0 * (np.arange(s) % 2)
     rows = rho.leading_block(s) * signs[:, None]  # rho_nm (-1)^n
+    top = next((k for k in range(s - 1, 0, -1) if np.diagonal(rows, k).any()), 0)
     beta = 2.0 * alphas
     radii, inverse, counts = np.unique(
         np.abs(beta), return_inverse=True, return_counts=True
@@ -297,17 +300,17 @@ def _royer_sums(rho: fock.DensityMatrix, alphas: np.ndarray) -> np.ndarray:
     by_radius = np.argsort(inverse, kind="stable")  # the nodes of each radius in turn
     first = np.concatenate(([0], np.cumsum(counts)))  # radius i: first[i] to first[i+1]
     out = np.empty(alphas.size)
-    step = max(1, fock._CHUNK_ELEMS // (s * s))
+    step = max(1, fock._CHUNK_ELEMS // (s * (top + 1)))
     for lo in range(0, radii.size, step):
         hi = min(lo + step, radii.size)
-        coef = np.zeros((hi - lo, s), dtype=complex)  # c_k per radius of the block
-        for n, mags in enumerate(fock._laguerre_degrees(radii[lo:hi], s - 1, s - 1)):
-            coef[:, : s - n] += rows[n, n:] * mags
+        coef = np.zeros((hi - lo, top + 1), dtype=complex)  # c_k per radius of the block
+        for n, mags in enumerate(fock._laguerre_degrees(radii[lo:hi], s - 1, s - 1, top)):
+            coef[:, : mags.shape[1]] += rows[n, n : n + mags.shape[1]] * mags
         nodes = by_radius[first[lo] : first[hi]]
         at = inverse[nodes] - lo
         turn = np.exp(1j * np.angle(beta[nodes]))
         acc = np.zeros(nodes.size, dtype=complex)
-        for k in range(s - 1, 0, -1):  # Horner: sum_(k>=1) c_k turn^k
+        for k in range(top, 0, -1):  # Horner: sum_(k>=1) c_k turn^k
             acc += coef[at, k]
             acc *= turn
         out[nodes] = 2.0 * (coef[at, 0].real + 2.0 * acc.real)
@@ -389,7 +392,7 @@ def rotated_quadrature(
     *,
     oversample: int = 1,
 ) -> np.ndarray:
-    """Probability density of the theta-rotated quadrature of a state.
+    """Probability density of the theta-rotated quadrature of a state at ``xs``, in its shape.
 
     Applies the quadratic-phase integral kernel of fractional order theta
     to the position wavefunction of each stored component (``psi.support``)
@@ -402,15 +405,15 @@ def rotated_quadrature(
     xs = np.asarray(xs, dtype=float)
     if not (math.isfinite(theta) and np.isfinite(xs).all() and oversample >= 1):
         raise ValidationError("theta and xs must be finite, and oversample at least 1")
-    fine = _rotated_once(psi, theta, xs, 2 * oversample)  # the larger level, refused first
-    coarse = _rotated_once(psi, theta, xs, oversample)
+    fine = _rotated_once(psi, theta, xs.ravel(), 2 * oversample)  # the larger level, refused first
+    coarse = _rotated_once(psi, theta, xs.ravel(), oversample)
     err = float(np.max(np.abs(fine - coarse), initial=0.0))
     if err > 1e-9:
         raise QuadratureError(
             f"rotation kernel quadrature not converged: doubling changes the "
             f"density by {err:.3e}"
         )
-    return fine
+    return fine.reshape(xs.shape)
 
 
 def _rotated_once(psi: fock.DensityMatrix, theta: float, xs, oversample: int) -> np.ndarray:
@@ -433,10 +436,10 @@ def _rotated_once(psi: fock.DensityMatrix, theta: float, xs, oversample: int) ->
         w[0] *= 0.5
         w[-1] *= 0.5
         inner = np.exp(0.5j * cot * xp**2) * fock.eigenfunction_stack(amp, xp) * w
-        flat, step = xs.ravel(), MAX_CHORD_SAMPLES // npts
-        summed = np.empty((weights.size, flat.size), dtype=complex)
-        for lo in range(0, flat.size, step):  # at most MAX_CHORD_SAMPLES kernel entries at once
-            kernel = np.exp(-1j * csc * np.outer(flat[lo : lo + step], xp))
+        step = MAX_CHORD_SAMPLES // npts
+        summed = np.empty((weights.size, xs.size), dtype=complex)
+        for lo in range(0, xs.size, step):  # at most MAX_CHORD_SAMPLES kernel entries at once
+            kernel = np.exp(-1j * csc * np.outer(xs[lo : lo + step], xp))
             for e, vec in enumerate(inner):  # per component: the sum order of a pure state
                 summed[e, lo : lo + step] = kernel @ vec
         pref = np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi))
@@ -445,7 +448,7 @@ def _rotated_once(psi: fock.DensityMatrix, theta: float, xs, oversample: int) ->
 
 
 def radon_slice(field: WignerField, theta: float, xs) -> np.ndarray:
-    """Marginal density of ``field`` along the theta-rotated axis.
+    """Marginal density of ``field`` along the theta-rotated axis at ``xs``, in its shape.
 
     Line integrals run perpendicular to the rotated axis with bilinear
     interpolation between nodes, sampled at half the smaller grid spacing.
@@ -464,8 +467,8 @@ def radon_slice(field: WignerField, theta: float, xs) -> np.ndarray:
     t = np.arange(-0.5 * diag, 0.5 * diag + step, step)
     ct, st = math.cos(theta), math.sin(theta)
     vals = field.values
-    out = np.empty(xs.size)
-    for i, s in enumerate(xs):
+    out = np.empty(xs.shape)
+    for i, s in enumerate(xs.flat):
         uu = s * ct - t * st
         vv = s * st + t * ct
         fu = (uu - u0) / du
@@ -490,5 +493,5 @@ def radon_slice(field: WignerField, theta: float, xs) -> np.ndarray:
                     f"integration line exits the grid where |W| = {worst:.3e} "
                     "exceeds 1e-06"
                 )
-        out[i] = float(np.sum(w[inside]) * step)
+        out.flat[i] = float(np.sum(w[inside]) * step)
     return out

@@ -230,6 +230,17 @@ class TestDisplacementKernel:
         want = _displacement_mpmath(r, n + k, n).real
         assert abs(degree[0, k] - want) <= rel * abs(want)
 
+    @pytest.mark.parametrize("r", [0.0, 0.7, 12.0])
+    @pytest.mark.parametrize("top", [0, 1, 7])
+    def test_orders_below_top_are_the_uncapped_orders(self, r, top):
+        # each order is its own recurrence in n: capping the orders at top
+        # leaves the columns it keeps the same bits, at every degree
+        mag, n_max = np.array([r, 0.5 * r]), 40
+        capped = _laguerre_degrees(mag, n_max, n_max, top)
+        for n, (low, full) in enumerate(zip(capped, _laguerre_degrees(mag, n_max, n_max))):
+            assert low.shape == (2, min(top, n_max - n) + 1), n
+            assert low.tobytes() == full[:, : low.shape[1]].tobytes(), n
+
     def test_working_set_is_the_result(self):
         # each entry is written once with its phase and sign: no block-sized
         # temporary or (n_max+1) x s index array rides along with the result
@@ -403,7 +414,7 @@ class TestEnergyDistribution:
         monkeypatch.setattr(fock, "_CHUNK_ELEMS", 1_000_000)
         rho = coherent_amplitudes(2.0).density()
         alphas = np.linspace(-6.0, 6.0, 100)
-        support = rho.support[1].shape[0]  # cached before the traced call
+        support = rho.support[1].shape[0]
         n_max = default_cutoff(6.0, math.sqrt(rho.top_occupied()))
         assert alphas.size > 2 * (fock._CHUNK_ELEMS // ((n_max + 1) * support))
         tracemalloc.start()

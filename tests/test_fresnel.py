@@ -249,7 +249,7 @@ class TestQuadrature:
     def test_newton_stops_at_its_step_bound(self, monkeypatch):
         monkeypatch.setattr(fresnel, "NEWTON_STEPS", 1)
         with pytest.raises(NumericsError, match="did not converge in 1 Newton steps"):
-            fresnel._gauss_legendre.__wrapped__(16)  # past the cache
+            fresnel._gauss_legendre(16)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(r0=st.floats(10.0, 1e5), b=st.floats(10.0, 1e5), n=st.integers(1, 200),

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -190,7 +191,6 @@ class TestDirectRoute:
         # 165,969 samples per sign of y.  Measured peak 6.4 MiB; it was 13.9 MiB
         # when every row sampled its own chord nodes
         rho = coherent_amplitudes(2.0).density()
-        rho.support  # the cached support is not part of the route
         grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 81, 81)
         tracemalloc.start()
         try:
@@ -264,7 +264,6 @@ class TestDirectRoute:
         # rows x 1025 nodes a stack of psi_0..psi_64 takes 44 MB, while its
         # one summed column takes 0.7 MB
         rho = coherent_amplitudes(2.0).density()
-        rho.support  # the cached support is not part of the integrand
         u = np.linspace(-6.0, 6.0, 41)
         xs = (u[:, None] + (40.0 / 1024) * np.arange(-1024, 1025)).ravel()
         tracemalloc.start()
@@ -476,8 +475,9 @@ class TestParityRoute:
     ])
     def test_harmonic_sums_match_dense_block(self, monkeypatch, bounds, n_u, n_v, shared,
                                              reach, chunk):
-        # random mixtures with complex coherences, a complex coherent state and
-        # a coherent:2-sized support; chunk=3 puts three radii in each block
+        # random mixtures with complex coherences, a complex coherent state, a
+        # coherent:2-sized support, and states holding orders k = 0 alone and k
+        # = 0 and 3 alone; chunk=3 puts three radii in each block
         grid = PhaseGrid(*bounds, n_u, n_v)
         uu, vv = np.meshgrid(grid.u_axis, grid.v_axis, indexing="ij")
         alphas = alpha_from_uv(uu.ravel(), vv.ravel())
@@ -493,6 +493,8 @@ class TestParityRoute:
             DensityMatrix.mixture([
                 (coherent_amplitudes(2.0 * np.exp(0.7j)), 0.6), (FockState.fock(3, 64), 0.4),
             ]),
+            DensityMatrix.mixture([(FockState.fock(1, 5), 0.3), (FockState.fock(4), 0.7)]),
+            DensityMatrix.mixture([(FockState([0.6, 0, 0, 0.8j]), 0.5), (FockState.fock(1), 0.5)]),
         ]
         for i, rho in enumerate(states):
             if chunk is not None:
@@ -526,6 +528,23 @@ class TestParityRoute:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_fock_trace_builds_only_its_order(self):
+        # fock:2000 holds order k = 0 alone: building every order k < 2001 for
+        # the 443 radii of -1:1:41, two radii per block, took 27 s; within the
+        # 2 s budget of a call, S = 2 e^(-r^2) L_2000(2 r^2), r^2 = u^2 + v^2
+        import mpmath
+
+        axis = np.linspace(-1.0, 1.0, 41)
+        alphas = alpha_from_uv(axis[:, None], axis).ravel()
+        start = time.perf_counter()
+        got = _royer_sums(FockState.fock(2000).density(), alphas)
+        assert time.perf_counter() - start < 2.0
+        for i in (0, 17, 420, 700, 1680):
+            r_sq = float(np.abs(alphas[i]) ** 2 / UV_TO_ALPHA**2)
+            with mpmath.workdps(40):
+                want = 2 * mpmath.exp(-r_sq) * mpmath.laguerre(2000, 0, 2 * r_sq)
+            assert abs(got[i] - float(want)) <= 1e-11, i
 
     def test_uncertified_support_refused_by_both(self):
         # at n_max = 60 displacement by |alpha| = 3 is certified up to n = 2 only
@@ -880,6 +899,38 @@ class TestRadonSlice:
             radon_slice(field, theta, xs)
 
 
+@pytest.mark.parametrize("shape", [(), (12,), (3, 4)], ids=["scalar", "12", "3x4"])
+class TestAbscissaShapes:
+    # each call flattens its points once and gives its result their shape
+    # (wigner_values at least one dimension), with the flat call's bits
+
+    @staticmethod
+    def _points(shape, lo=-3.0, hi=3.0):
+        return np.linspace(lo, hi, 12)[: math.prod(shape)].reshape(shape)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 6], ids=["0", "pi/6"])
+    def test_rotated_quadrature(self, shape, theta):
+        rho, xs = coherent_amplitudes(1.0), self._points(shape)
+        got = rotated_quadrature(rho, theta, xs)
+        assert got.shape == shape
+        assert got.tobytes() == rotated_quadrature(rho, theta, xs.ravel()).tobytes()
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 6], ids=["0", "pi/6"])
+    def test_radon_slice(self, shape, theta):
+        field = _coherent_field(PhaseGrid(-6, 6, -6, 6, 121, 121), 0.5 + 0.0j)
+        xs = self._points(shape)
+        got = radon_slice(field, theta, xs)
+        assert got.shape == shape
+        assert got.tobytes() == radon_slice(field, theta, xs.ravel()).tobytes()
+
+    def test_wigner_values(self, shape):
+        rho = coherent_amplitudes(1.0)
+        u, v = self._points(shape), self._points(shape, 1.0, -2.0)
+        got = wigner_values(rho, u, v)
+        assert got.shape == (shape or (1,))
+        assert got.tobytes() == wigner_values(rho, u.ravel(), v.ravel()).tobytes()
+
+
 class TestFieldSerialization:
     def _field(self):
         grid = PhaseGrid(-2.0, 2.0, -1.0, 1.0, 9, 7)
@@ -896,9 +947,10 @@ class TestFieldSerialization:
         assert back.to_csv() == text
 
     def test_csv_reader_compares_row_by_row(self):
-        # the vacuum on -5:5:301, a 5.4 MB text: measured peak 2.1 times its length
-        # when the re-write is compared one u row at a time; 2.66 when the reader
-        # built the whole re-written text before comparing
+        # the vacuum on -5:5:301, a 5.4 MB text: measured peak 0.65 times its
+        # length with 64 KiB read blocks and the re-write compared one u row at a
+        # time; 2.1 with 1 MiB blocks, and 2.66 when the reader built the whole
+        # re-written text before comparing
         grid = PhaseGrid(-5.0, 5.0, -5.0, 5.0, 301, 301)
         text = WignerField(grid, [[math.exp(-u * u - v * v) / math.pi for v in grid.v_axis]
                                   for u in grid.u_axis]).to_csv()
@@ -908,7 +960,7 @@ class TestFieldSerialization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.6 * len(text)
+        assert peak < 1.0 * len(text)
 
     def test_json_roundtrip(self):
         field = self._field()
