@@ -10,22 +10,24 @@ file, and each ``key=value`` line echoed to stdout after it, goes through
 the types its writer takes and accepts the file only if the writer writes
 those values back byte for byte, a Wigner field through ``phasewave.field``.
 
-Each subcommand imports the one numerics module it computes with when it
-runs, so start-up loads the standard library only; only ``wigner`` loads
-numpy, after its state and grid specs parse.  ``wigner --method both``
+A flag takes the text after its ``=``, or else the next token, even one
+beginning with ``-``; its last occurrence wins, and it may stand anywhere
+after the word that takes it, so ``--out`` and ``--format`` go anywhere.
+Start-up loads json only where JSON is read or written, and each
+subcommand imports the one numerics module it computes with; only
+``wigner`` loads numpy, after its state and grid specs parse.  ``wigner --method both``
 fails (exit 3, no file written) when its two routes disagree at a node.
 Warnings reach stderr as one ``warning: ...`` line each.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
-import json
 import math
+import os
 import sys
+import types
 import warnings
-from pathlib import Path
 
 from .errors import NumericsError, ValidationError, check_rewrite, json_chunks
 
@@ -140,7 +142,7 @@ _TABLES = {
     "spin-belts": ("belts", ("m", "z_lo", "z_hi", "area")),
     "spin-bands": ("bands", ("n", "m", "rho_lo", "rho_hi", "area")),
 }
-#: The keys of a ``FresnelGeometry`` (``asdict``'s), spelled here so that
+#: The keys of a ``FresnelGeometry`` (``_asdict``'s), spelled here so that
 #: ``validate`` loads no numerics module.
 _GEOMETRY = ("r0", "b", "wavelength", "amplitude")
 _COMPLEX = tuple(_complex_dict(0j))
@@ -174,6 +176,8 @@ def _table(fmt: str, kind: str, rows, /, **head):
 
 def _summary(name: str, values) -> list:
     """The text of the ``name`` summary of ``values``, given in its entries' order."""
+    import json
+
     return [json.dumps(dict(zip(_SUMMARIES[name], values))) + "\n"]
 
 
@@ -200,8 +204,7 @@ def cmd_wigner(args) -> None:
     if args.method == "both":
         echo["max_abs_deviation"] = wigner._route_deviation(
             "direct", fields[0].values, "parity", fields[1].values, grid.u_axis, grid.v_axis)
-        path = Path(args.out)
-        outs.append(str(path.with_name(path.stem + ".parity" + path.suffix)))
+        outs.append("%s.parity%s" % os.path.splitext(args.out))
     for out, wf in zip(outs, fields):
         _write(out, [wf.to_json() if args.format == "json" else wf.to_csv()],
                **(echo if wf is fields[-1] else {}))
@@ -210,15 +213,13 @@ def cmd_wigner(args) -> None:
 def cmd_overlap(args) -> None:
     from . import semiclassics
 
-    head = dict(vars(semiclassics.compare_poisson(args.beta)))
+    head = semiclassics.compare_poisson(args.beta)._asdict()
     p_overlap, p_poisson = head.pop("p_overlap"), head.pop("p_poisson")
     rows = zip(range(len(p_overlap)), p_overlap, p_poisson)
     _write(args.out, _table(args.format, "overlap", rows, **head))
 
 
 def cmd_fresnel(args) -> None:
-    from dataclasses import asdict
-
     from . import fresnel
 
     geom = fresnel.FresnelGeometry(r0=args.r0, b=args.b, wavelength=args.wavelength)
@@ -235,7 +236,7 @@ def cmd_fresnel(args) -> None:
         theta_max = fresnel.zone_boundary_angle(geom, args.n)
         u_int = fresnel.huygens_integral(geom, theta_max)
         _write(args.out, _summary("zonesum", (
-            {**asdict(geom), "n_zones": args.n},
+            {**geom._asdict(), "n_zones": args.n},
             *map(_complex_dict, (geom.free_field(), u_int, u_raw, u_avg)),
         )), abs_U=abs(u_avg))
         return
@@ -245,7 +246,7 @@ def cmd_fresnel(args) -> None:
     u_free = geom.free_field()
     ratio = abs(u_plate) / abs(u_free)
     _write(args.out, _summary("plate", (
-        asdict(geom), list(open_zones), _complex_dict(u_plate), _complex_dict(u_free), ratio,
+        geom._asdict(), list(open_zones), _complex_dict(u_plate), _complex_dict(u_free), ratio,
     )), amplitude_ratio=ratio)
 
 
@@ -327,6 +328,8 @@ def cmd_validate(args) -> None:
     if not is_json:
         chunks = _table("csv", args.kind, _csv_rows(text.split("\n")[1:-1], columns))
     else:
+        import json
+
         try:
             obj = json.loads(text)
         except RecursionError as exc:
@@ -349,74 +352,77 @@ def cmd_validate(args) -> None:
     sys.stdout.write("ok\n")
 
 
-# -- parser -------------------------------------------------------------------
+# -- arguments ----------------------------------------------------------------
+
+_ZONES = {"--n": ("n", int, ...)}
+#: The command-line grammar: a word's node maps each flag it adds to (destination, type
+#: or choices, default or ``...`` if required) and None to the positional read next, as
+#: (destination, ``str`` or each word taken with its node, ``...``); main runs cmd_<command>.
+_COMMANDS = {
+    "wigner": {"--state": ("state", str, ...), "--grid": ("grid", str, ...),
+               "--grid-v": ("grid_v", str, None),
+               "--method": ("method", ("direct", "parity", "both"), "direct"),
+               "--n-max": ("n_max", int, None)},
+    "overlap": {"--beta": ("beta", float, ...)},
+    "fresnel": {"--r0": ("r0", float, ...), "--b": ("b", float, ...),
+                "--lambda": ("wavelength", float, ...),
+                None: ("subaction", {"zones": _ZONES, "zonesum": _ZONES,
+                                     "plate": {"--open": ("open", str, ...), **_ZONES}}, ...)},
+    "spin": {"--j": ("j", float, ...), None: ("subaction", {"belts": {}, "project": {}}, ...)},
+    "validate": {"--kind": ("kind", ("wigner", *_TABLES), ...), None: ("path", str, ...)},
+}
+_GRAMMAR = {"--out": ("out", str, None), "--format": ("format", ("csv", "json"), "csv"),
+            None: ("command", _COMMANDS, ...)}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # global flags are accepted both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output file (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"),
-                        default=argparse.SUPPRESS)
-    parser = argparse.ArgumentParser(
-        prog="phasewave",
-        description="Phase-space and zone-construction numerics, batch CSV/JSON output.",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("wigner", help="sample the Wigner function on a grid",
-                       parents=[common])
-    p.add_argument("--state", required=True)
-    p.add_argument("--grid", required=True, help="min:max:count, both axes")
-    p.add_argument("--grid-v", default=None, help="override for the v axis")
-    p.add_argument("--method", choices=("direct", "parity", "both"), default="direct")
-    p.add_argument("--n-max", type=int, default=None, help="parity corner-check truncation")
-    p.set_defaults(func=cmd_wigner)
-
-    p = sub.add_parser("overlap", help="overlap-area vs Poisson occupation report", parents=[common])
-    p.add_argument("--beta", type=float, required=True)
-    p.set_defaults(func=cmd_overlap)
-
-    p = sub.add_parser("fresnel", help="zone tables, field integrals, zone plates", parents=[common])
-    p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--lambda", dest="wavelength", type=float, required=True)
-    fsub = p.add_subparsers(dest="subaction", required=True)
-    for action in ("zones", "zonesum", "plate"):
-        pa = fsub.add_parser(action, parents=[common])
-        if action == "plate":
-            pa.add_argument("--open", required=True, help="odd | even | all | comma list")
-        pa.add_argument("--n", type=int, required=True,
-                        help="number of open zones" if action == "plate" else None)
-    p.set_defaults(func=cmd_fresnel)
-
-    p = sub.add_parser("spin", help="sphere belts and their plane images", parents=[common])
-    p.add_argument("--j", type=float, required=True)
-    p.add_argument("subaction", choices=("belts", "project"))
-    p.set_defaults(func=cmd_spin)
-
-    p = sub.add_parser("validate", help="re-read a file this tool wrote", parents=[common])
-    p.add_argument("--kind", required=True,
-                   choices=("wigner", *_TABLES))
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
-    return parser
+def _refuse(message: str):
+    print(f"phasewave: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
-def _join_negative_values(argv):
-    """Fuse each --flag with a next token that starts with a single '-', such as
-    --grid -4:4:81 or --beta -1e-5, so argparse reads it as the flag's value."""
-    fused, flag = [], False  # flag: the last token kept is an unfused --flag
-    for tok in argv:
-        if flag and tok.startswith("-") and not tok.startswith("--"):
-            fused[-1] += "=" + tok
-            flag = False
-        else:
-            fused.append(tok)
-            flag = tok.startswith("--")
-    return fused
+def _read(name: str, kind, text: str):
+    """``text`` as argument ``name``: ``kind(text)`` for a type, else one of ``kind``."""
+    if not isinstance(kind, type):
+        return text if text in kind else _refuse(f"argument {name}: invalid choice: {text!r} "
+                                                 f"(choose from {', '.join(map(repr, kind))})")
+    try:
+        return kind(text)
+    except ValueError:
+        _refuse(f"argument {name}: invalid {kind.__name__} value: {text!r}")
+
+
+def _usage(flag, entry) -> str:
+    """A flag, or the positional if ``flag`` is None, as a usage line shows it."""
+    dest, kind, default = entry
+    text = dest.upper() if isinstance(kind, type) else "{%s}" % ",".join(kind)
+    text = text if flag is None else f"{flag} {text}"
+    return text if default is ... else f"[{text}]"
+
+
+def parse_args(argv) -> types.SimpleNamespace:
+    """The namespace of ``argv`` as ``_GRAMMAR`` reads it.  ``-h`` prints the usage of the
+    words read so far (SystemExit 0); a refusal, one ``phasewave: error:`` line (SystemExit 2)."""
+    grammar, words, values, tokens = dict(_GRAMMAR), ["phasewave"], {}, iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print("usage:", *words, *map(_usage, grammar, grammar.values()))
+            raise SystemExit(0)
+        name, eq, text = token.partition("=") if token.startswith("-") else (None, "=", token)
+        if name not in grammar:
+            _refuse(f"unrecognized argument: {token}")
+        dest, kind, _ = grammar.pop(None) if name is None else grammar[name]
+        text = text if eq else next(tokens, None)
+        if text is None:
+            _refuse(f"argument {name}: expected one argument")
+        values[dest] = _read(name or dest, kind, text)
+        if name is None:  # a word, the positional's value: its own node comes next
+            grammar.update({} if kind is str else kind[text])
+            words.append(text)
+    values = {dest: default for dest, _, default in grammar.values()} | values
+    missing = [flag or dest for flag, (dest, _, _) in grammar.items() if values[dest] is ...]
+    if missing:
+        _refuse(f"the following arguments are required: {', '.join(missing)}")
+    return types.SimpleNamespace(**values)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -425,17 +431,14 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
-    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        # the global flags default in the namespace: their SUPPRESS defaults keep
-        # pre- and post-subcommand occurrences from clobbering each other
-        args = build_parser().parse_args(argv, argparse.Namespace(out=None, format="csv"))
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+        return exc.code
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            args.func(args)
+            globals()[f"cmd_{args.command}"](args)
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,6 @@ helpers serve every writer and reader: ``json_chunks`` writes a JSON object
 a block at a time, and ``check_rewrite`` compares a file with its writer's chunks.
 """
 
-import json
 import os
 
 
@@ -51,6 +50,8 @@ def json_chunks(head: dict, key: str, blocks):
     """The text of ``json.dumps({**head, key: items})`` and a newline, one chunk per
     block of the items in ``blocks``: json.dumps separates list items by ", ", so each
     block can follow the text that opens the list as the inside of its own list."""
+    import json
+
     yield json.dumps({**head, key: []})[:-2]
     for i, block in enumerate(blocks):
         yield (", " if i else "") + json.dumps(block)[1:-1]

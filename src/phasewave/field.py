@@ -10,11 +10,10 @@ imported, on its first use.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from itertools import chain
 
 from .errors import ValidationError, check_rewrite, json_chunks
@@ -40,18 +39,13 @@ def _axis(lo, hi, n: int) -> list:
     return nodes
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
-    """Rectangular sampling of the (u, v) phase plane."""
+class PhaseGrid(namedtuple("PhaseGrid", "u_min u_max v_min v_max n_u n_v")):
+    """Rectangular sampling of the (u, v) phase plane: real bounds, integer counts."""
 
-    u_min: float
-    u_max: float
-    v_min: float
-    v_max: float
-    n_u: int
-    n_v: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, u_min, u_max, v_min, v_max, n_u, n_v):
+        self = super().__new__(cls, u_min, u_max, v_min, v_max, n_u, n_v)
         for lo, hi, n, name in (
             (self.u_min, self.u_max, self.n_u, "u"),
             (self.v_min, self.v_max, self.n_v, "v"),
@@ -80,6 +74,7 @@ class PhaseGrid:
                     f"the {name} axis repeats a node: its {len(axis)} nodes from "
                     f"{axis[0]!r} to {axis[-1]!r} are not distinct doubles"
                 )
+        return self
 
     @property
     def u_axis(self) -> list:
@@ -104,7 +99,8 @@ class WignerField:
     """Wigner values sampled on a PhaseGrid, shape (n_u, n_v).
 
     The samples are held as one flat list of floats in C order, checked on
-    construction for shape, finiteness and the Wigner bound 1/pi;
+    construction for shape, finiteness and the Wigner bound 1/pi (by numpy,
+    for a float ndarray of the grid's shape such as a route builds);
     ``values``, a read-only (n_u, n_v) ndarray, is built on first use.
 
     Serialized layouts (both lossless for doubles):
@@ -122,6 +118,9 @@ class WignerField:
     """
 
     def __init__(self, grid: PhaseGrid, values):
+        if getattr(values, "dtype", None) == float and values.shape == (grid.n_u, grid.n_v):
+            self._adopt(grid, values.ravel().tolist(), abs(values))  # a route's array
+            return
         rows = values.tolist() if hasattr(values, "tolist") else values
         try:
             shaped = len(rows) == grid.n_u and all(len(row) == grid.n_v for row in rows)
@@ -132,10 +131,15 @@ class WignerField:
             raise ValidationError(f"values do not form {grid.n_u} rows of {grid.n_v} numbers")
         self._adopt(grid, flat)
 
-    def _adopt(self, grid: PhaseGrid, flat: list) -> None:
-        if not all(map(math.isfinite, flat)):
+    def _adopt(self, grid: PhaseGrid, flat: list, magnitudes=None) -> None:
+        """Hold ``flat`` once every value is finite and within the Wigner bound;
+        ``magnitudes``, an ndarray of the values' |W| where given, is checked instead."""
+        if magnitudes is None:
+            finite, peak = all(map(math.isfinite, flat)), max(map(abs, flat))
+        else:
+            finite, peak = bool((magnitudes < math.inf).all()), float(magnitudes.max())
+        if not finite:
             raise ValidationError("Wigner values must be finite")
-        peak = max(map(abs, flat))
         if peak > WIGNER_BOUND:
             raise ValidationError(
                 f"values exceed the Wigner bound 1/pi: max |W| = {peak:.6e}"
@@ -207,7 +211,7 @@ class WignerField:
 
     def to_json_dict(self) -> dict:
         n_v, flat = self.grid.n_v, self._flat
-        return {"grid": asdict(self.grid),  # the six fields, in the order written
+        return {"grid": self.grid._asdict(),  # the six fields, in the order written
                 "values": [flat[i : i + n_v] for i in range(0, len(flat), n_v)]}
 
     def _json_chunks(self):
@@ -223,6 +227,8 @@ class WignerField:
     @classmethod
     def from_json(cls, text: str) -> "WignerField":
         """Read the text :meth:`to_json` writes, and nothing else."""
+        import json
+
         try:
             obj = json.loads(text)
             g, rows = obj["grid"], obj["values"]

@@ -26,8 +26,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
 
 from .errors import NumericsError, ValidationError
 
@@ -53,17 +53,14 @@ MAX_SCALE = 1e100
 NEWTON_STEPS = 100
 
 
-@dataclass(frozen=True)
-class FresnelGeometry:
+class FresnelGeometry(namedtuple("FresnelGeometry", "r0 b wavelength amplitude")):
     """Source-wavefront-observer arrangement, all lengths in one unit."""
 
-    r0: float
-    b: float
-    wavelength: float
-    amplitude: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = asdict(self)
+    def __new__(cls, r0, b, wavelength, amplitude=1.0):
+        self = super().__new__(cls, r0, b, wavelength, amplitude)
+        values = self._asdict()
         if not all(map(math.isfinite, values.values())):
             raise ValidationError("r0, b, wavelength and amplitude must be finite")
         if min(values.values()) <= 0:
@@ -84,6 +81,7 @@ class FresnelGeometry:
                     f"{name} = {value:.6g} lies outside the limits "
                     f"[{1.0 / MAX_SCALE:.6g}, {MAX_SCALE:.6g}]"
                 )
+        return self
 
     @property
     def k(self) -> float:

@@ -17,7 +17,7 @@ numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 
@@ -25,13 +25,10 @@ from .errors import ValidationError
 MAX_BANDS = 1_000_000
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(namedtuple("Band", "n r_inner r_outer")):
     """Annulus between successive quantized-action circles."""
 
-    n: int
-    r_inner: float
-    r_outer: float
+    __slots__ = ()
 
     @property
     def area(self) -> float:
@@ -115,18 +112,13 @@ def poisson_pmf(mean: float, n_terms: int):
     return np.array(_poisson_terms(mean, n_terms))
 
 
-@dataclass(frozen=True)
-class OverlapComparison:
-    """Overlap-area statistics next to the exact Poisson statistics."""
+class OverlapComparison(namedtuple("OverlapComparison", (
+        "beta overlap_mean poisson_mean overlap_variance poisson_variance tv_distance "
+        "p_overlap p_poisson"))):
+    """Overlap-area statistics next to the exact Poisson statistics: floats, then
+    the two probability tables as tuples."""
 
-    beta: float
-    overlap_mean: float
-    poisson_mean: float
-    overlap_variance: float
-    poisson_variance: float
-    tv_distance: float
-    p_overlap: tuple[float, ...]
-    p_poisson: tuple[float, ...]
+    __slots__ = ()
 
 
 def compare_poisson(beta_mag: float) -> OverlapComparison:

@@ -18,7 +18,7 @@ down; the northern hemisphere mirrors the southern picture exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 
@@ -26,13 +26,13 @@ from .errors import ValidationError
 MAX_BELTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class SpinSphere:
+class SpinSphere(namedtuple("SpinSphere", "j")):
     """Sphere of radius sqrt(j(j+1)) carrying the 2j+1 axial belts."""
 
-    j: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, j):
+        self = super().__new__(cls, j)
         two_j = 2.0 * self.j
         if not math.isfinite(two_j) or self.j < 0 or abs(two_j - round(two_j)) > 1e-12:
             raise ValidationError("j must be a nonnegative integer or half-integer")
@@ -40,6 +40,7 @@ class SpinSphere:
             raise ValidationError(
                 f"{two_j + 1.0:.6g} belts exceed the limit of {MAX_BELTS}"
             )
+        return self
 
     @property
     def radius(self) -> float:
@@ -50,13 +51,10 @@ class SpinSphere:
         return int(round(2.0 * self.j)) + 1
 
 
-@dataclass(frozen=True)
-class Belt:
+class Belt(namedtuple("Belt", "m z_lo z_hi")):
     """Axial slab of the sphere holding one eigenvalue of the z-component."""
 
-    m: float
-    z_lo: float
-    z_hi: float
+    __slots__ = ()
 
     @property
     def width(self) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -230,12 +230,10 @@ def wigner_values(
 # -- alternating parity-sum route ------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParitySum:
+class ParitySum(namedtuple("ParitySum", "value last_term")):
     """Value of the alternating sum with its truncation diagnostic."""
 
-    value: float
-    last_term: float
+    __slots__ = ()
 
     def __float__(self) -> float:
         return self.value
@@ -345,13 +343,11 @@ def wigner_parity(
 # -- convention discrimination ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConventionReport:
-    """Outcome of discriminating the alpha <-> (u, v) identification."""
+class ConventionReport(namedtuple("ConventionReport", "deviations winner scale")):
+    """Outcome of discriminating the alpha <-> (u, v) identification: the
+    deviation dict, the winning name and its scale."""
 
-    deviations: dict
-    winner: str
-    scale: float
+    __slots__ = ()
 
 
 def convention_check(rho: fock.DensityMatrix, points) -> ConventionReport:

@@ -1,6 +1,8 @@
 """End-to-end command-line runs: formats, exit codes, determinism."""
 
+import ast
 import contextlib
+import functools
 import io
 import json
 import math
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phasewave
-from phasewave.cli import main
+from phasewave.cli import main, parse_args
 
 
 def run(capsys, *argv):
@@ -530,16 +532,57 @@ class TestSpinCommand:
     ])
     def test_global_out_on_either_side(self, capsys, tmp_path, monkeypatch, before, after,
                                        written):
-        # no parser resets a value that an earlier one parsed; the last --out wins
+        # the last --out wins, and writes what stdout would receive
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *before, "spin", "--j", "1", "belts", *after) == (0, "", "")
         assert [path.name for path in tmp_path.iterdir()] == [written]
+        _, table, _ = run(capsys, "spin", "--j", "1", "belts")
+        assert (tmp_path / written).read_text() == table
 
     def test_global_format_between_subcommands(self, capsys):
         code, out, _ = run(capsys, "fresnel", "--r0", "100", "--b", "100", "--lambda", "1",
                            "--format", "json", "zones", "--n", "3")
         assert code == 0
         assert out.startswith('{"slope_loglog": ')
+
+
+class TestArguments:
+    """The flag table's reader: help, refusals and the two value forms."""
+
+    GEOM = ("fresnel", "--r0", "100", "--b", "100", "--lambda", "1")
+
+    @pytest.mark.parametrize("argv, flags", [
+        (("--help",), ()),
+        (("wigner", "-h"), ("--state", "--grid", "--grid-v", "--method", "--n-max")),
+        ((*GEOM, "plate", "--help"), ("--r0", "--b", "--lambda", "--open", "--n")),
+    ], ids=["top", "subcommand", "subaction"])
+    def test_help_prints_every_flag(self, capsys, argv, flags):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: phasewave ") and out.count("\n") == 1
+        printed = {word.lstrip("[") for word in out.split() if word.lstrip("[").startswith("-")}
+        assert printed == {"--out", "--format", *flags}
+
+    @pytest.mark.parametrize("argv", [
+        ("overlap", "--beta", "1", "--bogus", "2"),
+        ("overlap", "--beta"),
+        ("wigner", "--grid", "-4:4:5"),
+        ("wigner", "--state", "vacuum", "--grid", "-4:4:5", "--method", "fast"),
+        ("wigner", "--st", "vacuum", "--grid", "-4:4:5"),
+        (*GEOM, "zones", "--n", "1.5"),
+    ], ids=["unknown_flag", "missing_value", "missing_required", "bad_choice",
+            "abbreviation", "int_refuses"])
+    def test_grammar_refusal_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("phasewave: error: ") and err.count("\n") == 1, err
+
+    def test_flag_values_spelled_either_way(self):
+        spelled = ["wigner", "--state", "vacuum", "--grid", "-4:4:81", "--method", "parity"]
+        fused = ["wigner", "--state=vacuum", "--grid=-4:4:81", "--method=parity"]
+        assert parse_args(spelled) == parse_args(fused)
+        assert parse_args(spelled).grid == "-4:4:81"
+        assert parse_args([*fused, "--grid", "-1:1:3"]).grid == "-1:1:3"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1061,28 +1104,48 @@ def test_cli_import_needs_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-#: Modules a subcommand may import, watched by the start-up guard.
-_WATCHED = ("numpy", "scipy", "phasewave.fock", "phasewave.wigner",
-            "phasewave.fresnel", "phasewave.spinmap", "phasewave.semiclassics")
+#: Modules a subcommand may import, watched by the start-up guard: the numerics
+#: (a subcommand loads only the one it computes with) and the standard-library
+#: modules start-up leaves out (argparse, dataclasses and the inspect it loads,
+#: json where no JSON is read or written, pathlib).
+_NUMERICS = ("numpy", "scipy", "phasewave.fock", "phasewave.wigner",
+             "phasewave.fresnel", "phasewave.spinmap", "phasewave.semiclassics")
+_WATCHED = (*_NUMERICS, "argparse", "dataclasses", "inspect", "json", "pathlib")
+
+
+def _modules_after(code, *args):
+    """What ``code`` prints in a fresh interpreter given ``args``, and the modules
+    the interpreter then holds, as the lines it printed and a set."""
+    src = str(Path(phasewave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(sorted(sys.modules))", *args],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    *printed, modules = result.stdout.splitlines()
+    return printed, set(ast.literal_eval(modules))
+
+
+@functools.cache
+def _bare_modules():
+    """The modules a bare ``python -c pass`` holds here: a site .pth may preload some."""
+    return _modules_after("pass")[1]
+
+
+def _fresh(code, *args):
+    """The last line ``code`` prints in a fresh interpreter, and the watched modules
+    it loaded beyond those of a bare interpreter in the same environment."""
+    printed, modules = _modules_after(code, *args)
+    return printed[-1] if printed else None, (modules - _bare_modules()) & set(_WATCHED)
 
 
 def _fresh_cli(*argvs):
     """Exit codes of each argv, run through cli.main in one fresh interpreter
-    after ``import phasewave.cli``, and the watched modules it then holds."""
-    src = str(Path(phasewave.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = (
-        "import json, sys, phasewave.cli\n"
-        "codes = [phasewave.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-        f"loaded = sorted(m for m in {_WATCHED!r} if m in sys.modules)\n"
-        "print(json.dumps([codes, loaded]))\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(argvs)],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
-    )
-    codes, loaded = json.loads(result.stdout.splitlines()[-1])
-    return codes, set(loaded)
+    after ``import phasewave.cli``, and the watched modules it loaded."""
+    probe = ("import sys, phasewave.cli\n"  # eval, not json: the probe loads no module
+             "print([phasewave.cli.main(argv) for argv in eval(sys.argv[1])])")
+    codes, loaded = _fresh(probe, repr(argvs))
+    return ast.literal_eval(codes), loaded
 
 
 def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
@@ -1098,6 +1161,10 @@ def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
     )
     assert codes == [0, 0, 0]
     assert loaded == set()
+    # a JSON table or summary is read with json, and with nothing more
+    assert _fresh_cli(["validate", "--kind", "zones", str(golden / "zonesum.out")],
+                      ["validate", "--kind", "overlap", str(golden / "overlap.out")]
+                      ) == ([0, 0], {"json"})
 
     # a Wigner field is read, checked and re-written with the standard library
     field_csv, field_json = tmp_path / "w.csv", tmp_path / "w.json"
@@ -1105,28 +1172,21 @@ def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
     codes, _ = _fresh_cli(["--format", "json", "--out", str(field_json), "wigner",
                            "--state", "fock:1", "--grid", "-4:4:5", "--method", "parity"])
     assert codes == [0]
-    codes, loaded = _fresh_cli(
-        ["validate", "--kind", "wigner", str(field_csv)],
-        ["validate", "--kind", "wigner", str(field_json)],
-    )
-    assert codes == [0, 0]
-    assert loaded == set()
-    src = str(Path(phasewave.__file__).resolve().parents[1])
-    probe = (f"import sys, phasewave; phasewave.PhaseGrid; phasewave.WignerField; "
-             f"print(sorted(m for m in {_WATCHED!r} if m in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert _fresh_cli(["validate", "--kind", "wigner", str(field_csv)]) == ([0], set())
+    assert _fresh_cli(["validate", "--kind", "wigner", str(field_json)]) == ([0], {"json"})
+    assert _fresh("import phasewave; phasewave.PhaseGrid; phasewave.WignerField") == (
+        None, set())
 
-    # every fresnel subaction computes on the standard library
+    # every fresnel subaction computes on the standard library; the summaries are JSON
     geom = ["fresnel", "--r0", "100", "--b", "100", "--lambda", "1"]
+    assert _fresh_cli(["--out", str(tmp_path / "z.csv"), *geom, "zones", "--n", "3"]) == (
+        [0], {"phasewave.fresnel"})
     codes, loaded = _fresh_cli(
-        ["--out", str(tmp_path / "z.csv"), *geom, "zones", "--n", "3"],
         ["--out", str(tmp_path / "f.json"), *geom, "zonesum", "--n", "4"],
         [*geom, "plate", "--open", "odd", "--n", "2"],
     )
-    assert codes == [0, 0, 0]
-    assert loaded == {"phasewave.fresnel"}
+    assert codes == [0, 0]
+    assert loaded == {"phasewave.fresnel", "json"}
 
     # the band and belt tables are computed on the standard library
     codes, loaded = _fresh_cli(
@@ -1147,18 +1207,17 @@ def test_startup_loads_only_what_the_subcommand_computes_with(tmp_path):
     assert loaded == set()
 
     # the overlap table and its moments are computed on the standard library
-    codes, loaded = _fresh_cli(
-        ["--out", str(tmp_path / "o.csv"), "overlap", "--beta", "1"],
-        ["--format", "json", "--out", str(tmp_path / "o.json"), "overlap", "--beta", "5"],
-    )
-    assert codes == [0, 0]
-    assert loaded == {"phasewave.semiclassics"}
+    assert _fresh_cli(["--out", str(tmp_path / "o.csv"), "overlap", "--beta", "1"]) == (
+        [0], {"phasewave.semiclassics"})
+    assert _fresh_cli(["--format", "json", "--out", str(tmp_path / "o.json"), "overlap",
+                       "--beta", "5"]) == ([0], {"phasewave.semiclassics", "json"})
 
     # the Wigner command never touches the zone, belt or overlap modules, nor scipy
     codes, loaded = _fresh_cli(["--out", str(tmp_path / "w.csv"), "wigner", "--state",
                                 "fock:1", "--grid", "-4:4:5", "--method", "both"])
     assert codes == [0]
-    assert loaded == {"numpy", "phasewave.fock", "phasewave.wigner"}
+    # numpy itself loads inspect
+    assert loaded - {"inspect"} == {"numpy", "phasewave.fock", "phasewave.wigner"}
 
 
 #: Special number tokens every fuzzed number slot may receive.

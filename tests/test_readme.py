@@ -7,7 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
-from phasewave.cli import _join_negative_values, build_parser, main
+from phasewave.cli import main, parse_args
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
@@ -38,7 +38,7 @@ def test_readme_cli_block_runs_and_validates(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv) == 0, argv
         stdout = capsys.readouterr().out
-        args = build_parser().parse_args(_join_negative_values(argv))
+        args = parse_args(argv)
         if args.command == "validate":
             continue
         kind = KINDS[getattr(args, "subaction", args.command)]

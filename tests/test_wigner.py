@@ -1046,10 +1046,21 @@ class TestFieldSerialization:
             assert back.grid == field.grid
             assert back.values.tobytes() == field.values.tobytes()
 
-    def test_bound_violation_rejected(self):
+    @pytest.mark.parametrize("bad, message", [
+        (1.0, "values exceed the Wigner bound 1/pi: max |W| = 1.000000e+00"),
+        (-0.5, "values exceed the Wigner bound 1/pi: max |W| = 5.000000e-01"),
+        (math.nan, "Wigner values must be finite"),
+        (-math.inf, "Wigner values must be finite"),
+    ])
+    def test_bound_violation_rejected(self, bad, message):
+        # a route's float array is checked by numpy, rows of floats in Python: one refusal
         grid = PhaseGrid(-1, 1, -1, 1, 3, 3)
-        with pytest.raises(ValidationError):
-            WignerField(grid, np.full((3, 3), 1.0))
+        values = np.full((3, 3), 0.1)
+        values[1, 2] = bad
+        for given in (values, np.asfortranarray(values), values.tolist()):
+            with pytest.raises(ValidationError) as info:
+                WignerField(grid, given)
+            assert str(info.value) == message
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
